@@ -1,14 +1,14 @@
 """Resilience benchmarks: the fault-tolerance wrapper must be ~free.
 
-PR 7 routes sweeps through :func:`repro.resilience.run_resilient`
-whenever any resilience knob is active.  The wrapper buys isolation,
-retries, and checkpointing — but a *fault-free* run must not pay for
-faults that never happen.  Two pins:
+Every sweep runs through :func:`repro.resilience.run_resilient`.  The
+wrapper buys isolation, retries, and checkpointing — but a *fault-free*
+run must not pay for faults that never happen.  Two pins:
 
 1. *Retry-wrapper overhead* — wall-time of the canonical 8-cell grid
-   through the legacy executor path vs the resilient path with a retry
-   budget and no faults.  The committed baseline pins the overhead
-   under 5% of PR 6 throughput; the quick-mode floor is looser for CI
+   under the inert policy (one attempt, no faults: the "plain" arm) vs
+   the same path with a retry budget and no faults.  The committed
+   baseline (measured when the plain arm was a separate executor path)
+   pins the overhead under 5%; the quick-mode floor is looser for CI
    noise on tiny absolute times.
 2. *Resume skip-through* — a run whose journal already holds every
    fingerprint must retire the whole grid without recomputing a cell,
@@ -74,7 +74,7 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
 
 
 def bench_retry_overhead() -> dict:
-    """Fault-free grid: legacy executor path vs the resilient wrapper."""
+    """Fault-free grid: the inert policy vs a retry budget, one path."""
     from repro.sweep import SweepService
 
     service = SweepService(cache=False)
@@ -132,7 +132,7 @@ def test_fault_free_wrapper_overhead_is_small():
     stats = bench_retry_overhead()
     assert stats["overhead_pct"] <= OVERHEAD_PCT_QUICK_FLOOR, (
         f"fault-free resilient run costs {stats['overhead_pct']:.1f}% over "
-        f"the legacy path (quick floor {OVERHEAD_PCT_QUICK_FLOOR:.0f}%): "
+        f"the inert policy (quick floor {OVERHEAD_PCT_QUICK_FLOOR:.0f}%): "
         f"plain {stats['plain_s']:.2f}s, resilient {stats['resilient_s']:.2f}s"
     )
     print(

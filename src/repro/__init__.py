@@ -40,8 +40,6 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 per-figure/table regeneration harness.
 """
 
-import warnings as _warnings
-
 from repro.core import (
     ModelConfig,
     ReproError,
@@ -63,20 +61,6 @@ from repro.session import (
 
 __version__ = "1.1.0"
 
-#: Primitives that used to be re-exported here; their canonical home is
-#: :mod:`repro.core`.  Top-level access still works but warns.
-_DEPRECATED_CORE_EXPORTS = (
-    "CarbonMass",
-    "Energy",
-    "Power",
-    "Duration",
-    "CarbonIntensity",
-    "CarbonLedger",
-    "FootprintReport",
-    "operational_carbon",
-    "operational_carbon_trace",
-)
-
 __all__ = [
     "__version__",
     # facade
@@ -95,21 +79,4 @@ __all__ = [
     "set_config",
     "use_config",
     "ReproError",
-    # deprecated re-exports (canonical: repro.core)
-    *_DEPRECATED_CORE_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    """Deprecation shim: serve the old top-level re-exports with a warning."""
-    if name in _DEPRECATED_CORE_EXPORTS:
-        _warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"use 'from repro.core import {name}'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.core as _core
-
-        return getattr(_core, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

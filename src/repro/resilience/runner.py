@@ -1,23 +1,27 @@
 """Resilient unit execution: isolate, retry, time out, rebuild.
 
-:func:`run_resilient` is the fault-tolerant twin of handing a work-unit
-list straight to an ``executor`` backend.  Every unit runs under a
+:func:`run_resilient` is the one way work units reach an ``executor``
+backend: :class:`~repro.sweep.runner.SweepService` dispatches every
+sweep through it, and the pooled engines' ``run_many`` calls share its
+pool driver.  Every unit runs under a
 :class:`~repro.resilience.policy.RetryPolicy` with a fault injector at
 the execution boundary, and failures come back as structured
 :class:`~repro.resilience.policy.CellFailure` values instead of
-propagating:
+propagating.  The inert policy (``RetryPolicy()``: one attempt, no
+timeout) with no injector is the plain run:
 
-* **serial** — units run in-process, one attempt loop each; the
-  per-attempt deadline is enforced with a real ``SIGALRM`` interval
-  timer where available (main thread, POSIX) and degrades to a
-  post-hoc elapsed check elsewhere.  Injected ``crash`` actions
-  degrade to raised :class:`~repro.resilience.faults.InjectedFault`
-  errors — killing the only process would abort the host, not simulate
-  a lost worker.
-* **process / shared** — each unit is submitted *individually* to a
-  ``ProcessPoolExecutor`` (per-unit isolation, unlike the chunked fast
-  path), attempts retry inside the worker, and an injected ``crash``
-  is a real ``os._exit``.  When the pool breaks
+* **serial and plugin engines** — units run in-process, one engine
+  call and one attempt loop each; the per-attempt deadline is enforced
+  with a real ``SIGALRM`` interval timer where available (main thread,
+  POSIX) and degrades to a post-hoc elapsed check elsewhere.  Injected
+  ``crash`` actions degrade to raised
+  :class:`~repro.resilience.faults.InjectedFault` errors — killing the
+  only process would abort the host, not simulate a lost worker.
+* **pooled engines** (a :class:`~repro.session.executors.PoolExecutor`
+  — ``process`` / ``shared``) — each unit is submitted *individually*
+  to a ``ProcessPoolExecutor`` (per-unit isolation), attempts retry
+  inside the worker, and an injected ``crash`` is a real ``os._exit``.
+  When the pool breaks
   (:class:`~concurrent.futures.process.BrokenProcessPool` — an
   OOM-killed or segfaulted worker), the parent rebuilds it — re-warming
   trace memos and re-attaching the
@@ -27,9 +31,6 @@ propagating:
   (``max_rebuilds``) turns a crash *storm* into a typed
   :class:`~repro.core.errors.ResilienceError` instead of an infinite
   rebuild loop.
-* **any other executor key** — the registered engine runs one unit at
-  a time under the parent-side attempt loop (retry still applies;
-  crashes degrade as in serial).
 
 Completed units are reported through ``on_unit_done`` *as they settle*,
 so the caller can journal checkpoints and write back cache entries
@@ -307,11 +308,21 @@ def _settle(
 def _run_serial(
     units: Sequence[ResilientUnit],
     *,
+    engine,
     policy: RetryPolicy,
     injector,
     on_unit_done,
-    run: Callable[[Any], Any] = _default_run,
 ) -> ResilientRun:
+    """Parent-side attempt loop: one ``engine([item])`` call per unit."""
+
+    def run(item):
+        results = list(engine([item]))
+        if len(results) != 1:
+            raise ResilienceError(
+                f"executor returned {len(results)} results for one unit"
+            )
+        return results[0]
+
     outcomes = []
     for unit in units:
         payload = _run_unit_attempts(
@@ -331,10 +342,17 @@ def _run_serial(
 
 
 def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool's worker processes (interrupt / hung-worker path)."""
-    from repro.session.executors import _terminate_pool_workers
+    """Hard-stop a pool's worker processes (interrupt / hung-worker path).
 
-    _terminate_pool_workers(pool)
+    Must run *before* ``pool.shutdown`` — shutdown drops the pool's
+    process table, and a worker that survives it keeps grinding until
+    its current task ends.
+    """
+    for process in tuple((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except (OSError, ValueError):  # already reaped
+            pass
 
 
 def _crash_failure(unit: ResilientUnit, attempts: int) -> CellFailure:
@@ -356,14 +374,16 @@ def _crash_failure(unit: ResilientUnit, attempts: int) -> CellFailure:
 def _run_pooled(
     units: Sequence[ResilientUnit],
     *,
+    config,
     policy: RetryPolicy,
     injector,
-    max_workers: int,
-    shared: bool,
-    store_dir,
     max_rebuilds: int,
     on_unit_done,
 ) -> ResilientRun:
+    """The process-pool driver: one future per unit, rebuilt on crashes.
+
+    ``config`` is a :class:`~repro.session.executors.PoolExecutor`.
+    """
     from repro.session.executors import (
         _attach_store_worker,
         _sweep_seeds,
@@ -371,20 +391,20 @@ def _run_pooled(
     )
 
     seeds = _sweep_seeds([unit.item for unit in units])
-    if shared:
+    if config.shared:
         from repro.sweep.store import SharedTraceStore
 
-        store = SharedTraceStore(store_dir)
+        store = SharedTraceStore(config.store_dir)
         for seed in seeds:
-            # Parent-side pre-warm (mirrors the shared fast path): files
-            # exist before any worker forks, so workers mmap-attach.
+            # Parent-side pre-warm: files exist before any worker
+            # starts, so workers only ever mmap-attach.
             store.ensure_traces(seed=seed)
         initializer: Callable = _attach_store_worker
         initargs: Tuple = (str(store.directory), seeds)
     else:
         initializer, initargs = _warm_worker, (seeds,)
 
-    workers = max(1, min(int(max_workers), len(units)))
+    workers = max(1, min(config.max_workers, len(units)))
 
     def _make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -518,33 +538,6 @@ def _run_pooled(
     return ResilientRun(outcomes=outcomes, rebuilds=rebuilds)
 
 
-def _run_foreign(
-    units: Sequence[ResilientUnit],
-    *,
-    engine,
-    policy: RetryPolicy,
-    injector,
-    on_unit_done,
-) -> ResilientRun:
-    """Per-unit retry around an arbitrary registered executor."""
-
-    def run(item):
-        results = list(engine([item]))
-        if len(results) != 1:
-            raise ResilienceError(
-                f"executor returned {len(results)} results for one unit"
-            )
-        return results[0]
-
-    return _run_serial(
-        units,
-        policy=policy,
-        injector=injector,
-        on_unit_done=on_unit_done,
-        run=run,
-    )
-
-
 # --- entry point ------------------------------------------------------------
 def run_resilient(
     units: Sequence[ResilientUnit],
@@ -558,11 +551,12 @@ def run_resilient(
 ) -> ResilientRun:
     """Run work units fault-tolerantly through an executor backend.
 
-    ``executor`` is an ``executor`` registry key; the built-in pooled
-    engines (``process``/``shared`` and their aliases) get per-unit
-    isolation with crash recovery, everything else runs under the
-    parent-side attempt loop.  ``on_unit_done(outcome)`` fires as each
-    unit settles, in dispatch order.
+    ``executor`` is an ``executor`` registry key, built with
+    ``executor_opts`` (the factory validates them).  An engine that is
+    a :class:`~repro.session.executors.PoolExecutor` gets per-unit
+    futures with crash recovery; any other engine is called once per
+    unit under the parent-side attempt loop.  ``on_unit_done(outcome)``
+    fires as each unit settles, in dispatch order.
     """
     units = list(units)
     if not units:
@@ -573,31 +567,21 @@ def run_resilient(
         )
     policy = RetryPolicy.coerce(policy)
     injector = injector if injector is not None else NoFaults()
-    opts = dict(executor_opts or {})
 
-    from repro.session import executors as _executors
+    from repro.session.executors import PoolExecutor
     from repro.session.registry import resolve_backend
 
-    factory = resolve_backend("executor", executor)
-    if factory is _executors.serial_executor:
-        return _run_serial(
-            units, policy=policy, injector=injector, on_unit_done=on_unit_done
-        )
-    if factory in (_executors.process_executor, _executors.shared_executor):
-        shared = factory is _executors.shared_executor
-        max_workers = opts.get("max_workers") or os.cpu_count() or 1
+    engine = resolve_backend("executor", executor)(**(executor_opts or {}))
+    if isinstance(engine, PoolExecutor):
         return _run_pooled(
             units,
+            config=engine,
             policy=policy,
             injector=injector,
-            max_workers=int(max_workers),
-            shared=shared,
-            store_dir=opts.get("store_dir"),
             max_rebuilds=int(max_rebuilds),
             on_unit_done=on_unit_done,
         )
-    engine = factory(**opts)
-    return _run_foreign(
+    return _run_serial(
         units,
         engine=engine,
         policy=policy,

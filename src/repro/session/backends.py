@@ -71,9 +71,17 @@ calling conventions, per kind:
 ``executor``
     ``factory(**opts) -> callable(items) -> list[ScenarioResult]`` — a
     sweep engine for :meth:`Session.run_many` (see
-    :mod:`repro.session.executors`).  ``serial``, ``process``, and
-    ``shared`` ship built-in; the parallel engines take ``max_workers``
-    and ``chunk_size``, and ``shared`` additionally ``store_dir``.
+    :mod:`repro.session.executors`); the factory validates its options.
+    ``serial``, ``process``, and ``shared`` ship built-in.  The pooled
+    engines take ``max_workers`` (``shared`` also ``store_dir``) and
+    return a :class:`~repro.session.executors.PoolExecutor`: every item
+    runs as its own process-pool future through the resilience layer's
+    pool driver.  Sweeps call any engine once per work unit through
+    :func:`repro.resilience.run_resilient`, where a unit that raises
+    becomes a :class:`~repro.resilience.CellFailure`.  Called directly
+    (``run_many``), ``serial`` propagates a scenario's own exception and
+    the pooled engines raise :class:`~repro.core.errors.ResilienceError`
+    naming the first failed cell.
 ``faults``
     ``factory(**opts) -> injector`` — a deterministic fault injector
     for chaos-testing resilient sweeps, exposing ``action(*, token,

@@ -8,15 +8,26 @@ registry kind; built-ins:
 
 * ``serial`` — run each scenario in this process, one after another.
   This is the default and shares the parent's memoized trace sets, so a
-  5-region × 3-policy sweep still generates traces once per seed.
-* ``process`` — fan chunks of scenarios out to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker's
-  trace memo is warmed once for every seed in the sweep (via the pool
-  initializer; under ``fork`` the parent's memo is inherited for free),
-  so workers never regenerate traces per scenario.  Scenario resolution
-  and execution happen inside the worker, which requires every item and
-  its payloads (workloads, configs, policy objects) to be picklable —
-  registry-keyed scenarios always are.
+  5-region × 3-policy sweep still generates traces once per seed.  A
+  scenario that raises propagates its own exception.
+* ``process`` — a :class:`PoolExecutor`: every scenario is its own
+  future on a :class:`~concurrent.futures.ProcessPoolExecutor`, driven
+  by the resilience layer's pool driver — the same one sweeps use.
+  Each worker's trace memo is warmed once for every seed in the sweep
+  (via the pool initializer; under ``fork`` the parent's memo is
+  inherited for free), so workers never regenerate traces per
+  scenario.  Scenario resolution and execution happen inside the
+  worker, which requires every item and its payloads (workloads,
+  configs, policy objects) to be picklable — registry-keyed scenarios
+  always are.
+* ``shared`` — ``process`` over a memory-mapped
+  :class:`~repro.sweep.store.SharedTraceStore` the parent fills before
+  the pool starts.
+
+A pooled call runs under the inert retry policy (one attempt, no
+timeout, no faults) and raises :class:`~repro.core.errors.ResilienceError`
+naming the first failed cell — a worker's exception or a lost worker
+alike.
 
 Results are deterministic per scenario seed (each Session draws a
 freshly seeded forecast stream), so a ``process`` sweep returns results
@@ -30,8 +41,8 @@ or explicitly via ``Session.run_many(..., executor="process")``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import SessionError
 
@@ -42,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SweepExecutor",
+    "PoolExecutor",
     "serial_executor",
     "process_executor",
     "shared_executor",
@@ -63,7 +75,7 @@ def _run_one(item: _SweepItem) -> "ScenarioResult":
 
 
 def _run_chunk(items: Sequence[_SweepItem]) -> List["ScenarioResult"]:
-    """Run a contiguous slice of a sweep (the process-pool work unit)."""
+    """Run a sweep in this process (the ``serial`` engine)."""
     return [_run_one(item) for item in items]
 
 
@@ -92,88 +104,74 @@ def serial_executor(**_opts) -> "SweepExecutor":
     return _run_chunk
 
 
-def _terminate_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool's worker processes (the interrupt path).
+@dataclass(frozen=True)
+class PoolExecutor:
+    """A validated process-pool configuration: the pooled engines.
 
-    Must run *before* ``pool.shutdown`` — shutdown drops the pool's
-    process table, and a worker that survives it keeps grinding until
-    its current task ends (the zombie this bugfix exists to kill).
+    :func:`repro.resilience.run_resilient` reads it to drive one future
+    per work unit; calling it runs a :meth:`Session.run_many` sweep
+    through that same driver under the inert retry policy.
     """
-    for process in tuple((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.terminate()
-        except (OSError, ValueError):  # already reaped
-            pass
 
-
-def _drain_pool(
-    pool: ProcessPoolExecutor, chunks: Sequence[Sequence[_SweepItem]]
-) -> List["ScenarioResult"]:
-    """Map chunks through a pool without zombifying workers on interrupt.
-
-    The ``with ProcessPoolExecutor(...)`` idiom shuts down with
-    ``wait=True`` and *without* ``cancel_futures``, so a Ctrl-C in the
-    parent leaves every queued chunk grinding in orphaned workers.
-    Here any interrupt (``KeyboardInterrupt``/``SystemExit``) cancels
-    all unstarted chunks and terminates the workers before the
-    exception propagates; the normal path still waits cleanly.
-    """
-    try:
-        results = [
-            result
-            for chunk_results in pool.map(_run_chunk, chunks)
-            for result in chunk_results
-        ]
-    except BaseException as exc:
-        if not isinstance(exc, Exception):
-            _terminate_pool_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    else:
-        pool.shutdown(wait=True)
-        return results
-
-
-class _ProcessSweep:
-    """Chunked ProcessPoolExecutor sweep, order-preserving."""
-
-    def __init__(self, max_workers: int, chunk_size: int | None) -> None:
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
+    max_workers: int
+    shared: bool = False
+    #: The shared trace store directory (default: the sweep cache's
+    #: ``store/``); ignored unless ``shared``.
+    store_dir: Any = None
 
     def __call__(self, items: Sequence[_SweepItem]) -> List["ScenarioResult"]:
         items = list(items)
-        workers = min(self.max_workers, len(items))
-        if workers <= 1:
-            return _run_chunk(items)
-        size = self.chunk_size or -(-len(items) // workers)
-        chunks = [items[i : i + size] for i in range(0, len(items), size)]
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_warm_worker,
-            initargs=(_sweep_seeds(items),),
+        if not items:
+            return []  # no work: touch no disk (the conformance contract)
+        from repro.core.errors import ResilienceError
+        from repro.resilience.faults import NoFaults
+        from repro.resilience.policy import RetryPolicy
+        from repro.resilience.runner import (
+            DEFAULT_MAX_REBUILDS,
+            ResilientUnit,
+            _run_pooled,
         )
-        return _drain_pool(pool, chunks)
+
+        units = [
+            ResilientUnit(
+                item=item,
+                index=index,
+                indices=(index,),
+                name=getattr(item, "_scenario", item)._derived_name(),
+                fingerprint=None,
+            )
+            for index, item in enumerate(items)
+        ]
+        run = _run_pooled(
+            units,
+            config=self,
+            policy=RetryPolicy(),
+            injector=NoFaults(),
+            max_rebuilds=DEFAULT_MAX_REBUILDS,
+            on_unit_done=None,
+        )
+        for outcome in run.outcomes:
+            if not outcome.ok:
+                raise ResilienceError(
+                    f"pooled sweep failed: {outcome.failure.summary()}"
+                )
+        return [outcome.result for outcome in run.outcomes]
 
 
-def process_executor(
-    *, max_workers: int | None = None, chunk_size: int | None = None
-) -> "SweepExecutor":
-    """Parallel sweep executor over a process pool.
-
-    ``max_workers`` defaults to the machine's CPU count; ``chunk_size``
-    defaults to an even split of the sweep across workers (one chunk
-    per worker), which amortizes worker startup and result pickling.
-    """
+def _pool(max_workers: Optional[int], **config) -> PoolExecutor:
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     if int(max_workers) < 1:
         raise SessionError(f"max_workers must be >= 1, got {max_workers!r}")
-    if chunk_size is not None and int(chunk_size) < 1:
-        raise SessionError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    return _ProcessSweep(
-        int(max_workers), None if chunk_size is None else int(chunk_size)
-    )
+    return PoolExecutor(max_workers=int(max_workers), **config)
+
+
+def process_executor(*, max_workers: Optional[int] = None) -> PoolExecutor:
+    """Parallel sweep executor over a process pool.
+
+    ``max_workers`` defaults to the machine's CPU count.
+    """
+    return _pool(max_workers)
 
 
 def _attach_store_worker(store_dir: str, seeds: Tuple[int, ...]) -> None:
@@ -190,66 +188,18 @@ def _attach_store_worker(store_dir: str, seeds: Tuple[int, ...]) -> None:
     _warm_worker(seeds)
 
 
-class _SharedSweep(_ProcessSweep):
-    """Chunked process sweep over a shared mmap trace store."""
-
-    def __init__(
-        self, max_workers: int, chunk_size: int | None, store_dir=None
-    ) -> None:
-        super().__init__(max_workers, chunk_size)
-        self.store_dir = store_dir
-
-    def __call__(self, items: Sequence[_SweepItem]) -> List["ScenarioResult"]:
-        items = list(items)
-        if not items:
-            return []  # no work: touch no disk (the conformance contract)
-        from repro.sweep.store import SharedTraceStore
-
-        store = SharedTraceStore(self.store_dir)
-        seeds = _sweep_seeds(items)
-        for seed in seeds:
-            # Parent-side pre-warm: the files exist before any worker
-            # forks, so workers only ever mmap-attach.
-            store.ensure_traces(seed=seed)
-        workers = min(self.max_workers, len(items))
-        if workers <= 1:
-            with store:
-                return _run_chunk(items)
-        size = self.chunk_size or -(-len(items) // workers)
-        chunks = [items[i : i + size] for i in range(0, len(items), size)]
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_attach_store_worker,
-            initargs=(str(store.directory), seeds),
-        )
-        return _drain_pool(pool, chunks)
-
-
 def shared_executor(
-    *,
-    max_workers: int | None = None,
-    chunk_size: int | None = None,
-    store_dir=None,
-) -> "SweepExecutor":
+    *, max_workers: Optional[int] = None, store_dir=None
+) -> PoolExecutor:
     """Parallel sweep executor backed by the shared trace store.
 
     Like ``process``, but the parent serializes every sweep seed's trace
     set to memory-mapped ``.npy`` files under ``store_dir`` (default:
-    the sweep cache's ``store/`` directory) before forking, and each
-    worker attaches a :class:`repro.sweep.store.SharedTraceStore`
+    the sweep cache's ``store/`` directory) before the pool starts, and
+    each worker attaches a :class:`repro.sweep.store.SharedTraceStore`
     instead of regenerating traces and window tables from scratch.
     """
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    if int(max_workers) < 1:
-        raise SessionError(f"max_workers must be >= 1, got {max_workers!r}")
-    if chunk_size is not None and int(chunk_size) < 1:
-        raise SessionError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    return _SharedSweep(
-        int(max_workers),
-        None if chunk_size is None else int(chunk_size),
-        store_dir,
-    )
+    return _pool(max_workers, shared=True, store_dir=store_dir)
 
 
 def register_backends(registry) -> None:

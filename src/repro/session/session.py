@@ -817,74 +817,46 @@ class Session:
         ``result.fresh_sections`` for the caller to write through
         (``run(reuse=...)`` itself never writes to the cache).
         """
-        if self._result is not None:
-            return self._result
-        if reuse is not None:
-            result = self._run_delta(reuse)
-            if result is not None:
-                object.__setattr__(self, "_result", result)
-                return result
-        from repro.core.errors import SweepError
+        if self._result is None:
+            object.__setattr__(self, "_result", self._run_delta(reuse))
+        return self._result
 
-        try:
-            fingerprint = self.fingerprint()
-        except SweepError:
-            fingerprint = None  # uncacheable knobs: run, but don't key
-        s = self._scenario
-        jobs = self._jobs() if s._workload is not None else []
-        embodied = self._run_embodied()
-        audit = self._run_audit()
-        training = self._run_training()
-        scheduling = self._run_scheduling(jobs)
-        cluster, cluster_sim = self._run_cluster(jobs)
-        upgrade, upgrade_decision = self._run_upgrade()
-        result = ScenarioResult(
-            name=self._name,
-            region=s._region,
-            seed=s._seed,
-            embodied=embodied,
-            audit=audit,
-            training=training,
-            scheduling=scheduling,
-            cluster=cluster,
-            upgrade=upgrade,
-            carbon=self._run_carbon(
-                jobs, embodied, audit, training, scheduling, cluster,
-                cluster_sim, upgrade_decision,
-            ),
-            provenance=self.provenance,
-            provenance_hash=fingerprint,
-        )
-        object.__setattr__(self, "_result", result)
-        return result
-
-    def _run_delta(self, reuse) -> Optional[ScenarioResult]:
+    def _run_delta(self, reuse) -> ScenarioResult:
         """Assemble the result from cached sections, running only stale ones.
 
-        Returns ``None`` for uncacheable scenarios (the caller falls
-        back to the full path).  Sections the rollup needs *live* —
-        their non-serialized ledgers feed ``_run_carbon`` — are forced
-        to run whenever the rollup itself is stale: scheduling (the
-        primary account's evaluations and per-job embodied proration)
-        and upgrade (its by-policy ledger rows).  Everything else
-        rebuilds from its ``to_dict`` payload, which is all the rollup
-        reads from it.
+        ``reuse=None`` is an empty section source: every section runs.
+        Uncacheable scenarios (knobs with no stable identity) also run
+        every section, with ``provenance_hash=None``.  Section
+        fingerprints are computed only when ``reuse`` is given, and
+        ``fresh_sections`` stays ``None`` when none were.
+
+        Sections the rollup needs *live* — their non-serialized ledgers
+        feed ``_run_carbon`` — are forced to run whenever the rollup
+        itself is stale: scheduling (the primary account's evaluations
+        and per-job embodied proration) and upgrade (its by-policy
+        ledger rows).  Everything else rebuilds from its ``to_dict``
+        payload, which is all the rollup reads from it.
         """
         from repro.core.errors import SweepError
         from repro.session.fingerprint import RESULT_SECTIONS
         from repro.session.result import load_section
 
         try:
-            fps = self.section_fingerprints()
             fingerprint = self.fingerprint()
         except SweepError:
-            return None
+            fingerprint = None  # uncacheable knobs: run, but don't key
+        fps = (
+            self.section_fingerprints()
+            if reuse is not None and fingerprint is not None
+            else None
+        )
         s = self._scenario
         cached: Dict[str, Any] = {}
-        for name in RESULT_SECTIONS:
-            hit, payload = reuse.get_section(name, fps[name])
-            if hit:
-                cached[name] = payload
+        if fps is not None:
+            for name in RESULT_SECTIONS:
+                hit, payload = reuse.get_section(name, fps[name])
+                if hit:
+                    cached[name] = payload
         live = {name for name in RESULT_SECTIONS if name not in cached}
         if "carbon" in live:
             if s._workload is not None:
@@ -946,16 +918,18 @@ class Session:
             "upgrade": upgrade,
             "carbon": carbon,
         }
-        fresh = {
-            name: (
-                fps[name],
-                None
-                if sections[name] is None
-                else ScenarioResult._plain(sections[name]),
-            )
-            for name in live
-            if name not in cached  # force-recomputed hits need no write
-        }
+        fresh = None
+        if fps is not None:
+            fresh = {
+                name: (
+                    fps[name],
+                    None
+                    if sections[name] is None
+                    else ScenarioResult._plain(sections[name]),
+                )
+                for name in live
+                if name not in cached  # force-recomputed hits need no write
+            }
         return ScenarioResult(
             name=self._name,
             region=s._region,
@@ -1001,7 +975,9 @@ class Session:
         ``executor=`` here wins, else the first swept Scenario with an
         explicit :meth:`Scenario.executor` knob picks it, else
         ``serial``.  ``max_workers`` overrides the scenario knob's
-        worker count for parallel executors.
+        worker count for parallel executors.  A failing scenario raises
+        its own exception under ``serial``; the pooled engines raise
+        :class:`~repro.core.errors.ResilienceError` naming it.
         """
         items: List[Union[Scenario, Session]] = []
         key = executor

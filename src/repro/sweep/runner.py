@@ -11,26 +11,21 @@ still deduplicated) are thin factory variants.  A run is:
    (:func:`repro.sweep.planner.plan_sweep`);
 3. **look up** — each cacheable unit checks the provenance-keyed
    :class:`~repro.sweep.cache.ResultCache` first;
-4. **run** — remaining units flow through a registry ``executor``
-   (serial by default; ``process``/``shared`` fan out) exactly the way
-   :meth:`Session.run_many` dispatches, so serial sweep results are
-   byte-identical to ``run_many``'s output;
-5. **cache** — fresh results are written back under their fingerprints.
+4. **run** — remaining units flow through
+   :func:`repro.resilience.run_resilient` on a registry ``executor``
+   (serial by default; ``process``/``shared`` fan out one future per
+   unit), resolved the way :meth:`Session.run_many` resolves engines,
+   so serial sweep results are byte-identical to ``run_many``'s output;
+5. **cache** — each result is written back under its fingerprint (and
+   journaled, when a journal is open) as its unit settles.
 
-The returned :class:`SweepOutcome` carries results in input order plus
-the hit/miss/evict/error stats the run generated.
-
-When any resilience knob is active — a retry budget, a per-attempt
-timeout, a fault injector, a checkpoint journal, or a resume — step 4
-runs through :func:`repro.resilience.run_resilient` instead of the
-plain executor: units are isolated (a failing cell yields a
-:class:`~repro.resilience.CellFailure` instead of aborting the
-campaign), worker crashes rebuild the pool and re-dispatch only the
-unfinished units, and every completion is journaled so a later
-``resume=`` run recomputes nothing already finished.  The run then
-returns a :class:`SweepReport` (a :class:`SweepOutcome` subclass)
-carrying the failures alongside the results; with no resilience knobs
-the legacy exact path is untouched.
+Units are isolated in every configuration: a cell that raises becomes a
+:class:`~repro.resilience.CellFailure` on the returned
+:class:`SweepReport` while every other cell still comes back.  Retry
+budgets, per-attempt timeouts and fault injectors only change the
+policy the one execution path runs under; worker crashes rebuild the
+pool and re-dispatch only the unfinished units, and a ``resume=`` run
+recomputes nothing a journal already holds.
 """
 
 from __future__ import annotations
@@ -43,6 +38,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.core.errors import ResilienceError, SweepError
 from repro.resilience.journal import SweepJournal
 from repro.resilience.policy import CellFailure, RetryPolicy
+from repro.resilience.runner import (
+    DEFAULT_MAX_REBUILDS,
+    ResilientUnit,
+    run_resilient,
+)
 from repro.session.fingerprint import RESULT_SECTIONS
 from repro.session.registry import resolve_backend
 from repro.session.result import ScenarioResult
@@ -81,10 +81,11 @@ class SweepOutcome:
     n_unique: int
     n_ran: int
     executor: str
-    #: Per-section hit/miss deltas this run generated in the section
-    #: tier; ``None`` when the run did not use delta evaluation.  Pooled
-    #: workers read the section tier in their own processes, so these
-    #: counters reflect the parent process (inline runs + write-backs).
+    #: Per-section hits and misses of the units this run computed;
+    #: ``None`` when the run did not use delta evaluation.  Counted from
+    #: each unit's returned ``fresh_sections`` (misses are the sections
+    #: it recomputed, hits the rest), so pooled workers report the
+    #: section reuse they saw in their own processes.
     section_stats: Optional[Dict[str, CacheStats]] = None
 
     @property
@@ -190,7 +191,7 @@ def _coerce_injector(value):
 
 
 #: Per-process readonly caches pooled delta workers open, memoized by
-#: directory so a chunked worker reuses one memory tier across units.
+#: directory so a worker reuses one memory tier across its units.
 _WORKER_CACHES: Dict[str, ResultCache] = {}
 
 
@@ -207,26 +208,22 @@ class _DeltaItem:
     """A work-unit wrapper that routes execution through the delta path.
 
     Executors treat it like a Session (it exposes ``run()`` and a
-    ``_scenario`` for seed warming).  Inline (serial) items hold the
-    service's live cache and write fresh sections back immediately, so
-    later cells in the same pass reuse them; pooled items drop the live
-    cache on pickling, reopen the directory readonly in the worker, and
-    ship fresh sections home on ``result.fresh_sections`` for the
-    parent to absorb.
+    ``_scenario`` for seed warming).  In-process engines read sections
+    from the service's live cache; pooled items drop the live cache on
+    pickling and reopen the directory readonly in the worker.  Either
+    way fresh sections ride home on ``result.fresh_sections``, and the
+    service writes them back as the unit settles, so later cells in the
+    same serial pass reuse them.
     """
 
     def __init__(
         self,
         item: Union[Scenario, Session],
-        *,
-        cache: Optional[ResultCache],
-        cache_dir: Optional[pathlib.Path],
-        writeback: bool,
+        cache: ResultCache,
     ) -> None:
         self._item = item
-        self._cache = cache
-        self._cache_dir = cache_dir
-        self._writeback = bool(writeback)
+        self._cache: Optional[ResultCache] = cache
+        self._cache_dir = cache.cache_dir
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
@@ -247,17 +244,7 @@ class _DeltaItem:
         reuse = self._cache
         if reuse is None and self._cache_dir is not None:
             reuse = _worker_cache(self._cache_dir)
-        if reuse is None:
-            return session.run()
-        result = session.run(reuse=reuse)
-        if (
-            self._cache is not None
-            and self._writeback
-            and result.fresh_sections
-        ):
-            for name, (fp, payload) in result.fresh_sections.items():
-                self._cache.put_section(name, fp, payload)
-        return result
+        return session.run(reuse=reuse)
 
 
 class SweepService:
@@ -273,7 +260,7 @@ class SweepService:
         with ``disk=False`` keeps the cache memory-only.
     disk:
         ``False`` skips the on-disk tier (memory LRU only).
-    executor / max_workers / chunk_size:
+    executor / max_workers:
         Default execution engine for :meth:`run`; per-call arguments and
         swept scenarios' explicit ``executor`` knobs override it the
         same way :meth:`Session.run_many` resolves engines.
@@ -303,7 +290,6 @@ class SweepService:
         memory_slots: Optional[int] = None,
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         retry: Union[RetryPolicy, Mapping[str, Any], int, None] = None,
         faults: Any = None,
         max_rebuilds: Optional[int] = None,
@@ -330,7 +316,6 @@ class SweepService:
         self._delta = (self._cache is not None) if delta is None else bool(delta)
         self._executor = executor
         self._max_workers = max_workers
-        self._chunk_size = chunk_size
         self._retry = retry
         self._faults = faults
         self._max_rebuilds = max_rebuilds
@@ -439,8 +424,6 @@ class SweepService:
         workers = max_workers if max_workers is not None else self._max_workers
         if workers is not None:
             opts["max_workers"] = int(workers)
-        if self._chunk_size is not None:
-            opts.setdefault("chunk_size", int(self._chunk_size))
         return key, opts
 
     #: ``resilience``-section keys that configure the RetryPolicy.
@@ -465,15 +448,21 @@ class SweepService:
         cache_writeback: Optional[bool] = None,
         delta: Optional[bool] = None,
     ) -> SweepReport:
-        """Evaluate the grid: cache lookups first, then one executor pass.
+        """Evaluate the grid: cache lookups first, then one resilient pass.
 
-        ``retry`` / ``faults`` / ``max_rebuilds`` override the service
-        defaults, which override a spec's ``resilience`` section.
+        Every unit that misses the cache runs through
+        :func:`repro.resilience.run_resilient`.  A unit that raises (or
+        whose pool worker dies) becomes a
+        :class:`~repro.resilience.CellFailure` on the report and leaves
+        ``None`` at its cells; every other cell still comes back, cached
+        and journaled as it settles.  ``retry`` / ``faults`` /
+        ``max_rebuilds`` override the service defaults, which override a
+        spec's ``resilience`` section; with none set the units run under
+        the inert policy (one attempt, no timeout, no faults).
         ``journal`` appends every completed unit's fingerprint to a
         JSONL checkpoint; ``resume`` skips units already journaled
         ``done`` (and journals new completions to the same file unless
-        ``journal`` points elsewhere).  With no resilience knob active,
-        execution takes the exact legacy path.
+        ``journal`` points elsewhere).
 
         ``delta`` overrides the service default: units that miss the
         whole-result cache assemble from cached section payloads and
@@ -502,16 +491,14 @@ class SweepService:
             faults_cfg = section.get("faults")
         injector = _coerce_injector(faults_cfg)
         rebuild_budget = next(
-            (
-                int(value)
-                for value in (
-                    max_rebuilds,
-                    self._max_rebuilds,
-                    section.get("max_rebuilds"),
-                )
-                if value is not None
-            ),
-            None,
+            int(value)
+            for value in (
+                max_rebuilds,
+                self._max_rebuilds,
+                section.get("max_rebuilds"),
+                DEFAULT_MAX_REBUILDS,
+            )
+            if value is not None
         )
         writeback = (
             self._cache_writeback
@@ -519,12 +506,6 @@ class SweepService:
             else bool(cache_writeback)
         )
         journal_path = journal if journal is not None else resume
-        resilient = (
-            policy.active
-            or injector is not None
-            or journal_path is not None
-            or rebuild_budget is not None
-        )
 
         journal_obj: Optional[SweepJournal] = None
         completed: frozenset = frozenset()
@@ -543,9 +524,6 @@ class SweepService:
 
         # --- cache lookups + resume skips ---------------------------------
         before = self._cache.stats if self._cache is not None else CacheStats()
-        before_sections = (
-            self._cache.section_stats if self._cache is not None else {}
-        )
         results: List[Optional[ScenarioResult]] = [None] * plan.n_cells
         to_run = []
         n_skipped = 0
@@ -569,106 +547,64 @@ class SweepService:
         # --- execute --------------------------------------------------------
         key = "none"
         failures: List[CellFailure] = []
+        section_counts = {
+            name: {"hits": 0, "misses": 0} for name in RESULT_SECTIONS
+        }
         n_rebuilds = 0
-        if to_run and not resilient:
-            # The exact legacy path: one executor pass, chunked engines.
+        if to_run:
             key, opts = self._resolve_executor(items, executor, max_workers)
-            run_items, delta_inline = self._wrap_items(
-                [unit.item for unit in to_run], use_delta, key, writeback
-            )
-            engine = resolve_backend("executor", key)(**opts)
-            fresh = list(engine(run_items))
-            if len(fresh) != len(to_run):
-                raise SweepError(
-                    f"executor {key!r} returned {len(fresh)} results for "
-                    f"{len(to_run)} work units"
-                )
-            for unit, result in zip(to_run, fresh):
-                for index in unit.indices:
-                    results[index] = result
-                if (
-                    self._cache is not None
-                    and writeback
-                    and unit.fingerprint is not None
-                ):
-                    self._cache.put(unit.fingerprint, result)
-                if use_delta and not delta_inline:
-                    self._absorb_sections(result, writeback)
-        elif to_run:
-            from repro.resilience import (
-                DEFAULT_MAX_REBUILDS,
-                NoFaults,
-                ResilientUnit,
-                run_resilient,
-            )
-
-            key, opts = self._resolve_executor(items, executor, max_workers)
-            run_items, delta_inline = self._wrap_items(
-                [unit.item for unit in to_run], use_delta, key, writeback
-            )
             units = [
                 ResilientUnit(
-                    item=run_item,
+                    item=_DeltaItem(unit.item, self._cache)
+                    if use_delta
+                    else unit.item,
                     index=unit.indices[0],
                     indices=tuple(unit.indices),
                     name=unit.name,
                     fingerprint=unit.fingerprint,
                 )
-                for unit, run_item in zip(to_run, run_items)
+                for unit in to_run
             ]
 
             def _on_unit_done(outcome) -> None:
-                # Fired as each unit settles, so a later crash cannot
+                # Fired as each unit settles, so a later failure cannot
                 # lose completions already cached and journaled.
-                if outcome.ok:
-                    for index in outcome.unit.indices:
-                        results[index] = outcome.result
-                    if (
-                        self._cache is not None
-                        and writeback
-                        and outcome.fingerprint is not None
-                    ):
-                        self._cache.put(outcome.fingerprint, outcome.result)
-                    if use_delta and not delta_inline:
-                        self._absorb_sections(outcome.result, writeback)
-                    if journal_obj is not None:
-                        journal_obj.record_done(
-                            outcome.fingerprint, name=outcome.unit.name
-                        )
-                else:
+                if not outcome.ok:
                     failures.append(outcome.failure)
                     if journal_obj is not None:
                         journal_obj.record_failed(outcome.failure)
+                    return
+                for index in outcome.unit.indices:
+                    results[index] = outcome.result
+                if (
+                    self._cache is not None
+                    and writeback
+                    and outcome.fingerprint is not None
+                ):
+                    self._cache.put(outcome.fingerprint, outcome.result)
+                fresh = getattr(outcome.result, "fresh_sections", None)
+                if use_delta and fresh is not None:
+                    for name, counts in section_counts.items():
+                        counts["misses" if name in fresh else "hits"] += 1
+                    if writeback:
+                        for name, (fp, payload) in fresh.items():
+                            self._cache.put_section(name, fp, payload)
+                if journal_obj is not None:
+                    journal_obj.record_done(
+                        outcome.fingerprint, name=outcome.unit.name
+                    )
 
-            resilient_run = run_resilient(
+            n_rebuilds = run_resilient(
                 units,
                 executor=key,
                 executor_opts=opts,
                 policy=policy,
-                injector=injector if injector is not None else NoFaults(),
-                max_rebuilds=(
-                    rebuild_budget
-                    if rebuild_budget is not None
-                    else DEFAULT_MAX_REBUILDS
-                ),
+                injector=injector,
+                max_rebuilds=rebuild_budget,
                 on_unit_done=_on_unit_done,
-            )
-            n_rebuilds = resilient_run.rebuilds
+            ).rebuilds
 
         after = self._cache.stats if self._cache is not None else CacheStats()
-        section_stats: Optional[Dict[str, CacheStats]] = None
-        if use_delta and self._cache is not None:
-            section_stats = {
-                name: CacheStats(
-                    hits=counts.hits - before_sections[name].hits,
-                    misses=counts.misses - before_sections[name].misses,
-                    evictions=(
-                        counts.evictions - before_sections[name].evictions
-                    ),
-                    errors=counts.errors - before_sections[name].errors,
-                )
-                for name, counts in self._cache.section_stats.items()
-            }
         return SweepReport(
             results=tuple(results),
             stats=CacheStats(
@@ -681,46 +617,18 @@ class SweepService:
             n_unique=plan.n_unique,
             n_ran=len(to_run),
             executor=key,
-            section_stats=section_stats,
+            section_stats=(
+                {
+                    name: CacheStats(**counts)
+                    for name, counts in section_counts.items()
+                }
+                if use_delta
+                else None
+            ),
             failures=tuple(failures),
             n_skipped=n_skipped,
             n_rebuilds=n_rebuilds,
         )
-
-    def _wrap_items(
-        self,
-        raw_items: List[Union[Scenario, Session]],
-        use_delta: bool,
-        key: str,
-        writeback: bool,
-    ) -> Tuple[List[Any], bool]:
-        """Wrap work items for delta execution.
-
-        Returns ``(items, inline)`` — ``inline`` means the wrappers hold
-        the live cache and write sections back themselves (the serial
-        engine runs in-process), so the parent must not absorb again.
-        """
-        if not use_delta or self._cache is None:
-            return list(raw_items), False
-        inline = key == "serial"
-        live = self._cache if inline else None
-        return [
-            _DeltaItem(
-                item,
-                cache=live,
-                cache_dir=self._cache.cache_dir,
-                writeback=writeback,
-            )
-            for item in raw_items
-        ], inline
-
-    def _absorb_sections(self, result: Any, writeback: bool) -> None:
-        """Write a pooled worker's fresh section payloads to the cache."""
-        fresh = getattr(result, "fresh_sections", None)
-        if self._cache is None or not writeback or not fresh:
-            return
-        for name, (fingerprint, payload) in fresh.items():
-            self._cache.put_section(name, fingerprint, payload)
 
 
 def cached_sweep_service(**opts) -> SweepService:

@@ -91,7 +91,7 @@ _KNOB_TYPES: Dict[str, Tuple[Any, str]] = {
     "accounting": (lambda v: isinstance(v, str), "an accounting registry key"),
     "accounting_opts": (_is_mapping, "a mapping of accounting factory options"),
     "executor": (lambda v: isinstance(v, str), "an executor registry key"),
-    "executor_opts": (_is_mapping, "a mapping with max_workers/chunk_size"),
+    "executor_opts": (_is_mapping, "a mapping with max_workers"),
 }
 
 #: Public view of every knob a spec may set.

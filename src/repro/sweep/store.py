@@ -23,6 +23,8 @@ authority — every degradation fails *soft*, mirroring
 truncated or corrupt ``.npy``, a missing or malformed JSON manifest,
 and an unwritable store directory each log a warning and fall back to
 local regeneration, so an attached worker can always make progress.
+An absent ``.npy`` is a plain miss and logs nothing, even when another
+worker's write lands a moment later.
 Attach a store with :meth:`SharedTraceStore.attach` (or as a context
 manager); detach restores whatever providers were installed before.
 """
@@ -66,6 +68,31 @@ def _atomic_save(path: pathlib.Path, array: np.ndarray) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _load_array(path: pathlib.Path) -> Optional[np.ndarray]:
+    """mmap one stored array; ``None`` when it cannot be served.
+
+    ``FileNotFoundError`` is a plain miss: the entry is absent, or
+    another worker's ``os.replace`` has not landed yet (it may land
+    before any follow-up check, so none is made).  Anything else on an
+    existing file — ``EOFError`` for a truncated ``.npy``, ``ValueError``
+    for a corrupt header — logs and falls back to a local rebuild.
+    """
+    try:
+        return np.load(path, mmap_mode="r")
+    except FileNotFoundError:
+        return None
+    except Exception as exc:
+        if path.exists():
+            logger.warning(
+                "shared store entry %s is unreadable (%s: %s); "
+                "rebuilding locally",
+                path.name,
+                type(exc).__name__,
+                exc,
+            )
+        return None
 
 
 def _atomic_write_text(path: pathlib.Path, text: str) -> None:
@@ -184,9 +211,11 @@ class SharedTraceStore:
         from repro.intensity.trace import IntensityTrace
 
         array_path, meta_path = self._trace_paths(codes, n_hours, seed)
+        stacked = _load_array(array_path)
+        if stacked is None:
+            return None
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            stacked = np.load(array_path, mmap_mode="r")
             if tuple(meta["codes"]) != codes or stacked.shape != (
                 len(codes),
                 n_hours,
@@ -202,24 +231,26 @@ class SharedTraceStore:
                 for i, code in enumerate(codes)
             )
         except Exception as exc:
-            # EOFError for a truncated .npy, JSON/KeyError for a bad
-            # manifest, OSError for anything filesystem-level: all fail
-            # soft to regeneration.  Only an absent entry stays silent.
-            if array_path.exists() or meta_path.exists():
-                logger.warning(
-                    "shared trace store entry %s is unreadable (%s: %s); "
-                    "regenerating locally",
-                    array_path.stem,
-                    type(exc).__name__,
-                    exc,
-                )
+            # The array lands after its manifest (see _save_traces), so
+            # a stored array without a readable manifest is a torn
+            # entry, never a write in flight: JSON/KeyError for a bad
+            # manifest, OSError (a missing one included) for anything
+            # filesystem-level.  All fail soft to regeneration.
+            logger.warning(
+                "shared trace store entry %s is unreadable (%s: %s); "
+                "regenerating locally",
+                array_path.stem,
+                type(exc).__name__,
+                exc,
+            )
             return None
 
     def _save_traces(self, key: Tuple, traces: Tuple) -> None:
         codes, n_hours, seed = key
         array_path, meta_path = self._trace_paths(codes, n_hours, seed)
         try:
-            _atomic_save(array_path, np.vstack([t.values for t in traces]))
+            # Manifest first: readers load the array first and treat its
+            # absence as a plain miss, so the array is the commit point.
             _atomic_write_text(
                 meta_path,
                 json.dumps(
@@ -233,6 +264,7 @@ class SharedTraceStore:
                     sort_keys=True,
                 ),
             )
+            _atomic_save(array_path, np.vstack([t.values for t in traces]))
         except OSError as exc:
             # The store is advisory: workers that cannot persist still
             # hold the generated traces in memory and make progress.
@@ -265,18 +297,9 @@ class SharedTraceStore:
                 window,
             ]
         path = self._dir / "tables" / f"{kind}-{_digest(key_parts)}.npy"
-        try:
-            return np.load(path, mmap_mode="r")
-        except Exception as exc:
-            # Missing or corrupt (EOFError: truncated): rebuild below.
-            if path.exists():
-                logger.warning(
-                    "shared table store entry %s is unreadable (%s: %s); "
-                    "rebuilding locally",
-                    path.name,
-                    type(exc).__name__,
-                    exc,
-                )
+        table = _load_array(path)
+        if table is not None:
+            return table
         table = build()
         try:
             _atomic_save(path, table)

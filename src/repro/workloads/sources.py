@@ -16,8 +16,7 @@ Built-ins, registered under the ``workload`` registry kind by
 :func:`register_backends`:
 
 ``synthetic``
-    The historical Poisson/log-normal generator
-    (``repro.cluster.workload_gen`` folded into this module): Poisson
+    The historical Poisson/log-normal generator: Poisson
     arrivals, log-normal durations with the published heavy right tail,
     power-of-two GPU requests skewed toward single-GPU jobs, and a
     Table 4 model mix.  Byte-identical to the seed generator for the

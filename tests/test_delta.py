@@ -502,6 +502,32 @@ class TestServiceDelta:
             _canon(r) for r in truth.results
         ]
 
+    def test_process_delta_reports_section_counts_like_serial(
+        self, tmp_path
+    ):
+        """Pooled units report the section reuse their workers saw.
+
+        One renderer flip (every section reused) and one pue flip (the
+        charged sections and the rollup stale), so no stale section is
+        shared between cells and both engines recompute the same ones.
+        """
+        counts = {}
+        for executor in ("serial", "process"):
+            service = SweepService(cache_dir=tmp_path / executor)
+            service.run(_grid(["text"]))
+            report = service.run(
+                _grid(["json"], pues=(1.1, 1.4)),
+                executor=executor,
+                max_workers=2,
+            )
+            counts[executor] = {
+                name: (stats.hits, stats.misses)
+                for name, stats in report.section_stats.items()
+            }
+        assert counts["process"] == counts["serial"]
+        assert sum(hits for hits, _ in counts["serial"].values()) == 8
+        assert sum(misses for _, misses in counts["serial"].values()) == 6
+
     def test_resilient_delta_crash_resume(self, tmp_path):
         """A delta unit that crashes retries/journals like a full unit,
         and the resumed run completes from the journal + section tier."""

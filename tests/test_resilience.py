@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.errors import ResilienceError, SweepError
+from repro.core.errors import ResilienceError, SessionError, SweepError
 from repro.resilience import (
     CellFailure,
     FaultAction,
@@ -592,6 +592,49 @@ class TestRunnerEdges:
         assert failure is not None
         assert failure.error_type == "InjectedFault"
 
+    def test_pooled_executor_validates_max_workers(self):
+        unit = ResilientUnit(
+            item=_cell("ESO"), index=0, indices=(0,), name="c",
+            fingerprint=None,
+        )
+        with pytest.raises(SessionError, match="max_workers"):
+            run_resilient(
+                [unit], executor="process", executor_opts={"max_workers": 0}
+            )
+
+
+# --- the failure contract without resilience knobs --------------------------
+def _capped_cell(region: str) -> Scenario:
+    """A cell whose power cap admits no job: it raises SimulationError."""
+    return _cell(region).cluster(2, simulator="power-cap", cap_fraction=0.01)
+
+
+class TestFailureContract:
+    def test_knob_free_sweep_isolates_a_runtime_failure(
+        self, tmp_path, golden
+    ):
+        service = SweepService(cache_dir=tmp_path / "cache")
+        report = service.run([_cell("ESO"), _capped_cell("CISO"), _cell("PJM")])
+        assert [
+            (f.kind, f.attempts, f.indices, f.error_type)
+            for f in report.failures
+        ] == [("error", 1, (1,), "SimulationError")]
+        assert report.results[1] is None
+        assert _serialize(report.results[0]) == golden[0]
+        assert _serialize(report.results[2]) == golden[2]
+        for kept in (report.results[0], report.results[2]):
+            assert service.cache.get(kept.provenance_hash) is not None
+
+    def test_run_many_failure_contract(self):
+        from repro.core.errors import SimulationError
+        from repro.session import Session
+
+        cells = [_cell("ESO"), _capped_cell("CISO")]
+        with pytest.raises(SimulationError):
+            Session.run_many(cells)
+        with pytest.raises(ResilienceError, match=r"cell 1 \(frontier@CISO\)"):
+            Session.run_many(cells, executor="process", max_workers=2)
+
 
 # --- the deadline context manager -------------------------------------------
 class TestDeadline:
@@ -630,14 +673,14 @@ class TestDeadline:
 
 # --- interrupt handling (the zombie-worker bugfix) --------------------------
 class _StubPool:
-    """Records, in order, what the executor does to it on interrupt."""
+    """Records, in order, what the pool driver does to it on interrupt."""
 
     def __init__(self, error):
         self.error = error
         self.events = []
         self._processes = {1: self}  # pose as our own worker process
 
-    def map(self, fn, chunks):
+    def submit(self, fn, payload):
         raise self.error
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -652,26 +695,36 @@ class _StubPool:
         self.events.append(("terminate", None))
 
 
-class TestInterrupts:
-    def test_drain_pool_terminates_then_cancels_on_interrupt(self):
-        from repro.session.executors import _drain_pool
+def _drive_stub_pool(monkeypatch, error) -> _StubPool:
+    """Run one unit through the pool driver on a pool raising ``error``."""
+    from repro.resilience import runner
 
-        pool = _StubPool(KeyboardInterrupt())
-        with pytest.raises(KeyboardInterrupt):
-            _drain_pool(pool, [["chunk"]])
+    pool = _StubPool(error)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda **_: pool)
+    unit = ResilientUnit(
+        item="unit", index=0, indices=(0,), name="u", fingerprint=None
+    )
+    with pytest.raises(type(error)):
+        run_resilient(
+            [unit], executor="process", executor_opts={"max_workers": 2}
+        )
+    return pool
+
+
+class TestInterrupts:
+    def test_pool_driver_terminates_then_cancels_on_interrupt(
+        self, monkeypatch
+    ):
+        pool = _drive_stub_pool(monkeypatch, KeyboardInterrupt())
         # Workers hard-stopped FIRST (shutdown drops the process
-        # table), then queued chunks cancelled.
+        # table), then queued units cancelled.
         assert pool.events == [
             ("terminate", None),
             ("shutdown", {"wait": False, "cancel_futures": True}),
         ]
 
-    def test_drain_pool_plain_errors_do_not_terminate(self):
-        from repro.session.executors import _drain_pool
-
-        pool = _StubPool(ValueError("a worker raised"))
-        with pytest.raises(ValueError):
-            _drain_pool(pool, [["chunk"]])
+    def test_pool_driver_plain_errors_do_not_terminate(self, monkeypatch):
+        pool = _drive_stub_pool(monkeypatch, ValueError("submit failed"))
         # Normal errors reap gracefully: cancel, never terminate.
         assert pool.events == [
             ("shutdown", {"wait": False, "cancel_futures": True}),
@@ -858,6 +911,45 @@ class TestStoreFailSoft:
             )
         np.testing.assert_array_equal(rebuilt, np.arange(6.0))
         assert any("unreadable" in r.message for r in caplog.records)
+
+    def test_write_landing_during_a_failed_load_is_a_silent_miss(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """Another worker's os.replace lands between this worker's failed
+        load and any later look at the path: a plain miss, no warning."""
+        from repro.sweep.store import SharedTraceStore
+
+        reference = np.arange(6.0)
+        save = np.save
+
+        def racing_load(path, mmap_mode=None):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save(path, reference)
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+
+        monkeypatch.setattr(np, "load", racing_load)
+        with caplog.at_level("WARNING", logger="repro.sweep.store"):
+            table = SharedTraceStore(tmp_path / "store").provide_table(
+                "truth", {"trace": "digest"}, "ESO", 24, reference.copy
+            )
+        np.testing.assert_array_equal(table, reference)
+        assert not caplog.records
+
+    def test_manifest_without_array_is_a_silent_miss(self, tmp_path, caplog):
+        """A trace entry whose array has not landed yet is a plain miss."""
+        from repro.intensity.generator import trace_cache_clear
+        from repro.sweep.store import SharedTraceStore
+
+        store = SharedTraceStore(tmp_path / "store")
+        store.ensure_traces(("ESO",), 48, 126).unlink()
+        trace_cache_clear()
+        with caplog.at_level("WARNING", logger="repro.sweep.store"):
+            traces = SharedTraceStore(tmp_path / "store").provide_traces(
+                ("ESO",), 48, 126
+            )
+        trace_cache_clear()
+        assert traces is not None and len(traces) == 1
+        assert not caplog.records
 
 
 # --- SweepReport ------------------------------------------------------------

@@ -413,17 +413,6 @@ class TestResultRoundTrip:
 
 
 class TestDeprecationShims:
-    def test_old_top_level_exports_work_and_warn(self):
-        import repro
-
-        for name in ("CarbonMass", "Energy", "CarbonLedger", "FootprintReport",
-                     "operational_carbon"):
-            with pytest.warns(DeprecationWarning, match=name):
-                obj = getattr(repro, name)
-            import repro.core as core
-
-            assert obj is getattr(core, name)
-
     def test_new_surface_does_not_warn(self, recwarn):
         import repro
 

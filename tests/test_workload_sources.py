@@ -787,22 +787,7 @@ class TestHourlyTrainingPUE:
         )
 
 
-# --- the deprecation shim ----------------------------------------------------
-def test_workload_gen_shim_warns_and_forwards():
-    import importlib
-
-    import repro.cluster.workload_gen as shim
-
-    importlib.reload(shim)
-    with pytest.warns(DeprecationWarning, match="moved to"):
-        params_cls = shim.WorkloadParams
-    assert params_cls is WorkloadParams
-    with pytest.warns(DeprecationWarning):
-        assert shim.generate_workload is generate_workload
-    with pytest.raises(AttributeError):
-        shim.not_a_name
-
-
+# --- re-exports --------------------------------------------------------------
 def test_cluster_package_reexport_is_silent(recwarn):
     from repro.cluster import WorkloadParams as reexported
 
