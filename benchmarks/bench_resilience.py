@@ -61,15 +61,19 @@ _GRID_SPEC = {
     },
 }
 
-_REPEATS = 3
+_REPEATS = 5
 
 
-def _best_of(fn, repeats: int = _REPEATS) -> float:
-    best = float("inf")
+def _best_of_each(*fns, repeats: int = _REPEATS) -> list:
+    """Best wall time of each ``fn``.  Every round runs each one in
+    turn, so a drift in host speed (phases of seconds on shared hosts)
+    reaches all arms alike instead of landing on whichever ran last."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -78,10 +82,12 @@ def bench_retry_overhead() -> dict:
     from repro.sweep import SweepService
 
     service = SweepService(cache=False)
-    service.run(_GRID_SPEC)  # warm the trace memos (untimed)
+    service.run(_GRID_SPEC)  # warm the trace and table memos (untimed)
 
-    plain_s = _best_of(lambda: service.run(_GRID_SPEC))
-    resilient_s = _best_of(lambda: service.run(_GRID_SPEC, retry=1))
+    plain_s, resilient_s = _best_of_each(
+        lambda: service.run(_GRID_SPEC),
+        lambda: service.run(_GRID_SPEC, retry=1),
+    )
     return {
         "n_cells": len(_GRID_SPEC["axes"]["system"])
         * len(_GRID_SPEC["axes"]["policy"])
@@ -94,11 +100,15 @@ def bench_retry_overhead() -> dict:
 
 def bench_resume_skip() -> dict:
     """A fully-journaled grid resumes without recomputing any cell."""
+    from repro.intensity.generator import trace_cache_clear
     from repro.sweep import SweepService
 
     with tempfile.TemporaryDirectory() as tmp:
         journal = pathlib.Path(tmp) / "journal.jsonl"
         service = SweepService(cache=False)
+        # The compute arm starts from cold memos: tables an earlier run
+        # built would otherwise make it warm.
+        trace_cache_clear()
         t0 = time.perf_counter()
         first = service.run(_GRID_SPEC, journal=journal)
         compute_s = time.perf_counter() - t0

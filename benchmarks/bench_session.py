@@ -6,14 +6,15 @@ The facade's first real throughput win is the module-level LRU behind
 (7 regions x 8760 hours of composed seasonal/diurnal/AR(1) structure);
 now only the first construction per ``(regions, n_hours, seed)`` pays.
 These benchmarks pin the speedup and the once-per-seed guarantee for
-``Session.run_many`` sweeps.
+``Session.run_many`` sweeps, and the once-per-process guarantee of the
+window-table memo in :mod:`repro.intensity.api` that sits on top of it.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.intensity import trace_cache_clear, trace_cache_info
+from repro.intensity import table_cache_info, trace_cache_clear, trace_cache_info
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.generator import generate_all_traces
 from repro.session import Scenario, Session
@@ -92,3 +93,27 @@ def test_run_many_generates_traces_once_per_seed(benchmark):
         key=lambda o: o.carbon_g,
     )
     print(f"\nsweep best: {best.policy} at {best.carbon_g:,.0f} gCO2")
+
+
+def test_run_many_builds_each_window_table_once():
+    """Sessions over one seed share every window table they request."""
+    from repro.cluster import WorkloadParams
+
+    trace_cache_clear()
+    scenarios = [
+        Scenario()
+        .node("V100")
+        .region(region)
+        .workload(
+            WorkloadParams(horizon_h=48.0, total_gpus=8, home_region=region),
+            seed=3,
+        )
+        .policy(policy)
+        for region in ("ESO", "CISO")
+        for policy in ("temporal-shifting", "geographic")
+    ]
+    Session.run_many(scenarios)
+    info = table_cache_info()
+    assert info.builds == info.entries > 0, f"a table was built twice: {info}"
+    assert info.hits > 0, f"no session reused another's table: {info}"
+    print(f"\nwindow tables: {info.builds} built, {info.hits} shared hits")

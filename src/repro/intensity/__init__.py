@@ -7,7 +7,7 @@ from repro.intensity.analysis import (
     hourly_winner_counts,
     pairwise_advantage,
 )
-from repro.intensity.api import CarbonIntensityService
+from repro.intensity.api import CarbonIntensityService, table_cache_info
 from repro.intensity.forecast import (
     BlendedForecaster,
     ClimatologyForecaster,
@@ -57,6 +57,7 @@ __all__ = [
     "DEFAULT_SEED",
     "trace_cache_info",
     "trace_cache_clear",
+    "table_cache_info",
     "RegionStats",
     "annual_summary",
     "rank_by_median",

@@ -16,23 +16,38 @@ degradable information rather than an oracle.  Pass
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict, namedtuple
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.errors import TraceError
 from repro.intensity.generator import DEFAULT_SEED, generate_all_traces
 from repro.intensity.trace import IntensityTrace
 
-__all__ = ["CarbonIntensityService", "set_table_provider", "table_provider"]
+__all__ = [
+    "CarbonIntensityService",
+    "TableCacheInfo",
+    "set_table_provider",
+    "table_cache_info",
+    "table_key",
+    "table_provider",
+]
 
 #: Lead-time chunk width for noisy score-table construction: caps the
 #: dense per-chunk work arrays at (trace length × this) elements.
 _SCORE_CHUNK_HOURS = 512
 
-#: Externalizable table memo hook.  When set,
+#: Byte budget of the process-wide window-table memo: about 950
+#: year-long (8760-hour float64) tables.  Past it, the least recently
+#: used tables are dropped and rebuilt on their next request.
+_TABLE_MEMO_BYTES = 64 * 1024 * 1024
+
+#: Externalizable table memo hook, the second tier behind the
+#: process-wide memo.  When set,
 #: ``provider(kind, identity, region, window, build)`` is consulted on a
-#: per-instance memo miss before building a score/truth window table:
+#: process-wide memo miss before building a score/truth window table:
 #: ``kind`` is ``"score"`` or ``"truth"``, ``identity`` carries the
 #: content digest of the region trace plus the noise inputs
 #: (seed/forecast error), and ``build`` computes the table when the
@@ -58,6 +73,87 @@ def set_table_provider(provider):
 def table_provider():
     """The currently installed external table provider (or ``None``)."""
     return _table_provider
+
+
+def table_key(kind: str, identity: Mapping, region: str, window: int) -> tuple:
+    """What one window table's bytes depend on: its memo and store key.
+
+    Truth tables are pure functions of the trace content, so services
+    that differ only in forecast error share them; score tables also
+    fold in the noise inputs (seed, forecast error).
+    """
+    if kind == "truth":
+        return (kind, identity["trace"], region, window)
+    return (
+        kind,
+        identity["trace"],
+        identity["seed"],
+        identity["forecast_error"],
+        region,
+        window,
+    )
+
+
+TableCacheInfo = namedtuple("TableCacheInfo", "hits misses builds entries bytes")
+
+
+class _TableMemo:
+    """Least-recently-used window tables under :data:`_TABLE_MEMO_BYTES`.
+
+    ``builds`` counts tables computed in this process; a miss the
+    external provider serves is not a build.
+    """
+
+    def __init__(self) -> None:
+        self._tables: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._bytes = 0
+        self.hits = self.misses = self.builds = 0
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._tables
+
+    def get(self, key: tuple) -> Optional[np.ndarray]:
+        table = self._tables.get(key)
+        if table is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._tables.move_to_end(key)
+        return table
+
+    def put(self, key: tuple, table: np.ndarray) -> None:
+        self._tables[key] = table
+        self._bytes += table.nbytes
+        # A unit-deadline signal can land between a pop and its byte
+        # update, leaving the count high: never pop an empty memo.
+        while self._bytes > _TABLE_MEMO_BYTES and self._tables:
+            _key, evicted = self._tables.popitem(last=False)
+            self._bytes -= evicted.nbytes
+
+    def clear(self) -> None:
+        self._tables.clear()
+        self._bytes = 0
+        self.hits = self.misses = self.builds = 0
+
+    def info(self) -> TableCacheInfo:
+        return TableCacheInfo(
+            self.hits, self.misses, self.builds, len(self._tables), self._bytes
+        )
+
+
+_TABLES = _TableMemo()
+
+
+def table_cache_info() -> TableCacheInfo:
+    """Counters of the process-wide window-table memo.
+
+    ``hits``/``misses`` count memo lookups, ``builds`` the tables this
+    process computed (misses minus those the external provider served),
+    ``entries``/``bytes`` what the memo holds now.
+    :func:`repro.intensity.generator.trace_cache_clear` empties the memo
+    and resets the counters.
+    """
+    return _TABLES.info()
 
 
 class CarbonIntensityService:
@@ -95,18 +191,11 @@ class CarbonIntensityService:
         self._forecast_error = forecast_error
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed + 777)
-        self._score_tables: Dict[Tuple[str, int], np.ndarray] = {}
         self._score_matrices: Dict[Tuple[Tuple[str, ...], int], np.ndarray] = {}
-        self._truth_tables: Dict[Tuple[str, int], np.ndarray] = {}
         self._trace_digests: Dict[str, str] = {}
 
     def _table_identity(self, region: str) -> Dict[str, object]:
-        """What a window table's bytes depend on, for external memo keys.
-
-        Truth tables are pure functions of the trace content; score
-        tables additionally fold in the deterministic noise inputs.
-        Providers key their storage off the relevant subset.
-        """
+        """The inputs a window table's bytes depend on (see :func:`table_key`)."""
         digest = self._trace_digests.get(region)
         if digest is None:
             import hashlib
@@ -176,64 +265,77 @@ class CarbonIntensityService:
 
         ``table[t]`` is the mean *forecast* intensity over ``[t, t+window)``
         for a forecast issued at hour ``t`` (lead times ``1..window``,
-        wrapping at the year boundary).  Built once per ``(region, window)``
+        wrapping at the year boundary).  Built once per table identity
         from cumulative sums over the trace (oracle) plus a deterministic
         per-``(seed, region, window)`` noise draw (imperfect forecasts),
-        then memoized — any candidate placement grid scores as a single
-        gather + ``argmin`` against this table instead of per-candidate
-        forecast calls.  Both the scalar policy ``place`` reference path
+        then memoized process-wide — any candidate placement grid scores
+        as a single gather + ``argmin`` against this table instead of
+        per-candidate forecast calls, and every service over the same
+        traces, seed and forecast error shares the one build (an
+        attached external provider is consulted only on a memo miss).
+        Both the scalar policy ``place`` reference path
         (via :meth:`forecast_window_mean`) and the vectorized
         ``place_all`` kernels read the same table, which is what makes
         their placements byte-identical.
 
         The returned array is read-only and shared; copy before writing.
         """
+        return self._memoized_table(
+            "score", region, window_hours, self._build_score_table
+        )
+
+    def _memoized_table(self, kind: str, region: str, window_hours: int, build):
+        """One window table from the process-wide memo, else the
+        external provider, else ``build(region, window)``."""
         if window_hours < 1:
             raise TraceError(f"window must be >= 1 hour, got {window_hours}")
         window = int(window_hours)
-        key = (region, window)
-        table = self._score_tables.get(key)
+        identity = self._table_identity(region)
+        key = table_key(kind, identity, region, window)
+        table = _TABLES.get(key)
         if table is not None:
             return table
+
+        def counted_build() -> np.ndarray:
+            _TABLES.builds += 1
+            return build(region, window)
+
         if _table_provider is not None:
-            table = _table_provider(
-                "score",
-                self._table_identity(region),
-                region,
-                window,
-                lambda: self._build_score_table(region, window),
-            )
+            table = _table_provider(kind, identity, region, window, counted_build)
         if table is None:
-            table = self._build_score_table(region, window)
+            table = counted_build()
         table.setflags(write=False)
-        self._score_tables[key] = table
+        _TABLES.put(key, table)
         return table
 
     def _build_score_table(self, region: str, window: int) -> np.ndarray:
         trace = self.trace(region)
         if self._forecast_error == 0.0:
-            table = trace.forward_window_mean(window)
-        else:
-            n = len(trace)
-            rng = np.random.default_rng(
-                (self._seed, zlib.crc32(region.encode("utf-8")), window)
-            )
-            base = np.arange(n)[:, None]
-            acc = np.zeros(n)
-            # Chunk the lead-time axis so the dense (n, chunk)
-            # intermediates stay bounded for multi-week windows; the
-            # chunk width is a fixed constant, so the noise stream (and
-            # therefore the table) is deterministic.
-            for k0 in range(0, window, _SCORE_CHUNK_HOURS):
-                k1 = min(k0 + _SCORE_CHUNK_HOURS, window)
-                lead = np.sqrt(np.arange(k0 + 1, k1 + 1, dtype=float))
-                idx = (base + np.arange(k0, k1)[None, :]) % n
-                factor = 1.0 + self._forecast_error * lead * rng.standard_normal(
-                    (n, k1 - k0)
-                )
-                acc += np.maximum(trace.values[idx] * factor, 0.0).sum(axis=1)
-            table = acc / window
-        return table
+            return trace.forward_window_mean(window)
+        n = len(trace)
+        rng = np.random.default_rng(
+            (self._seed, zlib.crc32(region.encode("utf-8")), window)
+        )
+        # Row t is hours t .. t+window-1, wrapping at the year boundary.
+        tiled = np.resize(trace.values, n + window - 1)
+        windows = sliding_window_view(tiled, window)
+        acc = np.zeros(n)
+        # Chunk the lead-time axis so the dense (n, chunk) intermediate
+        # stays bounded for multi-week windows; the chunk width is a
+        # fixed constant, so the noise stream (and therefore the table)
+        # is deterministic.  The noise draw is the one work array: every
+        # step runs in place on it, so it stays C-contiguous and each
+        # row reduces in the same order whatever the view's strides.
+        for k0 in range(0, window, _SCORE_CHUNK_HOURS):
+            k1 = min(k0 + _SCORE_CHUNK_HOURS, window)
+            lead = np.sqrt(np.arange(k0 + 1, k1 + 1, dtype=float))
+            noisy = rng.standard_normal((n, k1 - k0))
+            noisy *= self._forecast_error * lead
+            noisy += 1.0
+            noisy *= windows[:, k0:k1]
+            np.maximum(noisy, 0.0, out=noisy)
+            acc += noisy.sum(axis=1)
+        return acc / window
 
     def window_score_matrix(
         self, regions: Sequence[str], window_hours: int
@@ -264,10 +366,11 @@ class CarbonIntensityService:
 
     # --- accounting truth tables -------------------------------------------
     def truth_table_cached(self, region: str, window_hours: int) -> bool:
-        """Whether :meth:`truth_window_table` has already been built for
-        ``(region, window)`` — charging engines use this to prefer a
+        """Whether the process-wide memo holds the :meth:`truth_window_table`
+        of ``(region, window)`` — charging engines use this to prefer a
         free gather over a fresh table build for small job groups."""
-        return (region, int(window_hours)) in self._truth_tables
+        identity = self._table_identity(region)
+        return table_key("truth", identity, region, int(window_hours)) in _TABLES
 
     def truth_window_table(self, region: str, window_hours: int) -> np.ndarray:
         """Per-start-hour *true* window means: the charging truth table.
@@ -277,9 +380,11 @@ class CarbonIntensityService:
         ``history(region, t, window).mean()`` for every start hour.  The
         accounting twin of :meth:`window_score_table`: policies decide
         against the forecast score tables, the carbon ledger charges
-        realized placements against these.  Built once per ``(region,
-        window)`` and memoized, so charging a batch of placed jobs is a
-        single gather instead of a per-job slice-and-mean.
+        realized placements against these.  Built once per trace content
+        and window, and memoized process-wide (shared across seeds and
+        forecast errors; an attached external provider is consulted only
+        on a memo miss), so charging a batch of placed jobs is a single
+        gather instead of a per-job slice-and-mean.
 
         Each row is reduced with the same pairwise summation ``numpy``
         applies to a 1-D slice, so table entries are *bit-identical* to
@@ -291,26 +396,9 @@ class CarbonIntensityService:
 
         The returned array is read-only and shared; copy before writing.
         """
-        if window_hours < 1:
-            raise TraceError(f"window must be >= 1 hour, got {window_hours}")
-        window = int(window_hours)
-        key = (region, window)
-        table = self._truth_tables.get(key)
-        if table is not None:
-            return table
-        if _table_provider is not None:
-            table = _table_provider(
-                "truth",
-                self._table_identity(region),
-                region,
-                window,
-                lambda: self._build_truth_table(region, window),
-            )
-        if table is None:
-            table = self._build_truth_table(region, window)
-        table.setflags(write=False)
-        self._truth_tables[key] = table
-        return table
+        return self._memoized_table(
+            "truth", region, window_hours, self._build_truth_table
+        )
 
     def _build_truth_table(self, region: str, window: int) -> np.ndarray:
         values = self.trace(region).values

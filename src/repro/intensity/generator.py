@@ -213,5 +213,10 @@ def trace_cache_info():
 
 
 def trace_cache_clear() -> None:
-    """Drop every memoized trace set (tests and ablations)."""
+    """Drop every memoized trace set and every window table built on
+    them (the process-wide table memo of :mod:`repro.intensity.api`),
+    so the next run starts cold (tests, benchmarks and ablations)."""
+    from repro.intensity import api
+
     _cached_traces.cache_clear()
+    api._TABLES.clear()

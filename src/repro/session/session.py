@@ -12,7 +12,11 @@ constructing the regional intensity traces **once per unique seed**: the
 trace sets behind every
 :class:`~repro.intensity.api.CarbonIntensityService` come from the
 module-level memo in :mod:`repro.intensity.generator`, so a 5-region ×
-3-policy sweep pays for one generation, not fifteen.
+3-policy sweep pays for one generation, not fifteen.  The window tables
+built on those traces are shared the same way, through the process-wide
+table memo in :mod:`repro.intensity.api`: each table identity (trace
+content, seed, forecast error, region, window) is built once per
+process, whichever session asks first.
 """
 
 from __future__ import annotations
@@ -966,7 +970,9 @@ class Session:
         All sessions draw their trace sets from the module-level memo in
         :mod:`repro.intensity.generator`, so sweeping N regions × M
         policies generates each unique seed's traces exactly once (the
-        ``process`` executor warms the same memo once per worker).
+        ``process`` executor warms the same memo once per worker).  Their
+        window tables come from the process-wide table memo the same
+        way, so each table identity is built once per process.
         Results come back in input order; each scenario still gets its
         own freshly seeded forecast stream, so a batch run of a scenario
         equals its standalone run — with any executor.

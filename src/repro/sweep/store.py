@@ -13,7 +13,10 @@ a shared directory:
 * **window tables** — one array per table identity (trace content
   digest + noise inputs + region + window), attached read-only via
   ``numpy`` memory mapping through
-  :func:`repro.intensity.api.set_table_provider`.
+  :func:`repro.intensity.api.set_table_provider`.  The store is the
+  second tier: each process first asks its own process-wide table memo
+  (same identity), and reaches the store only on a memo miss — at most
+  once per identity per process while the memo holds the table.
 
 Files are written atomically (tmp + ``os.replace``); builds are
 deterministic per identity, so racing workers converge on identical
@@ -281,21 +284,14 @@ class SharedTraceStore:
     ) -> Optional[np.ndarray]:
         """The :func:`set_table_provider` hook: mmap-or-build a table.
 
-        Truth tables key off the trace content alone; score tables fold
-        in the noise inputs (seed, forecast error), so services that
-        differ only in forecast error still share truth tables.
+        Files are named after :func:`repro.intensity.api.table_key`, the
+        key of the process-wide memo in front of this store: truth
+        tables key off the trace content alone, score tables fold in the
+        noise inputs (seed, forecast error).
         """
-        if kind == "truth":
-            key_parts = [kind, identity["trace"], region, window]
-        else:
-            key_parts = [
-                kind,
-                identity["trace"],
-                identity["seed"],
-                identity["forecast_error"],
-                region,
-                window,
-            ]
+        from repro.intensity.api import table_key
+
+        key_parts = list(table_key(kind, identity, region, window))
         path = self._dir / "tables" / f"{kind}-{_digest(key_parts)}.npy"
         table = _load_array(path)
         if table is not None:

@@ -167,35 +167,45 @@ class UpgradeScenario:
         partial = np.where(frac_idx == 0, 0.0, partial)
         return whole * total + partial
 
-    def _cumulative_operational_g(self, power_w: float, hours: np.ndarray) -> np.ndarray:
-        """C_op(t) in grams for each horizon in ``hours`` (vectorized)."""
+    def _hourly_cycle_g(self, power_w: float) -> Optional[np.ndarray]:
+        """Operational grams of each hour of one repeating cycle.
+
+        ``None`` on a constant grid under a scalar PUE, where the rate
+        is constant and no cycle is needed.
+        """
         pue, pue_profile = self._resolved_pue()
         if isinstance(self.intensity, IntensityTrace):
-            trace = self.intensity
-            # Cumulative gCO2 at hour boundaries, tiled across years; an
-            # hourly PUE profile weights each hour, both series wrapping
-            # independently (the combined cycle is their lcm, so a
-            # weekly profile never phase-resets at a trace-year
+            # An hourly PUE profile weights each hour, both series
+            # wrapping independently (the combined cycle is their lcm,
+            # so a weekly profile never phase-resets at a trace-year
             # boundary — consistent with the audit's cyclic mean).
             if pue_profile is None:
-                hourly_g = power_w / 1000.0 * pue * trace.values
-            else:
-                hourly_g = power_w / 1000.0 * cyclic_product_cycle(
-                    trace.values, pue_profile
-                )
-            return self._cumulative_from_cycle(hourly_g, hours)
+                return power_w / 1000.0 * pue * self.intensity.values
+            return power_w / 1000.0 * cyclic_product_cycle(
+                self.intensity.values, pue_profile
+            )
         if pue_profile is not None:
             # Constant grid under an hourly overhead: the PUE profile is
-            # the cycle.  The scalar constant-grid path below is
-            # continuous in ``hours``, so this branch adds the
-            # fractional-hour remainder too — a sub-hour horizon must
-            # not collapse to zero just because a profile was supplied.
-            hourly_g = power_w / 1000.0 * float(self.intensity) * pue_profile
-            whole_hours = self._cumulative_from_cycle(hourly_g, hours)
-            int_hours = hours.astype(int)
-            frac = hours - int_hours
-            return whole_hours + frac * hourly_g[int_hours % hourly_g.shape[0]]
-        return power_w / 1000.0 * pue * float(self.intensity) * hours
+            # the cycle.
+            return power_w / 1000.0 * float(self.intensity) * pue_profile
+        return None
+
+    def _cumulative_operational_g(self, power_w: float, hours: np.ndarray) -> np.ndarray:
+        """C_op(t) in grams for each horizon in ``hours`` (vectorized)."""
+        hourly_g = self._hourly_cycle_g(power_w)
+        if hourly_g is None:
+            return power_w / 1000.0 * self._pue() * float(self.intensity) * hours
+        # Cumulative gCO2 at hour boundaries, tiled across cycles.
+        whole_hours = self._cumulative_from_cycle(hourly_g, hours)
+        if isinstance(self.intensity, IntensityTrace):
+            return whole_hours
+        # The scalar constant-grid path is continuous in ``hours``, so a
+        # constant grid under a PUE profile adds the fractional-hour
+        # remainder too — a sub-hour horizon must not collapse to zero
+        # just because a profile was supplied.
+        int_hours = hours.astype(int)
+        frac = hours - int_hours
+        return whole_hours + frac * hourly_g[int_hours % hourly_g.shape[0]]
 
     # --- the Figs. 8-9 curves ------------------------------------------------
     def savings_curve(
@@ -222,17 +232,22 @@ class UpgradeScenario:
 
         Returns ``None`` if the upgrade never breaks even within
         ``horizon_years`` (e.g. a center already on near-zero-carbon
-        energy, the paper's Insight 8 case).
+        energy, the paper's Insight 8 case) — including a trace or
+        hourly-PUE horizon shorter than one whole hour.  Under a trace
+        or an hourly PUE profile, the answer is the first whole hour
+        whose cumulative savings cover the embodied cost.  The scan goes
+        one trace cycle at a time (a year of whole cycles when the
+        trace or PUE cycle is shorter) and stops at the first step that
+        holds the crossing, so an early breakeven never pays for the
+        full horizon.
         """
         if horizon_years <= 0.0:
             raise UpgradeAnalysisError("horizon must be positive")
         old_w, new_w = self.old_power_w(), self.new_power_w()
         if new_w >= old_w:
             return None
-        if (
-            not isinstance(self.intensity, IntensityTrace)
-            and self._resolved_pue()[1] is None
-        ):
+        old_cycle = self._hourly_cycle_g(old_w)
+        if old_cycle is None:
             rate_g_per_h = (
                 (old_w - new_w) / 1000.0 * self._pue() * float(self.intensity)
             )
@@ -240,16 +255,33 @@ class UpgradeScenario:
                 return None
             years = self.embodied_cost_g / rate_g_per_h / HOURS_PER_YEAR
             return years if years <= horizon_years else None
-        # Trace intensity (or an hourly PUE profile): find the first
-        # hour where cumulative savings cover the embodied cost.
-        hours_grid = np.arange(1, int(horizon_years * HOURS_PER_YEAR) + 1)
-        old_op = self._cumulative_operational_g(old_w, hours_grid)
-        new_op = self._cumulative_operational_g(new_w, hours_grid)
-        net = old_op - new_op - self.embodied_cost_g
-        crossing = np.argmax(net >= 0.0)
-        if net[crossing] < 0.0:
-            return None
-        return float(hours_grid[crossing]) / HOURS_PER_YEAR
+        embodied = self.embodied_cost_g
+        last_hour = int(horizon_years * HOURS_PER_YEAR)
+        n = old_cycle.shape[0]
+        # Grams after h = q*n + r whole hours are q * total + partial[r]:
+        # _cumulative_from_cycle's arithmetic, term by term, so the scan
+        # answers exactly what a full-horizon hour grid would.
+        old_csum = np.cumsum(old_cycle)
+        new_csum = np.cumsum(self._hourly_cycle_g(new_w))
+        old_partial = np.concatenate(([0.0], old_csum[:-1]))
+        new_partial = np.concatenate(([0.0], new_csum[:-1]))
+        # A year of whole cycles per step (one cycle when it is a year
+        # or longer): short PUE cycles must not cost a step per cycle.
+        step = max(1, int(HOURS_PER_YEAR) // n)
+        last_cycle = last_hour // n
+        for q0 in range(0, last_cycle + 1, step):
+            q = np.arange(q0, min(q0 + step, last_cycle + 1))[:, None]
+            hours = (q * n + np.arange(n)).ravel()
+            old_op = q * old_csum[-1] + old_partial
+            new_op = q * new_csum[-1] + new_partial
+            crossed = (
+                ((old_op - new_op - embodied).ravel() >= 0.0)
+                & (hours >= 1)
+                & (hours <= last_hour)
+            )
+            if crossed.any():
+                return float(hours[np.argmax(crossed)]) / HOURS_PER_YEAR
+        return None
 
     def asymptotic_savings(self) -> float:
         """Savings limit as the horizon grows: ``1 - P_new / P_old``."""

@@ -409,6 +409,7 @@ class TestSharedTraceStore:
             assert served[code].tz_offset_hours == trace.tz_offset_hours
 
     def test_tables_round_trip_byte_equal(self, tmp_path):
+        from repro.intensity import table_cache_info, trace_cache_clear
         from repro.session import resolve_backend
 
         def tables(service):
@@ -420,19 +421,49 @@ class TestSharedTraceStore:
         reference = tables(
             resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
         )
+        # Each attached arm starts from an empty process-wide memo, or
+        # the memo would serve the tables and the store never see them.
+        trace_cache_clear()
         with SharedTraceStore(tmp_path / "store"):
             first = tables(
                 resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
             )
+        assert table_cache_info().builds == 2
         # Second attach reads the mmap files written by the first.
+        trace_cache_clear()
         with SharedTraceStore(tmp_path / "store"):
             second = tables(
                 resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
             )
+        assert table_cache_info().builds == 0
         for ref, a, b in zip(reference, first, second):
             assert np.array_equal(a, ref)
             assert np.array_equal(b, ref)
         assert (tmp_path / "store" / "tables").is_dir()
+
+    def test_store_is_asked_once_per_table_identity(self, tmp_path, monkeypatch):
+        from repro.intensity import trace_cache_clear
+        from repro.intensity.api import CarbonIntensityService, table_key
+
+        store = SharedTraceStore(tmp_path / "store")
+        asked = []
+        provide = store.provide_table
+
+        def counting(kind, identity, region, window, build):
+            asked.append(table_key(kind, identity, region, window))
+            return provide(kind, identity, region, window, build)
+
+        monkeypatch.setattr(store, "provide_table", counting)
+        trace_cache_clear()
+        with store:
+            for error in (0.1, 0.1, 0.2):
+                service = CarbonIntensityService(seed=7, forecast_error=error)
+                for _ in range(2):
+                    service.window_score_table("ESO", 24)
+                    service.window_score_table("CISO", 6)
+                    service.truth_window_table("ESO", 24)
+        # Score tables per (error, region, window), one shared truth table.
+        assert len(asked) == len(set(asked)) == 2 * 2 + 1
 
     def test_detach_restores_previous_providers(self, tmp_path):
         from repro.intensity import api, generator

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import UpgradeAnalysisError
 from repro.core.units import HOURS_PER_YEAR
 from repro.intensity.generator import generate_trace
+from repro.intensity.trace import IntensityTrace
+from repro.power import HourlyPUE, SeasonalPUE
 from repro.upgrade.advisor import UpgradeAdvisor, Verdict
 from repro.upgrade.amortization import (
     breakeven_table,
@@ -143,6 +147,105 @@ class TestBreakeven:
         be_trace = scenario(intensity=trace).breakeven_years()
         be_const = scenario(intensity=trace.mean()).breakeven_years()
         assert be_trace == pytest.approx(be_const, rel=0.1)
+
+
+def full_grid_breakeven(sc, horizon_years):
+    """Reference breakeven under a trace or hourly PUE: evaluate every
+    whole hour of the horizon at once and take the first covered one."""
+    old_w, new_w = sc.old_power_w(), sc.new_power_w()
+    if new_w >= old_w:
+        return None
+    hours_grid = np.arange(1, int(horizon_years * HOURS_PER_YEAR) + 1)
+    if hours_grid.size == 0:
+        return None
+    old_op = sc._cumulative_operational_g(old_w, hours_grid)
+    new_op = sc._cumulative_operational_g(new_w, hours_grid)
+    net = old_op - new_op - sc.embodied_cost_g
+    crossing = np.argmax(net >= 0.0)
+    if net[crossing] < 0.0:
+        return None
+    return float(hours_grid[crossing]) / HOURS_PER_YEAR
+
+
+@st.composite
+def cycled_scenarios(draw):
+    """Upgrade scenarios whose breakeven comes from an hourly cycle."""
+    old, new = draw(
+        st.sampled_from([("P100", "V100"), ("P100", "A100"), ("V100", "A100")])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 0.05 g/kWh never breaks even within 30 years; 500 crosses in days.
+    scale = draw(st.sampled_from([0.05, 2.0, 20.0, 200.0, 500.0]))
+    grid = draw(
+        st.sampled_from(["trace", "trace+hourly", "hourly", "seasonal", "array"])
+    )
+    if grid.startswith("trace"):
+        n_hours = draw(st.sampled_from([1, 24, 167, 8760]))
+        intensity = IntensityTrace("X", 0, scale * (0.2 + rng.random(n_hours)))
+    else:
+        intensity = scale
+    pue = None
+    if grid in ("trace+hourly", "hourly"):
+        pue = HourlyPUE(1.0 + rng.random(draw(st.integers(2, 48))))
+    elif grid == "seasonal":
+        pue = SeasonalPUE(
+            annual_mean=1.3,
+            seasonal_amplitude=draw(st.floats(0.0, 0.15)),
+            diurnal_amplitude=draw(st.floats(0.01, 0.1)),
+        )
+    elif grid == "array":
+        # A raw array is its own cycle: far shorter than a year.
+        pue = 1.0 + rng.random(draw(st.integers(2, 30)))
+    usage = draw(st.floats(0.05, 1.0))
+    return UpgradeScenario.from_generations(
+        old, new, Suite.NLP, usage=usage, intensity=intensity, pue=pue
+    )
+
+
+class TestBreakevenScan:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"intensity": generate_trace("ESO")},
+            {"intensity": 400.0, "pue": SeasonalPUE()},
+        ],
+        ids=["trace", "profile"],
+    )
+    def test_sub_hour_horizon_never_breaks_even(self, grid):
+        sc = scenario(**grid)
+        assert sc.breakeven_years(horizon_years=1e-4) is None
+        assert sc.breakeven_years(horizon_years=0.99 / HOURS_PER_YEAR) is None
+
+    def test_horizon_cut_at_the_crossing_hour(self):
+        sc = scenario(intensity=generate_trace("ESO"))
+        hour = round(sc.breakeven_years() * HOURS_PER_YEAR)
+        for horizon_h, expected in (
+            (hour - 0.5, None),
+            (hour + 0.5, hour / HOURS_PER_YEAR),
+        ):
+            horizon = horizon_h / HOURS_PER_YEAR
+            assert sc.breakeven_years(horizon_years=horizon) == expected
+            assert full_grid_breakeven(sc, horizon) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sc=cycled_scenarios(),
+        horizon=st.one_of(
+            st.floats(1e-6, 0.99 / HOURS_PER_YEAR),  # under one hour
+            st.floats(1e-4, 0.999),  # under one trace year
+            st.floats(1.0, 30.0),
+        ),
+    )
+    @example(sc=scenario(intensity=generate_trace("ESO")), horizon=30.0)
+    @example(sc=scenario(intensity=generate_trace("ESO")), horizon=0.3)
+    @example(
+        sc=scenario(intensity=IntensityTrace("X", 0, np.full(24, 0.05))), horizon=30.0
+    )
+    @example(sc=scenario(intensity=20.0, pue=np.array([1.1, 1.7])), horizon=30.0)
+    def test_scan_equals_full_grid(self, sc, horizon):
+        assert sc.breakeven_years(horizon_years=horizon) == full_grid_breakeven(
+            sc, horizon
+        )
 
 
 class TestSweeps:
