@@ -71,7 +71,7 @@ def bench_cache_grid() -> dict:
     from repro.sweep import SweepService
 
     # Cold means cold memos in a warmed-up interpreter: one untimed cell
-    # pays the one-time imports (scipy, the backends), which only the
+    # pays the one-time imports (the backend modules), which only the
     # first call in a process would otherwise time, then the memos are
     # dropped so no trace or table an earlier run built serves the arm.
     first_cell = {knob: values[0] for knob, values in _GRID_SPEC["axes"].items()}

@@ -10,8 +10,10 @@ carbon intensity (see :class:`repro.intensity.regions.RegionProfile`):
 * persistent AR(1) "weather" noise (wind availability, imports),
 
 multiplies them, clips at the region's floor, and rescales so the annual
-median matches the region's calibrated target exactly.  Everything is
-vectorized; a 7-region year costs a few milliseconds.
+median matches the region's calibrated target exactly.  The cycles are
+vectorized numpy and the AR(1) noise is a scalar recursion
+(:func:`ar1_noise`), so a 7-region year costs about 15 ms, once per
+``(regions, n_hours, seed)``: :func:`generate_all_traces` memoizes it.
 
 Determinism: each region's noise stream is seeded from a stable hash of
 ``(seed, region code)``, so traces are reproducible across runs and
@@ -88,16 +90,23 @@ def ar1_noise(
 ) -> np.ndarray:
     """Stationary AR(1) noise with marginal std ``sigma``.
 
-    ``x[t] = rho * x[t-1] + e[t]`` with ``e ~ N(0, sigma^2 (1-rho^2))``
-    is an IIR filter; :func:`scipy.signal.lfilter` evaluates the
-    recursion in compiled code, so a year of hourly noise is O(n) with
-    no Python-level loop.  The initial state is drawn from the
-    stationary marginal so the series has no warm-up transient.
+    ``x[t] = rho * x[t-1] + e[t]`` with ``e ~ N(0, sigma^2 (1-rho^2))``.
+    The initial state is drawn from the stationary marginal (after the
+    innovations), so the series has no warm-up transient.
+
+    The recursion is a scalar loop, each step ``x = e + rho * x``.  That
+    is exactly the arithmetic of the former ``scipy.signal.lfilter``
+    evaluation (transposed direct form, ``y[n] = 1.0*x[n] + rho*y[n-1]``
+    seeded by ``lfiltic``), so every series is byte-identical to it.  It
+    stays in Python because importing ``scipy.signal`` cost about 1 s in
+    every cold process, while the loop costs about 1 ms per region-year.
     """
     if n < 0:
         raise TraceError(f"noise length must be non-negative, got {n}")
-    if sigma < 0.0:
-        raise TraceError(f"noise sigma must be non-negative, got {sigma!r}")
+    if not (0.0 <= sigma < np.inf):
+        raise TraceError(
+            f"noise sigma must be finite and non-negative, got {sigma!r}"
+        )
     if not (0.0 <= rho < 1.0):
         raise TraceError(f"noise rho must be in [0, 1), got {rho!r}")
     if n == 0:
@@ -105,12 +114,12 @@ def ar1_noise(
     innovations = rng.standard_normal(n) * (sigma * np.sqrt(1.0 - rho * rho))
     if rho == 0.0:
         return innovations
-    from scipy.signal import lfilter, lfiltic
-
-    x0 = rng.standard_normal() * sigma
-    zi = lfiltic([1.0], [1.0, -rho], y=[x0])
-    out, _ = lfilter([1.0], [1.0, -rho], innovations, zi=zi)
-    return np.asarray(out)
+    x = rng.standard_normal() * sigma
+    out = []
+    for e in innovations.tolist():
+        x = e + rho * x
+        out.append(x)
+    return np.array(out)
 
 
 def generate_trace(
@@ -127,6 +136,9 @@ def generate_trace(
     target exactly.
     """
     spec = get_region(region) if isinstance(region, str) else region
+    # _region_rng mixes the seed as a uint64.
+    if not (0 <= seed < 2**64):
+        raise TraceError(f"trace seed must be in [0, 2**64), got {seed!r}")
     if n_hours < int(HOURS_PER_DAY):
         raise TraceError(f"need at least one day of hours, got {n_hours}")
     profile = spec.profile

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.errors import TraceError
 from repro.intensity.generator import (
     DEFAULT_SEED,
@@ -47,6 +52,63 @@ class TestAr1Noise:
             ar1_noise(10, -0.1, 0.5, rng)
         with pytest.raises(TraceError):
             ar1_noise(10, 0.1, 1.0, rng)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(TraceError, match="finite"):
+            ar1_noise(10, sigma, 0.5, np.random.default_rng(6))
+
+
+@pytest.fixture(scope="module")
+def lfilter_ar1():
+    """The former ``scipy.signal`` evaluation of :func:`ar1_noise`, kept
+    as its oracle: scipy is a test-only dependency."""
+    signal = pytest.importorskip("scipy.signal")
+
+    def oracle(n, sigma, rho, rng):
+        innovations = rng.standard_normal(n) * (sigma * np.sqrt(1.0 - rho * rho))
+        if rho == 0.0:
+            return innovations
+        x0 = rng.standard_normal() * sigma
+        zi = signal.lfiltic([1.0], [1.0, -rho], y=[x0])
+        out, _ = signal.lfilter([1.0], [1.0, -rho], innovations, zi=zi)
+        return np.asarray(out)
+
+    return oracle
+
+
+class TestAr1OracleParity:
+    """The scalar recursion is byte-identical to the ``lfilter`` oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 20_000),
+        sigma=st.floats(0.0, 2.0),
+        rho=st.floats(0.0, 0.9999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1000, sigma=0.2, rho=0.0, seed=0)
+    @example(n=1, sigma=0.2, rho=0.9, seed=1)
+    @example(n=20_000, sigma=0.2, rho=0.999999, seed=2)
+    def test_matches_lfilter(self, lfilter_ar1, n, sigma, rho, seed):
+        ours_rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        ours = ar1_noise(n, sigma, rho, ours_rng)
+        oracle = lfilter_ar1(n, sigma, rho, oracle_rng)
+        assert ours.dtype == oracle.dtype and ours.shape == oracle.shape
+        assert ours.tobytes() == oracle.tobytes()
+        # Same draws in the same order: the streams stay in step.
+        assert ours_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
+    def test_traces_match_lfilter(self, lfilter_ar1, monkeypatch, seed):
+        ours = {code: generate_trace(code, seed=seed).values for code in REGIONS}
+        monkeypatch.setattr(
+            "repro.intensity.generator.ar1_noise", lfilter_ar1
+        )
+        for code in REGIONS:
+            oracle = generate_trace(code, seed=seed).values
+            assert ours[code].tobytes() == oracle.tobytes(), code
 
 
 class TestGenerateTrace:
@@ -113,6 +175,24 @@ class TestGenerateTrace:
     def test_too_short_horizon_rejected(self):
         with pytest.raises(TraceError):
             generate_trace("ESO", n_hours=12)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(TraceError, match=r"\[0, 2\*\*64\)"):
+            generate_trace("ESO", n_hours=48, seed=seed)
+
+    def test_large_seed_accepted(self):
+        assert len(generate_trace("ESO", n_hours=48, seed=2**32)) == 48
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_cli_bad_seed_is_a_scenario_error(self, capsys, seed):
+        assert main([
+            "scenario", "--system", "frontier", "--region", "ESO",
+            "--seed", seed,
+        ]) == 2
+        assert capsys.readouterr().err.startswith(
+            "scenario error: trace seed must be in [0, 2**64)"
+        )
 
 
 class TestGenerateAll:
