@@ -15,6 +15,7 @@ degradable information rather than an oracle.  Pass
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import OrderedDict, namedtuple
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -36,33 +37,52 @@ __all__ = [
 ]
 
 #: Lead-time chunk width for noisy score-table construction: caps the
-#: dense per-chunk work arrays at (trace length × this) elements.
+#: dense per-chunk work arrays at (rows × this) elements.  It also
+#: decides which score tables can be built row by row.  A window up to
+#: this width draws its noise as one row-major ``(rows, window)`` block,
+#: so the first ``k`` rows consume exactly the first ``k * window``
+#: normals of the table's ``(seed, region, window)`` stream: a ``k``-row
+#: build is a byte-identical prefix of the whole table, and drawing on
+#: from the stream position after row ``k`` yields the rows after it.
+#: A longer window draws chunk by chunk across *all* rows (every row's
+#: first 512 lead hours, then every row's next ones), so a row's noise
+#: depends on how many rows are built and such tables are built whole.
 _SCORE_CHUNK_HOURS = 512
+
+#: Row granularity of a growing score table: requests round up to a
+#: multiple of this, and a table that has to grow takes at least a
+#: quarter more rows than it holds, so a caller scanning issue hours
+#: one by one grows it O(log n) times.
+_SCORE_ROW_BLOCK = 64
 
 #: Byte budget of the process-wide window-table memo: about 950
 #: year-long (8760-hour float64) tables.  Past it, the least recently
 #: used tables are dropped and rebuilt on their next request.
 _TABLE_MEMO_BYTES = 64 * 1024 * 1024
 
-#: Externalizable table memo hook, the second tier behind the
+#: Externalizable truth-table hook, the second tier behind the
 #: process-wide memo.  When set,
 #: ``provider(kind, identity, region, window, build)`` is consulted on a
-#: process-wide memo miss before building a score/truth window table:
-#: ``kind`` is ``"score"`` or ``"truth"``, ``identity`` carries the
-#: content digest of the region trace plus the noise inputs
-#: (seed/forecast error), and ``build`` computes the table when the
-#: provider has no copy.  :class:`repro.sweep.store.SharedTraceStore`
-#: uses this to serialize tables once to memory-mapped ``.npy`` files
-#: that every sweep worker attaches to.  Providers must be
-#: byte-faithful; the builds are deterministic per identity, so a
-#: last-writer-wins store converges on identical bytes.
+#: process-wide memo miss before building a truth window table:
+#: ``kind`` is ``"truth"``, ``identity`` carries the content digest of
+#: the region trace, and ``build`` computes the table when the provider
+#: has no copy.  :class:`repro.sweep.store.SharedTraceStore` uses this to
+#: serialize tables once to memory-mapped ``.npy`` files that every
+#: sweep worker attaches to.  Providers must be byte-faithful; the
+#: builds are deterministic per identity, so a last-writer-wins store
+#: converges on identical bytes.  Score tables never reach the provider:
+#: each process builds only the issue hours its callers read (see
+#: :meth:`CarbonIntensityService.window_score_table`), which costs less
+#: than attaching whole-year tables.
 _table_provider = None
 
 
 def set_table_provider(provider):
-    """Install (or with ``None`` clear) the external table provider.
+    """Install (or with ``None`` clear) the external truth-table provider.
 
-    Returns the previously installed provider so callers can restore it.
+    Score tables are always built in-process, row-scoped, and never
+    reach it.  Returns the previously installed provider so callers can
+    restore it.
     """
     global _table_provider
     previous = _table_provider
@@ -100,56 +120,97 @@ TableCacheInfo = namedtuple("TableCacheInfo", "hits misses builds entries bytes"
 class _TableMemo:
     """Least-recently-used window tables under :data:`_TABLE_MEMO_BYTES`.
 
-    ``builds`` counts tables computed in this process; a miss the
-    external provider serves is not a build.
+    An entry is ``(table, stream)``: the rows built so far and, for a
+    score table that can still grow, the noise-stream position after
+    its last row (``None`` once the table is whole).  Growth replaces
+    the entry in one assignment, so rows and stream position commit
+    together, and eviction drops both.  A lookup is a hit when the
+    entry holds the rows asked for.  ``builds`` counts table identities
+    computed in this process: growing a table is not a build, nor is a
+    miss the external provider serves.
     """
 
     def __init__(self) -> None:
-        self._tables: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Tuple[np.ndarray, Optional[dict]]]" = (
+            OrderedDict()
+        )
         self._bytes = 0
         self.hits = self.misses = self.builds = 0
 
     def __contains__(self, key: tuple) -> bool:
-        return key in self._tables
+        return key in self._entries
 
-    def get(self, key: tuple) -> Optional[np.ndarray]:
-        table = self._tables.get(key)
-        if table is None:
-            self.misses += 1
-        else:
+    def get(self, key: tuple, rows: int = 0):
+        """The entry under ``key`` (or ``None``); a hit if it holds ``rows``."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        if entry is not None and entry[0].shape[0] >= rows:
             self.hits += 1
-            self._tables.move_to_end(key)
-        return table
+        else:
+            self.misses += 1
+        return entry
 
-    def put(self, key: tuple, table: np.ndarray) -> None:
-        self._tables[key] = table
+    def put(
+        self, key: tuple, table: np.ndarray, stream: Optional[dict] = None
+    ) -> None:
+        previous = self._entries.get(key)
+        self._entries[key] = (table, stream)
+        self._entries.move_to_end(key)
         self._bytes += table.nbytes
+        if previous is not None:
+            self._bytes -= previous[0].nbytes
         # A unit-deadline signal can land between a pop and its byte
         # update, leaving the count high: never pop an empty memo.
-        while self._bytes > _TABLE_MEMO_BYTES and self._tables:
-            _key, evicted = self._tables.popitem(last=False)
+        while self._bytes > _TABLE_MEMO_BYTES and self._entries:
+            _key, (evicted, _stream) = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
 
     def clear(self) -> None:
-        self._tables.clear()
+        self._entries.clear()
         self._bytes = 0
         self.hits = self.misses = self.builds = 0
 
     def info(self) -> TableCacheInfo:
         return TableCacheInfo(
-            self.hits, self.misses, self.builds, len(self._tables), self._bytes
+            self.hits, self.misses, self.builds, len(self._entries), self._bytes
         )
 
 
 _TABLES = _TableMemo()
 
 
+def _window(window_hours: int) -> int:
+    if window_hours < 1:
+        raise TraceError(f"window must be >= 1 hour, got {window_hours}")
+    return int(window_hours)
+
+
+def _grown_rows(held: int, want: int, n: int) -> int:
+    """The row count a score table holding ``held`` rows of ``n`` grows
+    to when ``want`` are asked for: at least a quarter more than it
+    holds, rounded up to :data:`_SCORE_ROW_BLOCK`, at most ``n``."""
+    rows = max(want, held + held // 4)
+    return min(-(-rows // _SCORE_ROW_BLOCK) * _SCORE_ROW_BLOCK, n)
+
+
+def _resume_stream(state: dict) -> np.random.Generator:
+    """A fresh generator at a stored noise-stream position; drawing from
+    it leaves the stored position untouched."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def table_cache_info() -> TableCacheInfo:
     """Counters of the process-wide window-table memo.
 
-    ``hits``/``misses`` count memo lookups, ``builds`` the tables this
-    process computed (misses minus those the external provider served),
-    ``entries``/``bytes`` what the memo holds now.
+    ``hits`` count lookups served from the rows already held,
+    ``misses`` the others (no table yet, or a score table that had to
+    grow).  ``builds`` counts the table identities this process
+    computed: growing a score table is not a build, nor is a miss the
+    external provider serves.  ``entries``/``bytes`` are what the memo
+    holds now, partial score tables at the rows built so far.
     :func:`repro.intensity.generator.trace_cache_clear` empties the memo
     and resets the counters.
     """
@@ -179,15 +240,20 @@ class CarbonIntensityService:
         forecast_error: float = 0.03,
         seed: int = DEFAULT_SEED,
     ) -> None:
-        if forecast_error < 0.0:
+        if not 0.0 <= forecast_error < math.inf:
             raise TraceError(
-                f"forecast error must be non-negative, got {forecast_error!r}"
+                f"forecast error must be finite and non-negative, "
+                f"got {forecast_error!r}"
             )
         self._traces: Dict[str, IntensityTrace] = dict(
             traces if traces is not None else generate_all_traces(seed=seed)
         )
         if not self._traces:
             raise TraceError("service needs at least one region trace")
+        # The range generate_trace enforces (it reports first when the
+        # service generates its traces): the noise streams take it too.
+        if not 0 <= seed < 2**64:
+            raise TraceError(f"forecast seed must be in [0, 2**64), got {seed!r}")
         self._forecast_error = forecast_error
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed + 777)
@@ -260,67 +326,111 @@ class CarbonIntensityService:
         return min(codes, key=lambda code: self.intensity_at(code, hour))
 
     # --- placement score tables -------------------------------------------
-    def window_score_table(self, region: str, window_hours: int) -> np.ndarray:
-        """Per-start-hour forecast window means: the placement score table.
+    def window_score_table(
+        self, region: str, window_hours: int, rows: Optional[int] = None
+    ) -> np.ndarray:
+        """Per-issue-hour forecast window means: the placement score table.
 
         ``table[t]`` is the mean *forecast* intensity over ``[t, t+window)``
         for a forecast issued at hour ``t`` (lead times ``1..window``,
-        wrapping at the year boundary).  Built once per table identity
-        from cumulative sums over the trace (oracle) plus a deterministic
-        per-``(seed, region, window)`` noise draw (imperfect forecasts),
-        then memoized process-wide — any candidate placement grid scores
-        as a single gather + ``argmin`` against this table instead of
-        per-candidate forecast calls, and every service over the same
-        traces, seed and forecast error shares the one build (an
-        attached external provider is consulted only on a memo miss).
-        Both the scalar policy ``place`` reference path
-        (via :meth:`forecast_window_mean`) and the vectorized
-        ``place_all`` kernels read the same table, which is what makes
-        their placements byte-identical.
+        wrapping at the year boundary): the trace's window mean times a
+        deterministic per-``(seed, region, window)`` noise draw (imperfect
+        forecasts), or the plain forward window mean for an oracle.  Any
+        candidate placement grid scores as a single gather + ``argmin``
+        against this table instead of per-candidate forecast calls.
+
+        ``rows`` is how many issue hours the caller reads: it gets at
+        least the first ``rows`` rows (all of them when ``None``; a count
+        past the trace length means all).  Callers pass their largest
+        issue hour plus one and wrap hours by the trace length, never by
+        ``table.shape[0]``.  The table lives in the process-wide memo,
+        one entry per identity (trace content, seed, forecast error,
+        region, window), shared by every service over the same inputs.
+        A request past the rows held grows the entry by drawing on from
+        the stored noise-stream position, so the rows are byte-identical
+        to the same rows of a whole-table build whatever order requests
+        come in (see :data:`_SCORE_CHUNK_HOURS`); windows over that chunk
+        width and oracle tables are built whole on first request.  Both
+        the scalar policy ``place`` reference path (via
+        :meth:`forecast_window_mean`) and the vectorized ``place_all``
+        kernels read these rows, which is what makes their placements
+        byte-identical.
 
         The returned array is read-only and shared; copy before writing.
         """
-        return self._memoized_table(
-            "score", region, window_hours, self._build_score_table
-        )
-
-    def _memoized_table(self, kind: str, region: str, window_hours: int, build):
-        """One window table from the process-wide memo, else the
-        external provider, else ``build(region, window)``."""
-        if window_hours < 1:
-            raise TraceError(f"window must be >= 1 hour, got {window_hours}")
-        window = int(window_hours)
-        identity = self._table_identity(region)
-        key = table_key(kind, identity, region, window)
-        table = _TABLES.get(key)
-        if table is not None:
-            return table
-
-        def counted_build() -> np.ndarray:
-            _TABLES.builds += 1
-            return build(region, window)
-
-        if _table_provider is not None:
-            table = _table_provider(kind, identity, region, window, counted_build)
-        if table is None:
-            table = counted_build()
+        window = _window(window_hours)
+        n = len(self.trace(region))
+        want = n if rows is None else min(int(rows), n)
+        if want < 1:
+            raise TraceError(f"rows must be >= 1, got {rows}")
+        key = table_key("score", self._table_identity(region), region, window)
+        entry = _TABLES.get(key, want)
+        if entry is None:
+            held, stream = None, None
+        elif entry[0].shape[0] >= want:
+            return entry[0]
+        else:
+            held, stream = entry
+        if self._forecast_error == 0.0 or window > _SCORE_CHUNK_HOURS:
+            table = self._build_score_table(region, window)
+        else:
+            start = 0 if held is None else held.shape[0]
+            stop = _grown_rows(start, want, n)
+            rng = (
+                self._score_stream(region, window)
+                if stream is None
+                else _resume_stream(stream)
+            )
+            table = self._build_score_table(
+                region, window, stop, start=start, rng=rng
+            )
+            if held is not None:
+                table = np.concatenate([held, table])
+            stream = rng.bit_generator.state if stop < n else None
         table.setflags(write=False)
-        _TABLES.put(key, table)
+        if held is None:
+            _TABLES.builds += 1
+        # Rows and stream position commit together, only once the rows
+        # exist: an interrupted growth leaves the entry as it was.
+        _TABLES.put(key, table, stream)
         return table
 
-    def _build_score_table(self, region: str, window: int) -> np.ndarray:
+    def _score_stream(self, region: str, window: int) -> np.random.Generator:
+        """A score table's noise stream, positioned at its first row."""
+        return np.random.default_rng(
+            (self._seed, zlib.crc32(region.encode("utf-8")), window)
+        )
+
+    def _build_score_table(
+        self,
+        region: str,
+        window: int,
+        rows: Optional[int] = None,
+        *,
+        start: int = 0,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """Score-table rows ``[start, rows)``; the whole table by default,
+        and always for an oracle (``forecast_error == 0``).
+
+        ``rng`` is the table's noise stream positioned at row ``start``
+        (a fresh stream when omitted, for ``start == 0``) and is left at
+        row ``rows``.  Only whole tables may chunk the lead-time axis:
+        a partial build must keep ``window <= _SCORE_CHUNK_HOURS``.
+        """
         trace = self.trace(region)
         if self._forecast_error == 0.0:
             return trace.forward_window_mean(window)
-        n = len(trace)
-        rng = np.random.default_rng(
-            (self._seed, zlib.crc32(region.encode("utf-8")), window)
+        stop = len(trace) if rows is None else rows
+        if rng is None:
+            rng = self._score_stream(region, window)
+        # Row t reads hours t .. t+window-1, wrapping at the year boundary.
+        hours = np.take(
+            trace.values, np.arange(start, stop + window - 1), mode="wrap"
         )
-        # Row t is hours t .. t+window-1, wrapping at the year boundary.
-        tiled = np.resize(trace.values, n + window - 1)
-        windows = sliding_window_view(tiled, window)
-        acc = np.zeros(n)
-        # Chunk the lead-time axis so the dense (n, chunk) intermediate
+        windows = sliding_window_view(hours, window)
+        acc = np.zeros(stop - start)
+        # Chunk the lead-time axis so the dense (rows, chunk) intermediate
         # stays bounded for multi-week windows; the chunk width is a
         # fixed constant, so the noise stream (and therefore the table)
         # is deterministic.  The noise draw is the one work array: every
@@ -329,7 +439,7 @@ class CarbonIntensityService:
         for k0 in range(0, window, _SCORE_CHUNK_HOURS):
             k1 = min(k0 + _SCORE_CHUNK_HOURS, window)
             lead = np.sqrt(np.arange(k0 + 1, k1 + 1, dtype=float))
-            noisy = rng.standard_normal((n, k1 - k0))
+            noisy = rng.standard_normal((stop - start, k1 - k0))
             noisy *= self._forecast_error * lead
             noisy += 1.0
             noisy *= windows[:, k0:k1]
@@ -338,28 +448,41 @@ class CarbonIntensityService:
         return acc / window
 
     def window_score_matrix(
-        self, regions: Sequence[str], window_hours: int
+        self,
+        regions: Sequence[str],
+        window_hours: int,
+        rows: Optional[int] = None,
     ) -> np.ndarray:
-        """Stacked score tables, shape ``(len(regions), horizon)``.
+        """Stacked score tables, shape ``(len(regions), >= rows)``.
 
-        Row ``i`` is ``window_score_table(regions[i], window_hours)``;
-        the 2-D gather a joint (region, start) policy takes its
-        ``unravel_index(argmin)`` over.  Memoized per (regions, window);
-        requires every region's trace to share one length (the Table 3
-        sets do).  Read-only.
+        Row ``i`` holds the leading rows of
+        ``window_score_table(regions[i], window_hours, rows)``: the 2-D
+        gather a joint (region, start) policy takes its
+        ``unravel_index(argmin)`` over.  ``rows`` counts issue hours as
+        for :meth:`window_score_table` (all when ``None``), and callers
+        wrap hours by the trace length, never by ``matrix.shape[1]``.
+        Memoized per (regions, window) and rebuilt when a request needs
+        more rows; requires every region's trace to share one length (the
+        Table 3 sets do).  Read-only.
         """
         key = (tuple(regions), int(window_hours))
-        matrix = self._score_matrices.get(key)
-        if matrix is not None:
-            return matrix
-        rows = [self.window_score_table(code, window_hours) for code in key[0]]
-        lengths = {row.shape[0] for row in rows}
-        if len(lengths) > 1:
+        lengths = {len(self.trace(code)) for code in key[0]}
+        if len(lengths) != 1:
             raise TraceError(
-                f"regions {list(key[0])} have unequal trace lengths "
-                f"{sorted(lengths)}; a joint score matrix needs one horizon"
+                f"regions {list(key[0])} have trace lengths {sorted(lengths)}; "
+                f"a joint score matrix needs one horizon"
             )
-        matrix = np.vstack(rows)
+        n = lengths.pop()
+        want = n if rows is None else min(int(rows), n)
+        matrix = self._score_matrices.get(key)
+        if matrix is not None and matrix.shape[1] >= want:
+            return matrix
+        tables = [
+            self.window_score_table(code, window_hours, rows=want)
+            for code in key[0]
+        ]
+        width = min(table.shape[0] for table in tables)
+        matrix = np.vstack([table[:width] for table in tables])
         matrix.setflags(write=False)
         self._score_matrices[key] = matrix
         return matrix
@@ -396,9 +519,25 @@ class CarbonIntensityService:
 
         The returned array is read-only and shared; copy before writing.
         """
-        return self._memoized_table(
-            "truth", region, window_hours, self._build_truth_table
-        )
+        window = _window(window_hours)
+        identity = self._table_identity(region)
+        key = table_key("truth", identity, region, window)
+        entry = _TABLES.get(key)
+        if entry is not None:
+            return entry[0]
+
+        def counted_build() -> np.ndarray:
+            _TABLES.builds += 1
+            return self._build_truth_table(region, window)
+
+        table = None
+        if _table_provider is not None:
+            table = _table_provider("truth", identity, region, window, counted_build)
+        if table is None:
+            table = counted_build()
+        table.setflags(write=False)
+        _TABLES.put(key, table)
+        return table
 
     def _build_truth_table(self, region: str, window: int) -> np.ndarray:
         values = self.trace(region).values
@@ -421,7 +560,9 @@ class CarbonIntensityService:
         Served from :meth:`window_score_table`, so repeated queries for
         one ``(region, hour, window)`` are deterministic and O(1); the
         scalar and vectorized placement paths therefore score candidates
-        identically.
+        identically.  The hour wraps by the trace length, and only the
+        table's rows up to it are asked for, so a scan over ascending
+        hours grows the table O(log n) times.
         """
-        table = self.window_score_table(region, window_hours)
-        return float(table[int(start_hour) % table.shape[0]])
+        hour = int(start_hour) % len(self.trace(region))
+        return float(self.window_score_table(region, window_hours, hour + 1)[hour])

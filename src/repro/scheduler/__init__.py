@@ -4,18 +4,22 @@ Placement contract (the score-table / ``place_all`` pact)
 ---------------------------------------------------------
 Policies score candidate placements against precomputed *score tables*:
 :meth:`repro.intensity.api.CarbonIntensityService.window_score_table`
-builds, once per ``(region, window)``, the per-start-hour forecast
-window means (cumulative sums over the trace plus a deterministic
-per-``(seed, region, window)`` noise draw), and both placement paths
-read it:
+holds, once per ``(region, window)``, the per-issue-hour forecast
+window means (the trace's window means under a deterministic
+per-``(seed, region, window)`` noise draw), built only over the issue
+hours callers read: a caller passes ``rows`` = its largest candidate
+hour + 1 and wraps hours by the trace length, never by the table's row
+count.  A later, wider request grows the table with the rows a
+whole-year build would hold, byte for byte, so placements do not depend
+on which caller asked first.  Both placement paths read it:
 
 * ``policy.place(job)`` — the scalar reference path: per-candidate
   table lookups via ``forecast_window_mean`` (deduped by floored hour).
 * ``policy.place_all(jobs)`` — the batched kernel: one gather +
-  ``argmin`` per job group (2-D region × start matrix and
-  ``unravel_index`` for the joint policy), returning placements in
-  input order that are **byte-identical** to per-job ``place`` calls
-  (pinned by the hypothesis tests in
+  ``argmin`` per job group (2-D region × start matrix from
+  ``window_score_matrix`` and ``unravel_index`` for the joint policy),
+  returning placements in input order that are **byte-identical** to
+  per-job ``place`` calls (pinned by the hypothesis tests in
   ``tests/test_placement_vectorized.py``).
 
 Evaluation and capacity replay drive policies through

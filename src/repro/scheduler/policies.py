@@ -147,16 +147,19 @@ def _slack_starts(submit: float, slack: float, step_h: float) -> np.ndarray:
     return np.arange(submit, submit + slack + 1e-9, step_h)
 
 
-def _uniform_horizon(
+def _shared_horizon(
     service: CarbonIntensityService, regions: Sequence[str]
-) -> bool:
-    """Whether all candidate regions share one trace length.
+) -> Optional[int]:
+    """The trace length all candidate regions share, else ``None``.
 
     The 2-D score matrix needs a single horizon; mixed-length trace sets
     (legal on the service, which wraps each region modulo its own
     length) are placed through the scalar reference path instead.
+    Kernels wrap issue hours by this length, never by a table's row
+    count: score tables hold only the rows asked for.
     """
-    return len({len(service.trace(code)) for code in regions}) <= 1
+    lengths = {len(service.trace(code)) for code in regions}
+    return lengths.pop() if len(lengths) == 1 else None
 
 
 def _unique_floor_hours(starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -285,13 +288,17 @@ class TemporalShiftingPolicy:
         for i in range(n_jobs):
             groups.setdefault((homes[i], int(windows[i])), []).append(i)
         for (region, window), idxs in groups.items():
-            table = self.service.window_score_table(region, window)
-            n = table.shape[0]
             starts_list = [
                 _slack_starts(submits[i], slacks[i], self.step_h) for i in idxs
             ]
             matrix, pad_mask, _ = _padded_starts(starts_list)
-            scores = table[np.floor(matrix).astype(np.int64) % n]
+            hours = np.floor(matrix).astype(np.int64) % len(
+                self.service.trace(region)
+            )
+            table = self.service.window_score_table(
+                region, window, rows=int(hours.max()) + 1
+            )
+            scores = table[hours]
             scores[pad_mask] = np.inf
             best_cols = np.argmin(scores, axis=1)
             for row, i in enumerate(idxs):
@@ -357,7 +364,8 @@ class GeographicPolicy:
         the region axis (first occurrence, matching ``min``'s
         keep-first tie-break over the candidate order).
         """
-        if not _uniform_horizon(self.service, self._candidates):
+        n = _shared_horizon(self.service, self._candidates)
+        if n is None:
             return [self.place(job) for job in jobs]
         ids, submits, durations, _slacks, homes = _job_columns(
             jobs, self.default_region
@@ -369,9 +377,10 @@ class GeographicPolicy:
         for i in range(n_jobs):
             groups.setdefault(int(windows[i]), []).append(i)
         for window, idxs in groups.items():
-            matrix = self.service.window_score_matrix(self._candidates, window)
-            n = matrix.shape[1]
             hours = np.floor(submits[idxs]).astype(np.int64) % n
+            matrix = self.service.window_score_matrix(
+                self._candidates, window, rows=int(hours.max()) + 1
+            )
             region_rows = np.argmin(matrix[:, hours], axis=0)
             for row, i in zip(region_rows, idxs):
                 best_region = self._candidates[int(row)]
@@ -436,7 +445,8 @@ class TemporalGeographicPolicy:
         scalar path's region-outer/start-inner first-best scan.
         """
         candidates = self._geo._candidates
-        if not _uniform_horizon(self.service, candidates):
+        n = _shared_horizon(self.service, candidates)
+        if n is None:
             return [self.place(job) for job in jobs]
         ids, submits, durations, slacks, homes = _job_columns(
             jobs, self.default_region
@@ -448,13 +458,14 @@ class TemporalGeographicPolicy:
         for i in range(n_jobs):
             groups.setdefault(int(windows[i]), []).append(i)
         for window, idxs in groups.items():
-            matrix = self.service.window_score_matrix(candidates, window)
-            n = matrix.shape[1]
             starts_list = [
                 _slack_starts(submits[i], slacks[i], self.step_h) for i in idxs
             ]
             padded, pad_mask, _ = _padded_starts(starts_list)
             hour_idx = np.floor(padded).astype(np.int64) % n
+            matrix = self.service.window_score_matrix(
+                candidates, window, rows=int(hour_idx.max()) + 1
+            )
             scores = matrix[:, hour_idx]  # (regions, jobs, starts)
             scores[:, pad_mask] = np.inf
             flat = scores.transpose(1, 0, 2).reshape(len(idxs), -1)

@@ -188,9 +188,14 @@ class Scenario:
 
     def forecast_error(self, fraction: float) -> "Scenario":
         """1-hour-ahead relative forecast error (0.0 = oracle)."""
-        if fraction < 0.0:
-            raise SessionError("forecast error must be non-negative")
-        return self._set("forecast_error", float(fraction))
+        fraction = float(fraction)
+        # NaN would make every score table NaN, and argmin would then
+        # silently pick each job's first candidate.
+        if not 0.0 <= fraction < math.inf:
+            raise SessionError(
+                f"forecast error must be finite and non-negative, got {fraction!r}"
+            )
+        return self._set("forecast_error", fraction)
 
     # --- work ------------------------------------------------------------
     def workload(

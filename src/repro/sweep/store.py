@@ -10,13 +10,18 @@ a shared directory:
   sidecar (codes, timezone offsets) per ``(regions, n_hours, seed)``
   signature, plugged into
   :func:`repro.intensity.generator.set_trace_provider`;
-* **window tables** — one array per table identity (trace content
-  digest + noise inputs + region + window), attached read-only via
+* **truth tables** — one array per charging truth-table identity
+  (trace content digest + region + window), attached read-only via
   ``numpy`` memory mapping through
   :func:`repro.intensity.api.set_table_provider`.  The store is the
   second tier: each process first asks its own process-wide table memo
   (same identity), and reaches the store only on a memo miss — at most
   once per identity per process while the memo holds the table.
+
+Forecast score tables are not stored.  Each process builds only the
+issue hours its placements read
+(:meth:`repro.intensity.api.CarbonIntensityService.window_score_table`),
+which costs less than writing and attaching whole-year tables.
 
 Files are written atomically (tmp + ``os.replace``); builds are
 deterministic per identity, so racing workers converge on identical
@@ -111,7 +116,7 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 
 class SharedTraceStore:
-    """A directory of mmap-attachable trace sets and window tables.
+    """A directory of mmap-attachable trace sets and truth tables.
 
     Construction touches no disk; files appear lazily as memo misses
     flow through the attached providers (or eagerly via
@@ -278,16 +283,17 @@ class SharedTraceStore:
                 exc,
             )
 
-    # --- window tables ----------------------------------------------------
+    # --- truth tables -----------------------------------------------------
     def provide_table(
         self, kind: str, identity: Dict, region: str, window: int, build
     ) -> Optional[np.ndarray]:
         """The :func:`set_table_provider` hook: mmap-or-build a table.
 
-        Files are named after :func:`repro.intensity.api.table_key`, the
-        key of the process-wide memo in front of this store: truth
-        tables key off the trace content alone, score tables fold in the
-        noise inputs (seed, forecast error).
+        Files are named ``{kind}-{digest}.npy`` after
+        :func:`repro.intensity.api.table_key`, the key of the
+        process-wide memo in front of this store.  The intensity layer
+        asks only for ``"truth"`` tables, which key off the trace
+        content alone.
         """
         from repro.intensity.api import table_key
 

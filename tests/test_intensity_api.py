@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import TraceError
@@ -37,6 +39,20 @@ class TestCatalog:
     def test_negative_forecast_error_rejected(self):
         with pytest.raises(TraceError):
             CarbonIntensityService(forecast_error=-0.1)
+
+    @pytest.mark.parametrize("error", [float("nan"), float("inf")])
+    def test_non_finite_forecast_error_rejected(self, error):
+        with pytest.raises(TraceError, match="finite and non-negative"):
+            CarbonIntensityService(random_traces(1), forecast_error=error)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_trace_seed_range_rejected(self, seed):
+        # The score-table noise streams take the range generate_trace
+        # enforces; a service over given traces used to construct and
+        # then fail its first score-table build inside numpy.
+        constant = resolve_backend("intensity", "constant")
+        with pytest.raises(TraceError, match=r"seed must be in \[0, 2\*\*64\)"):
+            constant(value=100.0, regions=["ESO"], seed=seed)
 
     def test_horizon(self, two_region_service):
         assert two_region_service.horizon_hours() == 48
@@ -113,28 +129,111 @@ def random_traces(content_seed: int, n_hours: int = 240):
     }
 
 
+def row_requests():
+    """Row counts asked of one 240-h table in turn: 1, past the trace
+    length, ``None`` (all rows), drawn in any, ascending or descending
+    order."""
+    drawn = st.lists(
+        st.integers(1, 300) | st.sampled_from([1, 240, 241, 1000]) | st.none(),
+        min_size=1,
+        max_size=6,
+    )
+
+    def ordered(pair):
+        order, rows = pair
+        if order == "drawn":
+            return rows
+        return sorted(rows, key=lambda r: 10**9 if r is None else r,
+                      reverse=order == "descending")
+
+    return st.tuples(
+        st.sampled_from(["drawn", "ascending", "descending"]), drawn
+    ).map(ordered)
+
+
 class TestTableMemo:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         forecast_error=st.sampled_from([0.0, 0.03]) | st.floats(0.0, 0.5),
         region=st.sampled_from(["A", "B"]),
         # Past the 240-h trace and the 512-h lead-time chunk.
         window=st.integers(1, 700),
+        rows=row_requests(),
     )
-    def test_memo_serves_a_fresh_build(self, seed, forecast_error, region, window):
+    @example(seed=3, forecast_error=0.1, region="A", window=24,
+             rows=[1, 64, 65, 100, 239, 240, 241])
+    @example(seed=3, forecast_error=0.1, region="B", window=512,
+             rows=[300, 200, 1])
+    @example(seed=4, forecast_error=0.1, region="B", window=513, rows=[1, None])
+    @example(seed=5, forecast_error=0.0, region="A", window=7, rows=[1, 2])
+    def test_memo_serves_a_fresh_build(
+        self, seed, forecast_error, region, window, rows
+    ):
+        trace_cache_clear()
         traces = random_traces(seed % 3)
         first, second = (
             CarbonIntensityService(traces, forecast_error=forecast_error, seed=seed)
             for _ in range(2)
         )
-        for get, build in (
-            ("window_score_table", "_build_score_table"),
-            ("truth_window_table", "_build_truth_table"),
-        ):
-            served = getattr(first, get)(region, window)
-            assert getattr(second, get)(region, window) is served
-            assert np.array_equal(served, getattr(second, build)(region, window))
+        whole = second._build_score_table(region, window).tobytes()
+        for request in rows:
+            served = first.window_score_table(region, window, rows=request)
+            assert second.window_score_table(region, window, rows=request) is served
+            assert served.shape[0] >= min(240 if request is None else request, 240)
+            # Every served table is the leading rows of a whole build.
+            assert served.tobytes() == whole[: served.nbytes]
+            # Growth replaces the one entry; its bytes count once.
+            assert table_cache_info()[2:] == (1, 1, served.nbytes)
+        truth = first.truth_window_table(region, window)
+        assert second.truth_window_table(region, window) is truth
+        assert np.array_equal(truth, second._build_truth_table(region, window))
+        info = table_cache_info()
+        assert info[2:] == (2, 2, served.nbytes + truth.nbytes)
+
+    def test_interrupted_growth_leaves_the_table_as_it_was(self, monkeypatch):
+        """A unit deadline (SIGALRM) can land inside a growth step after
+        the noise draw, and the unit may retry in this process: the next
+        request must still serve the rows of a whole build."""
+        from repro.resilience.runner import UnitTimeout
+
+        trace_cache_clear()
+        service = CarbonIntensityService(
+            random_traces(13, n_hours=2000), forecast_error=0.1, seed=5
+        )
+        whole = service._build_score_table("A", 24).tobytes()
+        held = service.window_score_table("A", 24, rows=10)
+        build = CarbonIntensityService._build_score_table
+
+        def draw_then_time_out(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            raise UnitTimeout("unit exceeded its deadline")
+
+        monkeypatch.setattr(
+            CarbonIntensityService, "_build_score_table", draw_then_time_out
+        )
+        with pytest.raises(UnitTimeout):
+            service.window_score_table("A", 24, rows=500)
+        monkeypatch.undo()
+        assert service.window_score_table("A", 24, rows=10) is held
+        assert table_cache_info()[2:] == (1, 1, held.nbytes)
+        for request in (500, 1500, None):
+            grown = service.window_score_table("A", 24, rows=request)
+            assert grown.tobytes() == whole[: grown.nbytes]
+        assert grown.nbytes == len(whole)
+
+    def test_hour_by_hour_scan_grows_a_table_log_n_times(self):
+        """The scalar ``place`` path asks for one more row at a time."""
+        trace_cache_clear()
+        n = 8760
+        service = CarbonIntensityService(
+            random_traces(14, n_hours=n), forecast_error=0.1
+        )
+        means = [service.forecast_window_mean("A", hour, 5) for hour in range(n)]
+        info = table_cache_info()
+        assert info.builds == 1
+        assert info.misses <= 2 * math.log2(n), info
+        assert np.array_equal(means, service._build_score_table("A", 5))
 
     @settings(max_examples=30, deadline=None)
     @given(

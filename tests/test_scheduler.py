@@ -112,6 +112,44 @@ class TestTemporalGeographic:
         assert combined.start_h == 2.0
 
 
+class TestRowScopedScoreTables:
+    def test_kernels_read_only_the_rows_their_candidates_need(self):
+        """Placements over the first ~2.5 days of a year-long trace build
+        one row block per table, and match placements scored against
+        whole-year tables."""
+        from repro.intensity import table_cache_info, trace_cache_clear
+
+        def place_all(service):
+            jobs = [
+                make_job(job_id=i, submit=1.5 * i, duration=1.0 + i % 5,
+                         slack=12.0, region="ESO")
+                for i in range(32)
+            ]
+            return [
+                policy(service, "ESO").place_all(jobs)
+                for policy in (
+                    TemporalShiftingPolicy,
+                    GeographicPolicy,
+                    TemporalGeographicPolicy,
+                )
+            ]
+
+        trace_cache_clear()
+        service = CarbonIntensityService(seed=7, forecast_error=0.1)
+        scoped = place_all(service)
+        info = table_cache_info()
+        # Candidate hours end at 1.5 * 31 + 12 < 64: one block each.
+        assert info.entries > 0 and info.bytes == info.entries * 64 * 8
+        trace_cache_clear()
+        service = CarbonIntensityService(seed=7, forecast_error=0.1)
+        for region in service.regions:
+            for window in range(1, 6):
+                service.window_score_table(region, window)  # whole year
+        assert place_all(service) == scoped
+        # Every table the kernels read was the whole-year one.
+        assert table_cache_info().bytes == info.entries * 8760 * 8
+
+
 class TestEvaluation:
     def test_migration_overhead_charged(self):
         service = make_service()

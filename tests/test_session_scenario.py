@@ -82,6 +82,13 @@ class TestScenarioValidation:
         with pytest.raises(SessionError):
             Scenario().upgrade("A100", "A100")
 
+    @pytest.mark.parametrize("error", [float("nan"), float("inf"), -0.1])
+    def test_forecast_error_must_be_finite_and_non_negative(self, error):
+        # A NaN error made every score table NaN, so temporal shifting
+        # silently reported the carbon-oblivious placements.
+        with pytest.raises(SessionError, match="finite and non-negative"):
+            Scenario().forecast_error(error)
+
     def test_run_is_idempotent(self):
         # The forecast RNG is consumed by a run; the session caches its
         # result so repeat run()/render() report identical numbers.
