@@ -94,12 +94,15 @@ def ar1_noise(
     The initial state is drawn from the stationary marginal (after the
     innovations), so the series has no warm-up transient.
 
-    The recursion is a scalar loop, each step ``x = e + rho * x``.  That
-    is exactly the arithmetic of the former ``scipy.signal.lfilter``
-    evaluation (transposed direct form, ``y[n] = 1.0*x[n] + rho*y[n-1]``
-    seeded by ``lfiltic``), so every series is byte-identical to it.  It
-    stays in Python because importing ``scipy.signal`` cost about 1 s in
-    every cold process, while the loop costs about 1 ms per region-year.
+    The recursion is a scalar loop performing exactly the arithmetic of
+    the former ``scipy.signal.lfilter`` evaluation (transposed direct
+    form seeded by ``lfiltic``): the state ``z = 0.0*e + rho*y`` feeds
+    ``y = z + e``.  The ``0.0*e`` term only ever decides the sign of a
+    zero state, but keeping it makes every series byte-identical to
+    ``lfilter``, signed zeros included (``sigma == 0`` or underflow).
+    It stays in Python because importing ``scipy.signal`` cost about
+    1 s in every cold process, while the loop costs about 2 ms per
+    region-year.
     """
     if n < 0:
         raise TraceError(f"noise length must be non-negative, got {n}")
@@ -114,11 +117,12 @@ def ar1_noise(
     innovations = rng.standard_normal(n) * (sigma * np.sqrt(1.0 - rho * rho))
     if rho == 0.0:
         return innovations
-    x = rng.standard_normal() * sigma
+    z = 0.0 + rho * (rng.standard_normal() * sigma)
     out = []
     for e in innovations.tolist():
-        x = e + rho * x
-        out.append(x)
+        y = z + e
+        z = e * 0.0 + rho * y
+        out.append(y)
     return np.array(out)
 
 

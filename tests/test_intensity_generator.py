@@ -90,6 +90,7 @@ class TestAr1OracleParity:
     @example(n=1000, sigma=0.2, rho=0.0, seed=0)
     @example(n=1, sigma=0.2, rho=0.9, seed=1)
     @example(n=20_000, sigma=0.2, rho=0.999999, seed=2)
+    @example(n=1, sigma=0.0, rho=0.5, seed=4)  # signed zeros
     def test_matches_lfilter(self, lfilter_ar1, n, sigma, rho, seed):
         ours_rng = np.random.default_rng(seed)
         oracle_rng = np.random.default_rng(seed)
