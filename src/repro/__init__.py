@@ -40,43 +40,20 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 per-figure/table regeneration harness.
 """
 
-from repro.core import (
-    ModelConfig,
-    ReproError,
-    default_config,
-    get_config,
-    set_config,
-    use_config,
-)
-from repro.session import (
-    Scenario,
-    ScenarioResult,
-    Session,
-    available_backends,
-    register_backend,
-    registry,
-    resolve_backend,
-    run_scenario,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
+__getattr__, __dir__, _exports = lazy_exports(__name__, {
     # facade
-    "Scenario",
-    "Session",
-    "ScenarioResult",
-    "run_scenario",
-    "registry",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
+    "repro.session": (
+        "Scenario", "Session", "ScenarioResult", "run_scenario", "registry",
+        "register_backend", "resolve_backend", "available_backends",
+    ),
     # configuration
-    "ModelConfig",
-    "default_config",
-    "get_config",
-    "set_config",
-    "use_config",
-    "ReproError",
-]
+    "repro.core.config": (
+        "ModelConfig", "default_config", "get_config", "set_config", "use_config",
+    ),
+    "repro.core.errors": ("ReproError",),
+})
+__all__ = ["__version__", *_exports]

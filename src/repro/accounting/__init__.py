@@ -24,62 +24,18 @@ The decision side of scheduling was batched in the placement kernels
 side (``truth_window_table``).
 """
 
-from repro.accounting.engines import (
-    ENGINE_KEYS,
-    JobCharges,
-    ScalarReferenceChargingEngine,
-    VectorizedChargingEngine,
-    get_engine,
-)
-from repro.accounting.ledger import CarbonLedger, LedgerEntry, amortized_embodied_g
-from repro.accounting.pue import (
-    PUELike,
-    align_pue_profile,
-    cyclic_product_cycle,
-    cyclic_weighted_mean,
-    pue_window_means,
-    resolve_pue,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CarbonLedger",
-    "LedgerEntry",
-    "amortized_embodied_g",
-    "JobCharges",
-    "VectorizedChargingEngine",
-    "ScalarReferenceChargingEngine",
-    "get_engine",
-    "ENGINE_KEYS",
-    "PUELike",
-    "resolve_pue",
-    "pue_window_means",
-    "align_pue_profile",
-    "cyclic_product_cycle",
-    "cyclic_weighted_mean",
-    "register_backends",
-]
-
-
-# --- session-facade backends ------------------------------------------------
-def register_backends(registry) -> None:
-    """Self-register charging engines under the ``accounting`` kind.
-
-    An accounting backend factory takes no required arguments and
-    returns an engine exposing ``charge(jobs, placements, *, service,
-    node, pue, config, transfer_overhead_fraction, transfer_model) ->
-    JobCharges``.  ``vectorized`` is the production path;
-    ``scalar-reference`` is the seed per-job loop kept as the semantics
-    oracle (and benchmark baseline).
-    """
-    registry.add(
-        "accounting",
-        "vectorized",
-        VectorizedChargingEngine,
-        aliases=("default", "ledger"),
-    )
-    registry.add(
-        "accounting",
-        "scalar-reference",
-        ScalarReferenceChargingEngine,
-        aliases=("scalar",),
-    )
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.accounting.ledger": (
+        "CarbonLedger", "LedgerEntry", "amortized_embodied_g",
+    ),
+    "repro.accounting.engines": (
+        "JobCharges", "VectorizedChargingEngine", "ScalarReferenceChargingEngine",
+        "get_engine", "ENGINE_KEYS",
+    ),
+    "repro.accounting.pue": (
+        "PUELike", "resolve_pue", "pue_window_means", "align_pue_profile",
+        "cyclic_product_cycle", "cyclic_weighted_mean",
+    ),
+})

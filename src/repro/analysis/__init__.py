@@ -1,124 +1,32 @@
 """Experiment regeneration: one function per paper table and figure."""
 
-from repro.analysis.figures import (
-    BreakdownRow,
-    DeviceEmbodiedRow,
-    ProcessorEmbodiedRow,
-    ScalingPoint,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-)
-from repro.analysis.ranking import (
-    Deployment,
-    DeploymentMetrics,
-    evaluate_deployment,
-    rank_deployments,
-)
-from repro.analysis.render import (
-    bar_chart,
-    box_summary,
-    format_table,
-    series_panel,
-    share_table,
-    sparkline,
-)
-from repro.analysis.audit import CenterAudit, CenterAuditor
-from repro.analysis.export import experiment_data, export_all, write_csv, write_json
-from repro.analysis.insights import InsightResult, check_all_insights
-from repro.analysis.report import ExperimentCheck, generate_report, run_all_checks
-from repro.analysis.sensitivity import (
-    HEADLINE_OUTPUTS,
-    PARAMETER_RANGES,
-    SensitivityResult,
-    sweep_parameter,
-    tornado,
-)
-from repro.analysis.tables import (
-    Table6Row,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProcessorEmbodiedRow",
-    "DeviceEmbodiedRow",
-    "BreakdownRow",
-    "ScalingPoint",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "Table6Row",
-    "format_table",
-    "bar_chart",
-    "share_table",
-    "box_summary",
-    "sparkline",
-    "series_panel",
-    "ExperimentCheck",
-    "run_all_checks",
-    "generate_report",
-    "experiment_data",
-    "write_csv",
-    "write_json",
-    "export_all",
-    "SensitivityResult",
-    "PARAMETER_RANGES",
-    "HEADLINE_OUTPUTS",
-    "sweep_parameter",
-    "tornado",
-    "CenterAudit",
-    "CenterAuditor",
-    "Deployment",
-    "DeploymentMetrics",
-    "evaluate_deployment",
-    "rank_deployments",
-    "InsightResult",
-    "check_all_insights",
-]
-
-
-# --- session-facade backends ------------------------------------------------
-def register_backends(registry) -> None:
-    """Self-register result renderers and corpus reports for the facade.
-
-    ``renderer`` backends take a :class:`~repro.session.ScenarioResult`
-    and return a string; the ``report`` kind serves whole-corpus
-    generators (``experiments`` is the EXPERIMENTS.md content behind
-    ``repro-hpc report``).
-    """
-    from repro.analysis.render import (
-        render_scenario_json,
-        render_scenario_markdown,
-        render_scenario_text,
-    )
-
-    registry.add("renderer", "text", render_scenario_text, aliases=("plain",))
-    registry.add("renderer", "json", render_scenario_json)
-    registry.add("renderer", "markdown", render_scenario_markdown, aliases=("md",))
-    registry.add("report", "experiments", generate_report)
-
-
-__all__.append("register_backends")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.figures": (
+        "ProcessorEmbodiedRow", "DeviceEmbodiedRow", "BreakdownRow",
+        "ScalingPoint", "figure1", "figure2", "figure3", "figure4", "figure5",
+        "figure6", "figure7", "figure8", "figure9",
+    ),
+    "repro.analysis.tables": (
+        "table1", "table2", "table3", "table4", "table5", "table6", "Table6Row",
+    ),
+    "repro.analysis.render": (
+        "format_table", "bar_chart", "share_table", "box_summary", "sparkline",
+        "series_panel",
+    ),
+    "repro.analysis.report": ("ExperimentCheck", "run_all_checks", "generate_report"),
+    "repro.analysis.export": (
+        "experiment_data", "write_csv", "write_json", "export_all",
+    ),
+    "repro.analysis.sensitivity": (
+        "SensitivityResult", "PARAMETER_RANGES", "HEADLINE_OUTPUTS",
+        "sweep_parameter", "tornado",
+    ),
+    "repro.analysis.audit": ("CenterAudit", "CenterAuditor"),
+    "repro.analysis.ranking": (
+        "Deployment", "DeploymentMetrics", "evaluate_deployment",
+        "rank_deployments",
+    ),
+    "repro.analysis.insights": ("InsightResult", "check_all_insights"),
+})

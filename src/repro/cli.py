@@ -21,41 +21,49 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.analysis import figures, tables
-from repro.analysis.render import format_table, series_panel, share_table
-from repro.analysis.report import run_all_checks
-from repro.workloads.models import Suite
-
 __all__ = ["main"]
+
+# The analysis figures, tables and report are imported inside the
+# printers that use them, so ``audit`` and ``scenario`` never load them.
 
 
 def _print_fig1() -> None:
+    from repro.analysis.figures import figure1
+    from repro.analysis.render import format_table
+
     rows = [
         (r.name, r.kind, f"{r.embodied_kg:.2f}", f"{r.embodied_per_tflop_kg:.2f}")
-        for r in figures.figure1()
+        for r in figure1()
     ]
     print(format_table(["Part", "Kind", "kgCO2", "kgCO2/TFLOPS"], rows))
 
 
 def _print_fig2() -> None:
+    from repro.analysis.figures import figure2
+    from repro.analysis.render import format_table
+
     rows = [
         (r.name, f"{r.embodied_kg:.2f}", f"{r.embodied_per_bandwidth_kg:.2f}")
-        for r in figures.figure2()
+        for r in figure2()
     ]
     print(format_table(["Device", "kgCO2", "kgCO2 per GB/s"], rows))
 
 
 def _print_fig3() -> None:
+    from repro.analysis.figures import figure3
+    from repro.analysis.render import format_table
+
     rows = [
         (r.component_class, f"{r.manufacturing_share:.1%}", f"{r.packaging_share:.1%}")
-        for r in figures.figure3()
+        for r in figure3()
     ]
     print(format_table(["Class", "Manufacturing", "Packaging"], rows))
 
 
 def _print_fig4() -> None:
+    from repro.analysis.figures import figure4
+    from repro.analysis.render import format_table
+
     rows = [
         (
             p.suite,
@@ -64,7 +72,7 @@ def _print_fig4() -> None:
             f"{p.performance_relative:.3f}",
             f"{p.performance_to_embodied:.3f}",
         )
-        for p in figures.figure4()
+        for p in figure4()
     ]
     print(
         format_table(
@@ -74,13 +82,19 @@ def _print_fig4() -> None:
 
 
 def _print_fig5() -> None:
-    for system, shares in figures.figure5().items():
+    from repro.analysis.figures import figure5
+    from repro.analysis.render import share_table
+
+    for system, shares in figure5().items():
         print(f"{system}:")
         print(share_table(shares))
         print()
 
 
 def _print_fig6() -> None:
+    from repro.analysis.figures import figure6
+    from repro.analysis.render import format_table
+
     rows = [
         (
             s.region_code,
@@ -88,13 +102,16 @@ def _print_fig6() -> None:
             f"{s.cov_percent:.1f}%",
             f"({s.minimum:.0f}, {s.q1:.0f}, {s.median:.0f}, {s.q3:.0f}, {s.maximum:.0f})",
         )
-        for s in figures.figure6().values()
+        for s in figure6().values()
     ]
     print(format_table(["Region", "Median", "CoV", "Box"], rows))
 
 
 def _print_fig7() -> None:
-    wc = figures.figure7()
+    from repro.analysis.figures import figure7
+    from repro.analysis.render import format_table
+
+    wc = figure7()
     rows = [
         (code, " ".join(f"{int(v):3d}" for v in counts))
         for code, counts in wc.counts.items()
@@ -103,8 +120,14 @@ def _print_fig7() -> None:
 
 
 def _print_fig8() -> None:
+    import numpy as np
+
+    from repro.analysis.figures import figure8
+    from repro.analysis.render import series_panel
+    from repro.workloads.models import Suite
+
     times = np.linspace(0.25, 5.0, 20)
-    for (old, new), grid in figures.figure8(times_years=times).items():
+    for (old, new), grid in figure8(times_years=times).items():
         print(f"{old} -> {new} (savings, 0.25-5 yr):")
         series = {
             f"{label.split()[0]:6s} {suite.value}": grid.curve(label, suite)
@@ -120,8 +143,14 @@ def _print_fig8() -> None:
 
 
 def _print_fig9() -> None:
+    import numpy as np
+
+    from repro.analysis.figures import figure9
+    from repro.analysis.render import series_panel
+    from repro.workloads.models import Suite
+
     times = np.linspace(0.25, 5.0, 20)
-    for (old, new), grid in figures.figure9(times_years=times).items():
+    for (old, new), grid in figure9(times_years=times).items():
         print(f"{old} -> {new} (savings, 0.25-5 yr):")
         series = {
             f"{label:12s} {suite.value}": grid.curve(label, suite)
@@ -132,14 +161,20 @@ def _print_fig9() -> None:
         print()
 
 
-def _print_table(headers: Sequence[str], rows) -> Callable[[], None]:
+def _print_table(headers: Sequence[str], name: str) -> Callable[[], None]:
     def printer() -> None:
-        print(format_table(headers, rows()))
+        from repro.analysis import tables
+        from repro.analysis.render import format_table
+
+        print(format_table(headers, getattr(tables, name)()))
 
     return printer
 
 
 def _print_table6() -> None:
+    from repro.analysis.render import format_table
+    from repro.analysis.tables import table6
+
     rows = [
         (
             r.upgrade,
@@ -148,12 +183,15 @@ def _print_table6() -> None:
             f"{r.candle_improvement:.1%}",
             f"{r.average_improvement:.1%}",
         )
-        for r in tables.table6()
+        for r in table6()
     ]
     print(format_table(["Upgrade", "NLP", "Vision", "CANDLE", "Average"], rows))
 
 
 def _print_checks() -> None:
+    from repro.analysis.render import format_table
+    from repro.analysis.report import run_all_checks
+
     checks = run_all_checks()
     rows = [
         (c.experiment, c.description, c.paper, c.measured, "yes" if c.ok else "NO")
@@ -162,6 +200,20 @@ def _print_checks() -> None:
     print(format_table(["Experiment", "Criterion", "Paper", "Measured", "OK"], rows))
     n_ok = sum(1 for c in checks if c.ok)
     print(f"\n{n_ok}/{len(checks)} checks pass")
+
+
+def _print_insights() -> None:
+    from repro.analysis.insights import check_all_insights
+    from repro.analysis.render import format_table
+
+    results = check_all_insights()
+    rows = [
+        (r.number, r.title, "yes" if r.holds else "NO", r.evidence)
+        for r in results
+    ]
+    print(format_table(["#", "Takeaway", "Holds", "Evidence"], rows))
+    n_ok = sum(1 for r in results if r.holds)
+    print(f"\n{n_ok}/{len(results)} observations/insights hold")
 
 
 _EXPERIMENTS: Dict[str, Callable[[], None]] = {
@@ -174,33 +226,17 @@ _EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "fig7": _print_fig7,
     "fig8": _print_fig8,
     "fig9": _print_fig9,
-    "table1": _print_table(["Type", "Component", "Part Name", "Release"], tables.table1),
+    "table1": _print_table(["Type", "Component", "Part Name", "Release"], "table1"),
     "table2": _print_table(
-        ["System", "Location", "CPU & GPU", "Cores", "Year"], tables.table2
+        ["System", "Location", "CPU & GPU", "Cores", "Year"], "table2"
     ),
-    "table3": _print_table(["Operator", "Country", "Region"], tables.table3),
-    "table4": _print_table(["Benchmark", "Models"], tables.table4),
-    "table5": _print_table(["Name", "GPU", "CPU"], tables.table5),
+    "table3": _print_table(["Operator", "Country", "Region"], "table3"),
+    "table4": _print_table(["Benchmark", "Models"], "table4"),
+    "table5": _print_table(["Name", "GPU", "CPU"], "table5"),
     "table6": _print_table6,
     "checks": _print_checks,
-    "insights": None,  # replaced below (needs lazy import)
+    "insights": _print_insights,
 }
-
-
-def _print_insights() -> None:
-    from repro.analysis.insights import check_all_insights
-
-    results = check_all_insights()
-    rows = [
-        (r.number, r.title, "yes" if r.holds else "NO", r.evidence)
-        for r in results
-    ]
-    print(format_table(["#", "Takeaway", "Holds", "Evidence"], rows))
-    n_ok = sum(1 for r in results if r.holds)
-    print(f"\n{n_ok}/{len(results)} observations/insights hold")
-
-
-_EXPERIMENTS["insights"] = _print_insights
 
 
 def _split_float_list(raw: str):
@@ -444,18 +480,14 @@ def _parse_simulator_args(items) -> dict:
 def _run_scenario_command(args) -> int:
     """The ``scenario`` subcommand: CLI surface of the session facade."""
     from repro.core.errors import SessionError
-    from repro.session import (
-        BACKEND_KINDS,
-        Scenario,
-        Session,
-        available_backends,
-        resolve_backend,
-    )
+    from repro.session import BACKEND_KINDS, available_backends
 
     if args.list_backends:
         for kind in BACKEND_KINDS:
             print(f"{kind}: {', '.join(available_backends(kind))}")
         return 0
+
+    from repro.session import Scenario, Session, resolve_backend
 
     if args.sweep_regions and args.region:
         print(
@@ -724,6 +756,7 @@ def _run_workload_command(args) -> int:
             )
             return 0
         if args.workload_command == "describe":
+            from repro.analysis.render import format_table
             from repro.workloads.sources import DEFAULT_WORKLOAD_SEED
 
             source = _make_workload_source(
@@ -1223,13 +1256,13 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.core.errors import ReproError
         from repro.session import Scenario
 
-        scenario = (
-            Scenario()
-            .system(args.system)
-            .region(args.region)
-            .lifetime(years=args.years)
-        )
         try:
+            scenario = (
+                Scenario()
+                .system(args.system)
+                .region(args.region)
+                .lifetime(years=args.years)
+            )
             _apply_pue_flags(scenario, args.pue, args.pue_arg)
             result = scenario.run()
         except ReproError as error:
@@ -1242,17 +1275,17 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.core.errors import ReproError
         from repro.session import Scenario
 
-        scenario = (
-            Scenario()
-            .upgrade(args.old, args.new, suite=args.suite)
-            .usage(args.usage)
-            .lifetime(years=args.lifetime)
-        )
-        if args.intensity is not None:
-            scenario.constant_intensity(args.intensity)
-        else:
-            scenario.region(args.region)
         try:
+            scenario = (
+                Scenario()
+                .upgrade(args.old, args.new, suite=args.suite)
+                .usage(args.usage)
+                .lifetime(years=args.lifetime)
+            )
+            if args.intensity is not None:
+                scenario.constant_intensity(args.intensity)
+            else:
+                scenario.region(args.region)
             _apply_pue_flags(scenario, args.pue, args.pue_arg)
             decision = scenario.run().upgrade
         except ReproError as error:
@@ -1276,6 +1309,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "sweep":
         return _run_sweep_command(args)
     if args.command == "models":
+        from repro.analysis.render import format_table
         from repro.intensity.generator import generate_trace
         from repro.workloads.energy import model_card_table
         from repro.workloads.suites import suite_models

@@ -10,102 +10,34 @@ This subpackage implements the paper's primary modeling contribution:
 * :mod:`repro.core.model` — total-footprint accounting (Eq. 1).
 """
 
-from repro.core.config import ModelConfig, default_config, get_config, set_config, use_config
-from repro.core.embodied import (
-    EmbodiedBreakdown,
-    combine_breakdowns,
-    manufacturing_carbon_capacity,
-    manufacturing_carbon_processor,
-    packaging_carbon_from_ic_count,
-    packaging_carbon_from_ratio,
-)
-from repro.core.errors import (
-    BudgetError,
-    CalibrationError,
-    CatalogError,
-    ConfigurationError,
-    ExperimentError,
-    PowerModelError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    TraceError,
-    UnitError,
-    UpgradeAnalysisError,
-    WorkloadError,
-)
-from repro.core.lifecycle import (
-    TRANSPORT_G_PER_TONNE_KM,
-    LifecycleAssessment,
-    LifecyclePhases,
-    TransportMode,
-    assess_lifecycle,
-)
-from repro.core.model import CarbonLedger, FootprintReport
-from repro.core.operational import (
-    apply_pue,
-    energy_from_power_profile,
-    operational_carbon,
-    operational_carbon_trace,
-)
-from repro.core.units import (
-    CarbonIntensity,
-    CarbonMass,
-    Duration,
-    Energy,
-    Power,
-    format_co2,
-    format_energy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # units
-    "CarbonMass",
-    "Energy",
-    "Power",
-    "Duration",
-    "CarbonIntensity",
-    "format_co2",
-    "format_energy",
-    # config
-    "ModelConfig",
-    "default_config",
-    "get_config",
-    "set_config",
-    "use_config",
-    # embodied
-    "EmbodiedBreakdown",
-    "manufacturing_carbon_processor",
-    "manufacturing_carbon_capacity",
-    "packaging_carbon_from_ic_count",
-    "packaging_carbon_from_ratio",
-    "combine_breakdowns",
-    # operational
-    "apply_pue",
-    "operational_carbon",
-    "operational_carbon_trace",
-    "energy_from_power_profile",
-    # lifecycle
-    "TransportMode",
-    "TRANSPORT_G_PER_TONNE_KM",
-    "LifecyclePhases",
-    "LifecycleAssessment",
-    "assess_lifecycle",
-    # accounting
-    "FootprintReport",
-    "CarbonLedger",
-    # errors
-    "ReproError",
-    "UnitError",
-    "ConfigurationError",
-    "CatalogError",
-    "CalibrationError",
-    "TraceError",
-    "PowerModelError",
-    "WorkloadError",
-    "SimulationError",
-    "SchedulingError",
-    "BudgetError",
-    "UpgradeAnalysisError",
-    "ExperimentError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.units": (
+        "CarbonMass", "Energy", "Power", "Duration", "CarbonIntensity",
+        "format_co2", "format_energy",
+    ),
+    "repro.core.config": (
+        "ModelConfig", "default_config", "get_config", "set_config", "use_config",
+    ),
+    "repro.core.embodied": (
+        "EmbodiedBreakdown", "manufacturing_carbon_processor",
+        "manufacturing_carbon_capacity", "packaging_carbon_from_ic_count",
+        "packaging_carbon_from_ratio", "combine_breakdowns",
+    ),
+    "repro.core.operational": (
+        "apply_pue", "operational_carbon", "operational_carbon_trace",
+        "energy_from_power_profile",
+    ),
+    "repro.core.lifecycle": (
+        "TransportMode", "TRANSPORT_G_PER_TONNE_KM", "LifecyclePhases",
+        "LifecycleAssessment", "assess_lifecycle",
+    ),
+    "repro.core.model": ("FootprintReport", "CarbonLedger"),
+    "repro.core.errors": (
+        "ReproError", "UnitError", "ConfigurationError", "CatalogError",
+        "CalibrationError", "TraceError", "PowerModelError", "WorkloadError",
+        "SimulationError", "SchedulingError", "BudgetError",
+        "UpgradeAnalysisError", "ExperimentError",
+    ),
+})

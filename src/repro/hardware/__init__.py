@@ -1,182 +1,39 @@
 """Hardware catalog: parts (Table 1), nodes (Table 5), systems (Table 2)."""
 
-from repro.hardware.catalog import (
-    ALL_PARTS,
-    CPU_EPYC_7542,
-    CPU_EPYC_7742,
-    CPU_EPYC_7763,
-    CPU_XEON_6240R,
-    CPU_XEON_E5_2680,
-    DRAM_64GB,
-    GPU_A100,
-    GPU_A100_SXM4,
-    GPU_MI250X,
-    GPU_P100,
-    GPU_V100,
-    HDD_16TB,
-    SSD_3_2TB,
-    TABLE1_CPUS,
-    TABLE1_GPUS,
-    TABLE1_MEMORY_STORAGE,
-    TABLE1_PARTS,
-    TABLE1_PROCESSORS,
-    get_part,
-    list_parts,
-)
-from repro.hardware.fabdata import (
-    EPC_DRAM_G_PER_GB,
-    EPC_HDD_G_PER_GB,
-    EPC_SSD_G_PER_GB,
-    PROCESS_NODES,
-    STORAGE_PACKAGING_TO_MANUFACTURING_RATIO,
-    ProcessNode,
-    get_process_node,
-)
-from repro.hardware.builder import SystemBuilder
-from repro.hardware.network import (
-    NETWORK_DEVICES,
-    NIC_SLINGSHOT,
-    SWITCH_SLINGSHOT_64PORT,
-    InterconnectEstimate,
-    NetworkDeviceSpec,
-    estimate_fat_tree_interconnect,
-    get_network_device,
-    system_share_with_interconnect,
-)
-from repro.hardware.replacement import (
-    DEFAULT_ANNUAL_REPLACEMENT_RATES,
-    ReplacementModel,
-)
-from repro.hardware.node import (
-    ALL_CLASSES,
-    PROCESSOR_CLASSES,
-    NodeSpec,
-    a100_node,
-    get_node_generation,
-    node_generations,
-    p100_node,
-    v100_node,
-)
-from repro.hardware.parts import (
-    ComponentClass,
-    MemorySpec,
-    PartSpec,
-    ProcessorKind,
-    ProcessorSpec,
-    StorageKind,
-    StorageSpec,
-)
-from repro.hardware.systems import (
-    SystemSpec,
-    drives_for_capacity,
-    frontier,
-    get_system,
-    lumi,
-    perlmutter,
-    studied_systems,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProcessNode",
-    "PROCESS_NODES",
-    "get_process_node",
-    "EPC_DRAM_G_PER_GB",
-    "EPC_SSD_G_PER_GB",
-    "EPC_HDD_G_PER_GB",
-    "STORAGE_PACKAGING_TO_MANUFACTURING_RATIO",
-    "ComponentClass",
-    "ProcessorKind",
-    "StorageKind",
-    "ProcessorSpec",
-    "MemorySpec",
-    "StorageSpec",
-    "PartSpec",
-    "GPU_MI250X",
-    "GPU_A100",
-    "GPU_A100_SXM4",
-    "GPU_V100",
-    "GPU_P100",
-    "CPU_EPYC_7763",
-    "CPU_EPYC_7742",
-    "CPU_EPYC_7542",
-    "CPU_XEON_6240R",
-    "CPU_XEON_E5_2680",
-    "DRAM_64GB",
-    "SSD_3_2TB",
-    "HDD_16TB",
-    "TABLE1_PARTS",
-    "TABLE1_PROCESSORS",
-    "TABLE1_GPUS",
-    "TABLE1_CPUS",
-    "TABLE1_MEMORY_STORAGE",
-    "ALL_PARTS",
-    "get_part",
-    "list_parts",
-    "NodeSpec",
-    "PROCESSOR_CLASSES",
-    "ALL_CLASSES",
-    "node_generations",
-    "get_node_generation",
-    "p100_node",
-    "v100_node",
-    "a100_node",
-    "SystemSpec",
-    "frontier",
-    "lumi",
-    "perlmutter",
-    "studied_systems",
-    "get_system",
-    "drives_for_capacity",
-    "NetworkDeviceSpec",
-    "NIC_SLINGSHOT",
-    "SWITCH_SLINGSHOT_64PORT",
-    "NETWORK_DEVICES",
-    "get_network_device",
-    "InterconnectEstimate",
-    "estimate_fat_tree_interconnect",
-    "system_share_with_interconnect",
-    "ReplacementModel",
-    "DEFAULT_ANNUAL_REPLACEMENT_RATES",
-    "SystemBuilder",
-]
-
-
-# --- session-facade backends ------------------------------------------------
-#: Deployment facts for the studied systems: fabric-sizing node counts
-#: (Table 2 / the paper's audit scale) used when a scenario does not
-#: override them.
-_SYSTEM_NODE_COUNTS = {"Frontier": 9408, "LUMI": 5026, "Perlmutter": 4608}
-
-
-def register_backends(registry) -> None:
-    """Self-register hardware backends (``system`` and ``node`` kinds).
-
-    Called once by :func:`repro.session.registry.ensure_default_backends`;
-    third-party hardware plugs into the same registry the same way.
-    """
-    from repro.session.types import SystemDeployment
-
-    def system_factory(build, nics: int):
-        def factory() -> SystemDeployment:
-            spec = build()
-            return SystemDeployment(
-                spec=spec,
-                n_nodes=_SYSTEM_NODE_COUNTS[spec.name],
-                nics_per_node=nics,
-            )
-
-        return factory
-
-    # Frontier nodes carry 4 Slingshot NICs; LUMI/Perlmutter GPU nodes
-    # are modeled with 1 (consistent with the audit example/benchmarks).
-    registry.add("system", "frontier", system_factory(frontier, nics=4))
-    registry.add("system", "lumi", system_factory(lumi, nics=1))
-    registry.add("system", "perlmutter", system_factory(perlmutter, nics=1))
-    for generation in ("P100", "V100", "A100"):
-        registry.add(
-            "node", generation,
-            lambda generation=generation: get_node_generation(generation),
-        )
-
-
-__all__.append("register_backends")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.hardware.fabdata": (
+        "ProcessNode", "PROCESS_NODES", "get_process_node",
+        "EPC_DRAM_G_PER_GB", "EPC_SSD_G_PER_GB", "EPC_HDD_G_PER_GB",
+        "STORAGE_PACKAGING_TO_MANUFACTURING_RATIO",
+    ),
+    "repro.hardware.parts": (
+        "ComponentClass", "ProcessorKind", "StorageKind", "ProcessorSpec",
+        "MemorySpec", "StorageSpec", "PartSpec",
+    ),
+    "repro.hardware.catalog": (
+        "GPU_MI250X", "GPU_A100", "GPU_A100_SXM4", "GPU_V100", "GPU_P100",
+        "CPU_EPYC_7763", "CPU_EPYC_7742", "CPU_EPYC_7542", "CPU_XEON_6240R",
+        "CPU_XEON_E5_2680", "DRAM_64GB", "SSD_3_2TB", "HDD_16TB",
+        "TABLE1_PARTS", "TABLE1_PROCESSORS", "TABLE1_GPUS", "TABLE1_CPUS",
+        "TABLE1_MEMORY_STORAGE", "ALL_PARTS", "get_part", "list_parts",
+    ),
+    "repro.hardware.node": (
+        "NodeSpec", "PROCESSOR_CLASSES", "ALL_CLASSES", "node_generations",
+        "get_node_generation", "p100_node", "v100_node", "a100_node",
+    ),
+    "repro.hardware.systems": (
+        "SystemSpec", "frontier", "lumi", "perlmutter", "studied_systems",
+        "get_system", "drives_for_capacity",
+    ),
+    "repro.hardware.network": (
+        "NetworkDeviceSpec", "NIC_SLINGSHOT", "SWITCH_SLINGSHOT_64PORT",
+        "NETWORK_DEVICES", "get_network_device", "InterconnectEstimate",
+        "estimate_fat_tree_interconnect", "system_share_with_interconnect",
+    ),
+    "repro.hardware.replacement": (
+        "ReplacementModel", "DEFAULT_ANNUAL_REPLACEMENT_RATES",
+    ),
+    "repro.hardware.builder": ("SystemBuilder",),
+})

@@ -32,6 +32,7 @@ from repro.hardware.catalog import (
     SSD_3_2TB,
 )
 from repro.hardware.parts import ComponentClass, PartSpec
+from repro.session.types import SystemDeployment
 
 __all__ = [
     "SystemSpec",
@@ -41,6 +42,9 @@ __all__ = [
     "studied_systems",
     "get_system",
     "drives_for_capacity",
+    "frontier_deployment",
+    "lumi_deployment",
+    "perlmutter_deployment",
 ]
 
 _PB_TO_GB = 1_000_000.0
@@ -195,3 +199,22 @@ def get_system(name: str) -> SystemSpec:
         raise CatalogError(
             f"unknown system {name!r}; known systems: {known}"
         ) from None
+
+
+# --- session-facade backends (the ``system`` kind) ----------------------------
+# Node counts size the audit's fabric (Table 2 / the paper's audit scale).
+# Frontier nodes carry 4 Slingshot NICs; LUMI and Perlmutter GPU nodes
+# are modeled with 1 (consistent with the audit example and benchmarks).
+def frontier_deployment() -> SystemDeployment:
+    """``system:frontier``: 9408 nodes, 4 NICs each."""
+    return SystemDeployment(spec=frontier(), n_nodes=9408, nics_per_node=4)
+
+
+def lumi_deployment() -> SystemDeployment:
+    """``system:lumi``: 5026 nodes, 1 NIC each."""
+    return SystemDeployment(spec=lumi(), n_nodes=5026, nics_per_node=1)
+
+
+def perlmutter_deployment() -> SystemDeployment:
+    """``system:perlmutter``: 4608 nodes, 1 NIC each."""
+    return SystemDeployment(spec=perlmutter(), n_nodes=4608, nics_per_node=1)

@@ -25,10 +25,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.errors import TraceError
 from repro.intensity.generator import DEFAULT_SEED, generate_all_traces
-from repro.intensity.trace import IntensityTrace
+from repro.intensity.trace import HOURS_PER_STUDY_YEAR, IntensityTrace
 
 __all__ = [
     "CarbonIntensityService",
+    "constant_service",
+    "oracle_service",
+    "synthetic_service",
     "TableCacheInfo",
     "set_table_provider",
     "table_cache_info",
@@ -566,3 +569,28 @@ class CarbonIntensityService:
         """
         hour = int(start_hour) % len(self.trace(region))
         return float(self.window_score_table(region, window_hours, hour + 1)[hour])
+
+
+# --- session-facade backends (the ``intensity`` kind) -------------------------
+def synthetic_service(*, seed=DEFAULT_SEED, forecast_error=0.03, **_):
+    """``intensity:synthetic``: the calibrated 2021 trace set (memoized per seed)."""
+    return CarbonIntensityService(forecast_error=forecast_error, seed=seed)
+
+
+def oracle_service(*, seed=DEFAULT_SEED, forecast_error=0.0, **_):
+    """``intensity:oracle``: the same traces with perfect forecasts."""
+    del forecast_error  # an oracle never errs
+    return CarbonIntensityService(forecast_error=0.0, seed=seed)
+
+
+def constant_service(*, value, regions, seed=DEFAULT_SEED, forecast_error=0.0, **_):
+    """``intensity:constant``: a flat grid of ``value`` over the ``regions`` codes."""
+    traces = {
+        code: IntensityTrace(
+            region_code=code,
+            tz_offset_hours=0,
+            values=np.full(HOURS_PER_STUDY_YEAR, float(value)),
+        )
+        for code in regions
+    }
+    return CarbonIntensityService(traces, forecast_error=forecast_error, seed=seed)

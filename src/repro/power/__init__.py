@@ -1,83 +1,14 @@
 """Power and energy measurement substrate (NVML/RAPL/carbontracker
 equivalents used for the paper's operational characterization)."""
 
-from repro.power.devices import DevicePowerModel, power_model_for
-from repro.power.meters import MeterLog, NvmlGpuMeter, PowerSample, RaplCpuMeter
-from repro.power.node import NodePowerModel
-from repro.power.pue import (
-    ConstantPUE,
-    HourlyPUE,
-    SeasonalPUE,
-    operational_carbon_seasonal,
-)
-from repro.power.tracker import CarbonTracker, RunReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DevicePowerModel",
-    "power_model_for",
-    "NodePowerModel",
-    "PowerSample",
-    "MeterLog",
-    "NvmlGpuMeter",
-    "RaplCpuMeter",
-    "CarbonTracker",
-    "RunReport",
-    "ConstantPUE",
-    "HourlyPUE",
-    "SeasonalPUE",
-    "operational_carbon_seasonal",
-    "register_backends",
-]
-
-
-def register_backends(registry) -> None:
-    """Self-register facility-overhead models under the ``pue`` kind.
-
-    A ``pue`` backend factory returns a *profile object* exposing
-    ``profile(n_hours) -> np.ndarray`` of hourly PUE values (all
-    ``>= 1.0``); :func:`repro.accounting.resolve_pue` normalizes the
-    object for every charge path and collapses variation-free profiles
-    to their exact scalar.  Built-ins:
-
-    * ``constant`` — a flat PUE; ``value`` (default: the configured
-      PUE — the factory returns ``None`` so the resolution step reads
-      the *scenario's* config, not whatever is globally active at
-      build).  The float form of :meth:`~repro.session.Scenario.pue`
-      resolves here, and charges bit-identically to the legacy path.
-    * ``seasonal`` — :class:`SeasonalPUE`; takes its fields plus the
-      short spellings ``mean`` (annual mean) and ``amplitude``
-      (seasonal swing).
-    * ``profile`` — :class:`HourlyPUE`; takes ``values``, a 1-D hourly
-      sample array that wraps cyclically.
-    """
-
-    def constant(*, value=None):
-        if value is None:
-            # Defer: resolve_pue(None, config=...) supplies the
-            # scenario-scoped configured PUE at resolution time.
-            return None
-        return ConstantPUE(value=float(value))
-
-    def seasonal(*, mean=None, amplitude=None, **kwargs):
-        from repro.core.errors import PowerModelError
-
-        if mean is not None:
-            if "annual_mean" in kwargs:
-                raise PowerModelError(
-                    "pass either mean= or annual_mean=, not both"
-                )
-            kwargs["annual_mean"] = float(mean)
-        if amplitude is not None:
-            if "seasonal_amplitude" in kwargs:
-                raise PowerModelError(
-                    "pass either amplitude= or seasonal_amplitude=, not both"
-                )
-            kwargs["seasonal_amplitude"] = float(amplitude)
-        return SeasonalPUE(**kwargs)
-
-    def profile(*, values):
-        return HourlyPUE(values)
-
-    registry.add("pue", "constant", constant, aliases=("flat",))
-    registry.add("pue", "seasonal", seasonal)
-    registry.add("pue", "profile", profile, aliases=("hourly",))
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.power.devices": ("DevicePowerModel", "power_model_for"),
+    "repro.power.node": ("NodePowerModel",),
+    "repro.power.meters": ("PowerSample", "MeterLog", "NvmlGpuMeter", "RaplCpuMeter"),
+    "repro.power.tracker": ("CarbonTracker", "RunReport"),
+    "repro.power.pue": (
+        "ConstantPUE", "HourlyPUE", "SeasonalPUE", "operational_carbon_seasonal",
+    ),
+})

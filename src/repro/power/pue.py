@@ -25,6 +25,9 @@ __all__ = [
     "HourlyPUE",
     "SeasonalPUE",
     "operational_carbon_seasonal",
+    "constant_pue",
+    "seasonal_pue",
+    "hourly_pue",
 ]
 
 _DAYS_PER_YEAR = 365.0
@@ -187,3 +190,41 @@ def operational_carbon_seasonal(
     idx = (start_hour + np.arange(power.size)) % HOURS_PER_STUDY_YEAR
     pue = year[idx]
     return float(np.sum(power * intensity * pue)) / 1000.0
+
+
+# --- session-facade backends (the ``pue`` kind) -------------------------------
+# A ``pue`` factory returns a profile object exposing ``profile(n_hours)``
+# (see repro.accounting.resolve_pue), or None for the configured scalar.
+def constant_pue(*, value=None):
+    """``pue:constant``: a flat PUE; ``value`` defaults to the configured one.
+
+    Without a value the factory returns ``None``, so the resolution step
+    reads the *scenario's* config, not whatever is globally active at
+    build.  The float form of :meth:`~repro.session.Scenario.pue`
+    resolves here and charges bit-identically to the legacy path.
+    """
+    if value is None:
+        return None
+    return ConstantPUE(value=float(value))
+
+
+def seasonal_pue(*, mean=None, amplitude=None, **kwargs):
+    """``pue:seasonal``: :class:`SeasonalPUE`, plus the short spellings
+    ``mean`` (annual mean) and ``amplitude`` (seasonal swing)."""
+    if mean is not None:
+        if "annual_mean" in kwargs:
+            raise PowerModelError("pass either mean= or annual_mean=, not both")
+        kwargs["annual_mean"] = float(mean)
+    if amplitude is not None:
+        if "seasonal_amplitude" in kwargs:
+            raise PowerModelError(
+                "pass either amplitude= or seasonal_amplitude=, not both"
+            )
+        kwargs["seasonal_amplitude"] = float(amplitude)
+    return SeasonalPUE(**kwargs)
+
+
+def hourly_pue(*, values):
+    """``pue:profile``: :class:`HourlyPUE` over ``values``, a 1-D hourly
+    sample array that wraps cyclically."""
+    return HourlyPUE(values)

@@ -22,50 +22,17 @@ machinery long campaigns need on real infrastructure:
 its ``retry`` / ``faults`` / ``journal`` / ``resume`` knobs.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultAction,
-    InjectedFault,
-    NoFaults,
-    RandomFaults,
-    ScriptedFaults,
-)
-from repro.resilience.faults import register_backends as _register_faults
-from repro.resilience.journal import JOURNAL_SCHEMA, SweepJournal
-from repro.resilience.policy import CellFailure, RetryPolicy, traceback_digest
-from repro.resilience.runner import (
-    DEFAULT_MAX_REBUILDS,
-    ResilientRun,
-    ResilientUnit,
-    UnitOutcome,
-    UnitTimeout,
-    run_resilient,
-)
-
-__all__ = [
-    "RetryPolicy",
-    "CellFailure",
-    "traceback_digest",
-    "FaultAction",
-    "InjectedFault",
-    "NoFaults",
-    "RandomFaults",
-    "ScriptedFaults",
-    "FAULT_KINDS",
-    "SweepJournal",
-    "JOURNAL_SCHEMA",
-    "ResilientUnit",
-    "UnitOutcome",
-    "ResilientRun",
-    "UnitTimeout",
-    "run_resilient",
-    "DEFAULT_MAX_REBUILDS",
-    "register_backends",
-]
-
-
-def register_backends(registry) -> None:
-    """Self-register the resilience layer's backends (``faults`` kind)."""
-    _register_faults(registry)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.resilience.policy": ("RetryPolicy", "CellFailure", "traceback_digest"),
+    "repro.resilience.faults": (
+        "FaultAction", "InjectedFault", "NoFaults", "RandomFaults",
+        "ScriptedFaults", "FAULT_KINDS",
+    ),
+    "repro.resilience.journal": ("SweepJournal", "JOURNAL_SCHEMA"),
+    "repro.resilience.runner": (
+        "ResilientUnit", "UnitOutcome", "ResilientRun", "UnitTimeout",
+        "run_resilient", "DEFAULT_MAX_REBUILDS",
+    ),
+})

@@ -39,7 +39,6 @@ __all__ = [
     "RandomFaults",
     "ScriptedFaults",
     "FAULT_KINDS",
-    "register_backends",
 ]
 
 #: The actions an injector may order, in priority order.
@@ -202,17 +201,3 @@ class ScriptedFaults:
         if index in self.delay_at:
             return FaultAction("delay", delay_s=self.delay_s)
         return None
-
-
-def register_backends(registry) -> None:
-    """Self-register the built-in fault injectors.
-
-    A ``faults`` backend is a factory ``(**opts) -> injector`` whose
-    injector exposes ``action(*, token, index, attempt) ->
-    FaultAction | None`` — deterministic for equal arguments (the
-    byte-reproducible chaos contract) and picklable (it rides into pool
-    workers).
-    """
-    registry.add("faults", "none", NoFaults, aliases=("off",))
-    registry.add("faults", "random", RandomFaults, aliases=("chaos",))
-    registry.add("faults", "scripted", ScriptedFaults, aliases=("script",))

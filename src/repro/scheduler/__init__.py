@@ -28,97 +28,25 @@ and falls back to per-job ``place`` for minimal third-party policies —
 implementing ``place`` alone keeps a custom policy fully functional.
 """
 
-from repro.scheduler.budget import BudgetAccount, CarbonBudgetLedger, priority_order
-from repro.scheduler.capacity import (
-    CapacityAwareOutcome,
-    simulate_with_policy,
-    temporal_shifting_with_capacity,
-)
-from repro.scheduler.evaluation import (
-    JobOutcome,
-    PolicyEvaluation,
-    compare_policies,
-    evaluate_policy,
-)
-from repro.scheduler.transfer import (
-    DATASET_GB,
-    TransferModel,
-    dataset_size_gb,
-    default_transfer_model,
-    transfer_carbon_g,
-    transfer_energy_kwh,
-)
-from repro.scheduler.policies import (
-    CarbonObliviousPolicy,
-    GeographicPolicy,
-    SchedulingPolicy,
-    TemporalGeographicPolicy,
-    TemporalShiftingPolicy,
-    place_jobs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchedulingPolicy",
-    "place_jobs",
-    "CarbonObliviousPolicy",
-    "TemporalShiftingPolicy",
-    "GeographicPolicy",
-    "TemporalGeographicPolicy",
-    "JobOutcome",
-    "PolicyEvaluation",
-    "evaluate_policy",
-    "compare_policies",
-    "BudgetAccount",
-    "CarbonBudgetLedger",
-    "priority_order",
-    "CapacityAwareOutcome",
-    "simulate_with_policy",
-    "temporal_shifting_with_capacity",
-    "TransferModel",
-    "DATASET_GB",
-    "dataset_size_gb",
-    "default_transfer_model",
-    "transfer_energy_kwh",
-    "transfer_carbon_g",
-]
-
-
-# --- session-facade backends ------------------------------------------------
-def register_backends(registry) -> None:
-    """Self-register scheduling policies for the Scenario/Session facade.
-
-    Policy factories take ``(service, default_region, regions=None)`` and
-    return a :class:`SchedulingPolicy`.  ``carbon_aware`` is the paper's
-    headline joint policy (alias of ``temporal+geographic``).
-    """
-
-    def oblivious(service, default_region, regions=None):
-        del regions
-        return CarbonObliviousPolicy(service, default_region)
-
-    def temporal(service, default_region, regions=None):
-        del regions
-        return TemporalShiftingPolicy(service, default_region)
-
-    def geographic(service, default_region, regions=None):
-        return GeographicPolicy(service, default_region, regions=regions)
-
-    def temporal_geographic(service, default_region, regions=None):
-        return TemporalGeographicPolicy(service, default_region, regions=regions)
-
-    registry.add(
-        "policy", "carbon-oblivious", oblivious, aliases=("baseline", "oblivious")
-    )
-    registry.add(
-        "policy", "temporal-shifting", temporal, aliases=("temporal",)
-    )
-    registry.add("policy", "geographic", geographic, aliases=("geo",))
-    registry.add(
-        "policy",
-        "temporal+geographic",
-        temporal_geographic,
-        aliases=("carbon_aware", "carbon-aware", "temporal_geographic"),
-    )
-
-
-__all__.append("register_backends")
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.scheduler.policies": (
+        "SchedulingPolicy", "place_jobs", "CarbonObliviousPolicy",
+        "TemporalShiftingPolicy", "GeographicPolicy", "TemporalGeographicPolicy",
+    ),
+    "repro.scheduler.evaluation": (
+        "JobOutcome", "PolicyEvaluation", "evaluate_policy", "compare_policies",
+    ),
+    "repro.scheduler.budget": (
+        "BudgetAccount", "CarbonBudgetLedger", "priority_order",
+    ),
+    "repro.scheduler.capacity": (
+        "CapacityAwareOutcome", "simulate_with_policy",
+        "temporal_shifting_with_capacity",
+    ),
+    "repro.scheduler.transfer": (
+        "TransferModel", "DATASET_GB", "dataset_size_gb",
+        "default_transfer_model", "transfer_energy_kwh", "transfer_carbon_g",
+    ),
+})

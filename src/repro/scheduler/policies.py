@@ -39,6 +39,10 @@ __all__ = [
     "GeographicPolicy",
     "TemporalGeographicPolicy",
     "place_jobs",
+    "carbon_oblivious_policy",
+    "temporal_shifting_policy",
+    "geographic_policy",
+    "temporal_geographic_policy",
 ]
 
 JobStream = Union[Sequence[Job], JobBatch]
@@ -482,3 +486,27 @@ class TemporalGeographicPolicy:
                     migrated=region != homes[i],
                 )
         return placements
+
+
+# --- session-facade backends (the ``policy`` kind) ----------------------------
+# A policy factory takes ``(service, default_region, regions=None)``.
+def carbon_oblivious_policy(service, default_region, regions=None):
+    """``policy:carbon-oblivious``: the always-evaluated baseline."""
+    del regions
+    return CarbonObliviousPolicy(service, default_region)
+
+
+def temporal_shifting_policy(service, default_region, regions=None):
+    """``policy:temporal-shifting``."""
+    del regions
+    return TemporalShiftingPolicy(service, default_region)
+
+
+def geographic_policy(service, default_region, regions=None):
+    """``policy:geographic``."""
+    return GeographicPolicy(service, default_region, regions=regions)
+
+
+def temporal_geographic_policy(service, default_region, regions=None):
+    """``policy:temporal+geographic``: the paper's headline joint policy."""
+    return TemporalGeographicPolicy(service, default_region, regions=regions)

@@ -26,49 +26,24 @@ scenarios and fans out over a process pool when a scenario selects
 ``.executor("process", max_workers=N)``.
 """
 
-from repro.session.registry import (
-    BACKEND_KINDS,
-    BackendRegistry,
-    available_backends,
-    ensure_default_backends,
-    register_backend,
-    registry,
-    resolve_backend,
-)
-from repro.session.result import (
-    CarbonSection,
-    ClusterSection,
-    EmbodiedSection,
-    PolicyOutcome,
-    Provenance,
-    ScenarioResult,
-    SchedulingSection,
-    TrainingSection,
-    UpgradeSection,
-)
-from repro.session.scenario import Scenario
-from repro.session.session import Session, run_scenario
-from repro.session.types import SystemDeployment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Scenario",
-    "Session",
-    "run_scenario",
-    "ScenarioResult",
-    "EmbodiedSection",
-    "TrainingSection",
-    "SchedulingSection",
-    "PolicyOutcome",
-    "ClusterSection",
-    "UpgradeSection",
-    "CarbonSection",
-    "Provenance",
-    "SystemDeployment",
-    "BackendRegistry",
-    "registry",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
-    "ensure_default_backends",
-    "BACKEND_KINDS",
-]
+# Bound eagerly: ``repro.session.registry`` is also the submodule's name,
+# and a first import of the submodule would rebind a lazy attribute to
+# the module.  The registry module imports only ``repro.core.errors``.
+from repro.session.registry import registry as registry
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.session.scenario": ("Scenario",),
+    "repro.session.session": ("Session", "run_scenario"),
+    "repro.session.result": (
+        "ScenarioResult", "EmbodiedSection", "TrainingSection",
+        "SchedulingSection", "PolicyOutcome", "ClusterSection",
+        "UpgradeSection", "CarbonSection", "Provenance",
+    ),
+    "repro.session.types": ("SystemDeployment",),
+    "repro.session.registry": (
+        "BackendRegistry", "registry", "register_backend", "resolve_backend",
+        "available_backends", "ensure_default_backends", "BACKEND_KINDS",
+    ),
+})

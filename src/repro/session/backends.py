@@ -1,8 +1,13 @@
-"""Built-in backend loading.
+"""The built-in backends: one static table of rows.
 
-Each layer subpackage owns a ``register_backends(registry)`` hook that
-adds its backends; this module only orchestrates the one-time load (see
-:func:`repro.session.registry.ensure_default_backends`).  Factory
+Each row of :data:`BUILTIN_BACKENDS` is ``(kind, key, aliases,
+"module:attr")``.  :func:`load_builtin_backends` adds the rows to a
+registry without importing any layer; a row's module is imported the
+first time its key resolves, and the loaded factory then replaces the
+row under the key and every alias (see
+:mod:`repro.session.registry`).  To add a built-in, add a row that
+points at a module-level factory.  Plugins call
+:func:`~repro.session.registry.register_backend` instead.  Factory
 calling conventions, per kind:
 
 ``system``
@@ -125,31 +130,68 @@ poison the section cache.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.registry import BackendRegistry
 
-__all__ = ["load_builtin_backends"]
+__all__ = ["BUILTIN_BACKENDS", "load_builtin_backends"]
+
+#: ``(kind, key, aliases, "module:attr")`` for every built-in backend.
+BUILTIN_BACKENDS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
+    ("system", "frontier", (), "repro.hardware.systems:frontier_deployment"),
+    ("system", "lumi", (), "repro.hardware.systems:lumi_deployment"),
+    ("system", "perlmutter", (), "repro.hardware.systems:perlmutter_deployment"),
+    ("node", "P100", (), "repro.hardware.node:p100_node"),
+    ("node", "V100", (), "repro.hardware.node:v100_node"),
+    ("node", "A100", (), "repro.hardware.node:a100_node"),
+    ("intensity", "synthetic", ("table3",), "repro.intensity.api:synthetic_service"),
+    ("intensity", "oracle", (), "repro.intensity.api:oracle_service"),
+    ("intensity", "constant", (), "repro.intensity.api:constant_service"),
+    ("workload", "synthetic", ("poisson",), "repro.workloads.sources:SyntheticSource"),
+    ("workload", "diurnal", (), "repro.workloads.sources:DiurnalSource"),
+    ("workload", "bursty", ("onoff",), "repro.workloads.sources:BurstySource"),
+    ("workload", "trace", ("replay",), "repro.workloads.sources:TraceReplaySource"),
+    ("policy", "carbon-oblivious", ("baseline", "oblivious"),
+     "repro.scheduler.policies:carbon_oblivious_policy"),
+    ("policy", "temporal-shifting", ("temporal",),
+     "repro.scheduler.policies:temporal_shifting_policy"),
+    ("policy", "geographic", ("geo",), "repro.scheduler.policies:geographic_policy"),
+    ("policy", "temporal+geographic",
+     ("carbon_aware", "carbon-aware", "temporal_geographic"),
+     "repro.scheduler.policies:temporal_geographic_policy"),
+    ("simulator", "fcfs", ("default",), "repro.cluster.simulator:simulate_cluster"),
+    ("simulator", "fcfs-columnar", ("columnar",),
+     "repro.cluster.engine:simulate_cluster_columnar"),
+    ("simulator", "backfill", ("easy",), "repro.cluster.engine:simulate_cluster_backfill"),
+    ("simulator", "carbon-aware", ("green",),
+     "repro.cluster.engine:simulate_cluster_carbon_aware"),
+    ("simulator", "power-cap", ("capped",),
+     "repro.cluster.engine:simulate_cluster_power_cap"),
+    ("accounting", "vectorized", ("default", "ledger"),
+     "repro.accounting.engines:VectorizedChargingEngine"),
+    ("accounting", "scalar-reference", ("scalar",),
+     "repro.accounting.engines:ScalarReferenceChargingEngine"),
+    ("pue", "constant", ("flat",), "repro.power.pue:constant_pue"),
+    ("pue", "seasonal", (), "repro.power.pue:seasonal_pue"),
+    ("pue", "profile", ("hourly",), "repro.power.pue:hourly_pue"),
+    ("renderer", "text", ("plain",), "repro.analysis.render:render_scenario_text"),
+    ("renderer", "json", (), "repro.analysis.render:render_scenario_json"),
+    ("renderer", "markdown", ("md",), "repro.analysis.render:render_scenario_markdown"),
+    ("report", "experiments", (), "repro.analysis.report:generate_report"),
+    ("executor", "serial", ("inline",), "repro.session.executors:serial_executor"),
+    ("executor", "process", ("processes", "parallel"),
+     "repro.session.executors:process_executor"),
+    ("executor", "shared", ("shared-store",), "repro.session.executors:shared_executor"),
+    ("sweep", "cached", ("default",), "repro.sweep.runner:cached_sweep_service"),
+    ("sweep", "direct", ("nocache", "no-cache"), "repro.sweep.runner:direct_sweep_service"),
+    ("faults", "none", ("off",), "repro.resilience.faults:NoFaults"),
+    ("faults", "random", ("chaos",), "repro.resilience.faults:RandomFaults"),
+    ("faults", "scripted", ("script",), "repro.resilience.faults:ScriptedFaults"),
+)
 
 
 def load_builtin_backends(registry: "BackendRegistry") -> None:
-    """Invoke every layer's ``register_backends`` hook exactly once."""
-    import repro.accounting as accounting
-    import repro.analysis as analysis
-    import repro.cluster as cluster
-    import repro.hardware as hardware
-    import repro.intensity as intensity
-    import repro.power as power
-    import repro.resilience as resilience
-    import repro.scheduler as scheduler
-    import repro.session.executors as executors
-    import repro.sweep as sweep
-    import repro.workloads as workloads
-
-    layers = (
-        hardware, intensity, workloads, scheduler, cluster, accounting, power,
-        analysis, executors, sweep, resilience,
-    )
-    for layer in layers:
-        layer.register_backends(registry)
+    """Add every built-in row to ``registry``, importing no layer."""
+    for kind, key, aliases, target in BUILTIN_BACKENDS:
+        registry.add_row(kind, key, target, aliases=aliases)

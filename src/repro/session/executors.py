@@ -57,7 +57,6 @@ __all__ = [
     "serial_executor",
     "process_executor",
     "shared_executor",
-    "register_backends",
 ]
 
 _SweepItem = Union["Scenario", "Session"]
@@ -200,18 +199,3 @@ def shared_executor(
     instead of regenerating traces and truth tables from scratch.
     """
     return _pool(max_workers, shared=True, store_dir=store_dir)
-
-
-def register_backends(registry) -> None:
-    """Self-register the built-in sweep executors.
-
-    An ``executor`` backend is a factory ``(**opts) -> callable(items)``
-    returning the results of the swept scenarios in input order.
-    """
-    registry.add("executor", "serial", serial_executor, aliases=("inline",))
-    registry.add(
-        "executor", "process", process_executor, aliases=("processes", "parallel")
-    )
-    registry.add(
-        "executor", "shared", shared_executor, aliases=("shared-store",)
-    )

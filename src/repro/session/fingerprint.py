@@ -133,18 +133,6 @@ def canonical_value(value: Any, *, knob: str = "?") -> Any:
         return {"__enum__": _qualname(value), "value": value.name}
     if isinstance(value, pathlib.PurePath):
         return {"__path__": str(value)}
-    from repro.cluster.job import JobBatch
-
-    if isinstance(value, JobBatch):
-        return {"__jobbatch__": value.content_digest()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__dataclass__": _qualname(value),
-            "fields": {
-                f.name: canonical_value(getattr(value, f.name), knob=knob)
-                for f in dataclasses.fields(value)
-            },
-        }
     if isinstance(value, (list, tuple)):
         return [canonical_value(item, knob=knob) for item in value]
     if isinstance(value, (set, frozenset)):
@@ -167,6 +155,18 @@ def canonical_value(value: Any, *, knob: str = "?") -> Any:
                 )
                 for key, item in value.items()
             )
+        }
+    from repro.cluster.job import JobBatch
+
+    if isinstance(value, JobBatch):
+        return {"__jobbatch__": value.content_digest()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            "__dataclass__": _qualname(value),
+            "fields": {
+                f.name: canonical_value(getattr(value, f.name), knob=knob)
+                for f in dataclasses.fields(value)
+            },
         }
     # Arbitrary object: a value-bearing repr (backend sources, profile
     # objects, ModelConfig-likes) is a stable identity; the default

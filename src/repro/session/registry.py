@@ -14,10 +14,15 @@ so third-party and experimental backends plug in without touching core:
 
     Scenario().system("frontier").region("ESO").policy("my-policy")
 
-Built-in backends self-register lazily: each subpackage exposes a
-``register_backends(registry)`` hook, and :func:`ensure_default_backends`
-invokes them all exactly once on first facade use (the defaults-registry
-idiom — the registry owns *when*, the layers own *what*).
+Built-in backends are rows of one static table,
+:data:`repro.session.backends.BUILTIN_BACKENDS`: ``(kind, key, aliases,
+"module:attr")``.  :func:`ensure_default_backends` adds the rows once,
+on first facade use, without importing any layer.  Listing keys reads
+names only; :meth:`BackendRegistry.resolve` imports a row's module the
+first time the key resolves and memoizes the factory in place, so later
+lookups return the same object.  The calling conventions per kind are
+unchanged (see :mod:`repro.session.backends`), and plugin factories
+registered before first use win over a built-in row of the same name.
 
 Keys are case-insensitive and may carry aliases (``"frontier"`` and
 ``"Frontier"`` resolve identically; ``"temporal+geographic"`` is also
@@ -26,6 +31,7 @@ reachable as ``"carbon_aware"``).
 
 from __future__ import annotations
 
+import importlib
 import threading
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
@@ -61,6 +67,22 @@ BACKEND_KINDS: Tuple[str, ...] = (
 
 def _norm(key: str) -> str:
     return key.strip().lower()
+
+
+class _Row:
+    """A built-in factory not imported yet: ``"module:attr"``."""
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: str) -> None:
+        self.target = target
+
+    def load(self) -> Callable[..., Any]:
+        module, _, attr = self.target.partition(":")
+        return getattr(importlib.import_module(module), attr)
+
+    def __call__(self, *args, **kwargs):
+        return self.load()(*args, **kwargs)
 
 
 class BackendRegistry:
@@ -122,6 +144,12 @@ class BackendRegistry:
             for norm in norms:
                 table[norm] = factory
 
+    def add_row(
+        self, kind: str, key: str, target: str, *, aliases: Iterable[str] = ()
+    ) -> None:
+        """Register the factory at ``"module:attr"`` without importing it."""
+        self.add(kind, key, _Row(target), aliases=aliases)
+
     def _adopt_defaults(self, staged: "BackendRegistry") -> None:
         """Merge a fully-loaded staging registry into this one.
 
@@ -157,11 +185,21 @@ class BackendRegistry:
         ensure_default_backends()
         table = self._table(kind)
         try:
-            return table[_norm(key)]
+            factory = table[_norm(key)]
         except KeyError:
             raise UnknownBackendError(
                 kind, key, tuple(sorted(table))
             ) from None
+        if type(factory) is _Row:
+            loaded = factory.load()
+            # Swap the factory in under the key and every alias that
+            # holds the row, unless a registration replaced it meanwhile.
+            with self._lock:
+                for name, held in table.items():
+                    if held is factory:
+                        table[name] = loaded
+            factory = loaded
+        return factory
 
     def available(self, kind: str) -> Tuple[str, ...]:
         """Sorted keys registered for one kind (aliases included)."""
@@ -190,10 +228,10 @@ _defaults_lock = threading.RLock()
 def ensure_default_backends() -> None:
     """Load the built-in backends exactly once (idempotent, thread-safe).
 
-    Deferred to first lookup so ``import repro.session`` stays cheap and
-    the layer subpackages are only imported when the facade is used.
-    Concurrent callers block until the load completes; a re-entrant call
-    from inside a layer hook (RLock) returns without re-loading.
+    Deferred to first lookup.  The load adds the built-in rows and
+    imports no layer; each row's module is imported when its key first
+    resolves.  Concurrent callers block until the load completes; a
+    re-entrant call (RLock) returns without re-loading.
     """
     global _defaults_state
     if _defaults_state == "loaded":
@@ -206,9 +244,8 @@ def ensure_default_backends() -> None:
             from repro.session.backends import load_builtin_backends
 
             # Stage into a scratch registry and merge only on full
-            # success, so a failing layer import can never leave the
-            # global registry half-populated; pre-registered plugin
-            # keys survive the merge untouched.
+            # success, so the global registry is never half-populated;
+            # pre-registered plugin keys survive the merge untouched.
             staged = BackendRegistry(kinds=registry.kinds())
             load_builtin_backends(staged)
             registry._adopt_defaults(staged)

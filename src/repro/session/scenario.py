@@ -176,9 +176,9 @@ class Scenario:
     def constant_intensity(self, g_per_kwh: float) -> "Scenario":
         """Flat grid intensity instead of a generated trace."""
         value = float(g_per_kwh)
-        if value < 0.0:
+        if not 0.0 <= value < math.inf:
             raise SessionError(
-                f"constant intensity must be non-negative, got {value!r}"
+                f"constant intensity must be finite and non-negative, got {value!r}"
             )
         return self._set("constant_intensity", value)
 
@@ -305,9 +305,10 @@ class Scenario:
 
     def lifetime(self, years: float) -> "Scenario":
         """Service life for audits and upgrade analyses (default 5)."""
-        if float(years) <= 0.0:
-            raise SessionError(f"lifetime must be positive, got {years!r}")
-        return self._set("lifetime_years", float(years))
+        years = float(years)
+        if not 0.0 < years < math.inf:
+            raise SessionError(f"lifetime must be finite and positive, got {years!r}")
+        return self._set("lifetime_years", years)
 
     def usage(self, fraction: float) -> "Scenario":
         """GPU duty cycle (paper medium: 0.40)."""
@@ -376,7 +377,11 @@ class Scenario:
         return self._set("hourly_training_pue", bool(enabled))
 
     def config(self, config: ModelConfig) -> "Scenario":
-        """Model constants for every layer this scenario touches."""
+        """Model constants for every layer this scenario touches.
+
+        Unset, :meth:`build` pins the configuration active at that
+        moment (see :func:`repro.core.config.use_config`).
+        """
         if not isinstance(config, ModelConfig):
             raise SessionError(
                 f"expected ModelConfig, got {type(config).__name__}"

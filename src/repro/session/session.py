@@ -21,9 +21,16 @@ process, whichever session asks first.
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.errors import SessionError
+from repro.core.config import default_config, get_config
+from repro.core.errors import SessionError, SweepError
+from repro.session.fingerprint import (
+    RESULT_SECTIONS,
+    section_fingerprints,
+    session_fingerprint,
+)
 from repro.session.registry import resolve_backend
 from repro.session.result import (
     CarbonSection,
@@ -35,6 +42,7 @@ from repro.session.result import (
     SchedulingSection,
     TrainingSection,
     UpgradeSection,
+    load_section,
 )
 from repro.session.scenario import BASELINE_POLICY, Scenario
 from repro.session.types import SystemDeployment
@@ -43,6 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.intensity.api import CarbonIntensityService
 
 __all__ = ["Session", "create_workload_source", "run_scenario"]
+
+#: The module each optional section's runner executes.  ``build`` imports
+#: those of the sections a scenario enables, so ``run`` imports nothing.
+_SECTION_MODULES = {
+    "training": "repro.workloads.runner",
+    "scheduling": "repro.scheduler.evaluation",
+    "cluster": "repro.cluster.simulator",
+    "upgrade": "repro.upgrade.advisor",
+}
 
 
 def create_workload_source(
@@ -123,6 +140,15 @@ class Session:
         self = object.__new__(cls)
         s = scenario
         self._scenario = s
+        # Pin the model constants: every section computes with the config
+        # active at build time, wherever and whenever it runs.  A
+        # non-default active config joins the snapshot's knobs, so it
+        # reaches the provenance record and both fingerprints; the
+        # default one stays unrecorded, as before the config was pinned.
+        active = get_config()
+        if s._config is None and active != default_config():
+            s._config = active
+        self._config = s._config if s._config is not None else active
         self._name = s._derived_name()
         self._provenance: List[Provenance] = []
 
@@ -301,7 +327,7 @@ class Session:
             else:
                 profile_obj = s._pue
             eff, prof = resolve_pue(
-                profile_obj, config=s._config, error=PUEError
+                profile_obj, config=self._config, error=PUEError
             )
             self._pue_scalar = eff
             self._pue_resolved = eff if prof is None else prof
@@ -322,6 +348,16 @@ class Session:
         for knob in ("window_h", "workload_seed"):
             note(knob, getattr(s, f"_{knob}"))
         note("config", s._config if s._config is not None else "active ModelConfig")
+
+        enabled = {
+            "training": s._training is not None,
+            "scheduling": bool(self._policies),
+            "cluster": self._simulate is not None,
+            "upgrade": s._upgrade is not None,
+        }
+        for section, module in _SECTION_MODULES.items():
+            if enabled[section]:
+                importlib.import_module(module)
 
         self._result: Optional[ScenarioResult] = None
         self._sealed = True
@@ -404,8 +440,6 @@ class Session:
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
-            from repro.session.fingerprint import session_fingerprint
-
             cached = session_fingerprint(self)
             object.__setattr__(self, "_fingerprint", cached)
         return cached
@@ -421,8 +455,6 @@ class Session:
         """
         cached = getattr(self, "_section_fingerprints", None)
         if cached is None:
-            from repro.session.fingerprint import section_fingerprints
-
             cached = section_fingerprints(self)
             object.__setattr__(self, "_section_fingerprints", cached)
         return dict(cached)
@@ -445,7 +477,7 @@ class Session:
             subject = self._node
         if subject is None:
             return None
-        by_class = subject.embodied_by_class(config=s._config)
+        by_class = subject.embodied_by_class(config=self._config)
         manufacturing = sum(b.manufacturing_g for b in by_class.values())
         packaging = sum(b.packaging_g for b in by_class.values())
         return EmbodiedSection(
@@ -476,7 +508,7 @@ class Session:
             nics_per_node=nics,
             lifecycle=s._lifecycle,
             pue=self._pue_resolved,
-            config=s._config,
+            config=self._config,
         )
         return auditor.audit(
             self._deployment.spec, service_years=s._lifetime_years
@@ -505,6 +537,7 @@ class Session:
                 if s._hourly_training_pue
                 else self._pue_scalar
             ),
+            config=self._config,
         )
         return TrainingSection(
             model=run.model_name,
@@ -514,7 +547,7 @@ class Session:
             duration_h=run.duration_h,
             energy_kwh=run.energy.kwh,
             operational_g=run.carbon.grams,
-            node_embodied_g=self._node.embodied(config=s._config).total_g,
+            node_embodied_g=self._node.embodied(config=self._config).total_g,
             result=run,
         )
 
@@ -552,7 +585,7 @@ class Session:
                 raise SessionError(f"duplicate policy {policy_name!r}")
             evaluations[policy_name] = evaluate_policy(
                 jobs, policy, self._service, self._node,
-                pue=self._pue_resolved, config=s._config, accounting=engine,
+                pue=self._pue_resolved, config=self._config, accounting=engine,
             )
         baseline_name = (
             BASELINE_POLICY
@@ -600,7 +633,7 @@ class Session:
                 horizon_h=horizon,
                 intensity=self._region_intensity(),
                 pue=self._pue_resolved,
-                config=s._config,
+                config=self._config,
                 **s._simulator_opts,
             )
         except TypeError as exc:
@@ -629,7 +662,10 @@ class Session:
         from repro.upgrade.advisor import UpgradeAdvisor
 
         advisor = UpgradeAdvisor(
-            self._region_intensity(), usage=s._usage, pue=self._pue_resolved
+            self._region_intensity(),
+            usage=s._usage,
+            pue=self._pue_resolved,
+            config=self._config,
         )
         decision = advisor.evaluate(
             s._upgrade["old"],
@@ -691,7 +727,7 @@ class Session:
             # per job over its occupied GPU share, vectorized.
             from repro.accounting import amortized_embodied_g
 
-            node_embodied = self._node.embodied(config=s._config).total_g
+            node_embodied = self._node.embodied(config=self._config).total_g
             gpu_count = self._node.gpu_count
             # Straight off the batch columns (no per-job objects).
             gpus = jobs.n_gpus.astype(float)
@@ -724,7 +760,7 @@ class Session:
                 operational = primary.operational_g
                 primary.charge_amortized_embodied(
                     f"cluster:{s._cluster_nodes}x{self._node.name}",
-                    self._node.embodied(config=s._config).total_g
+                    self._node.embodied(config=self._config).total_g
                     * s._cluster_nodes,
                     duration_h=cluster.horizon_h,
                     lifetime_years=s._lifetime_years,
@@ -841,10 +877,6 @@ class Session:
         ledger rows).  Everything else rebuilds from its ``to_dict``
         payload, which is all the rollup reads from it.
         """
-        from repro.core.errors import SweepError
-        from repro.session.fingerprint import RESULT_SECTIONS
-        from repro.session.result import load_section
-
         try:
             fingerprint = self.fingerprint()
         except SweepError:

@@ -1,7 +1,7 @@
-"""Light-weight records shared between the facade and backend hooks.
+"""Light-weight records shared between the facade and backend factories.
 
-Kept free of imports from the layer subpackages so a layer's
-``register_backends`` hook can import this module without cycles.
+Kept free of imports from the layer subpackages so a layer module that
+defines a backend factory can import this module without cycles.
 """
 
 from __future__ import annotations

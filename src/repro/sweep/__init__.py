@@ -9,39 +9,17 @@ ties them together.  Services construct through the registry's
 ``sweep`` kind (``cached`` by default, ``direct`` for cache-free runs).
 """
 
-from repro.sweep.cache import (
-    CacheClearance,
-    CacheStats,
-    ResultCache,
-    default_cache_dir,
-)
-from repro.sweep.planner import SweepPlan, WorkUnit, plan_sweep
-from repro.sweep.runner import (
-    SweepOutcome,
-    SweepReport,
-    SweepService,
-    cached_sweep_service,
-    direct_sweep_service,
-    register_backends,
-)
-from repro.sweep.spec import SweepSpec, load_spec_mapping
-from repro.sweep.store import SharedTraceStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheClearance",
-    "CacheStats",
-    "ResultCache",
-    "SharedTraceStore",
-    "SweepOutcome",
-    "SweepPlan",
-    "SweepReport",
-    "SweepService",
-    "SweepSpec",
-    "WorkUnit",
-    "cached_sweep_service",
-    "default_cache_dir",
-    "direct_sweep_service",
-    "load_spec_mapping",
-    "plan_sweep",
-    "register_backends",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sweep.cache": (
+        "CacheClearance", "CacheStats", "ResultCache", "default_cache_dir",
+    ),
+    "repro.sweep.store": ("SharedTraceStore",),
+    "repro.sweep.runner": (
+        "SweepOutcome", "SweepReport", "SweepService", "cached_sweep_service",
+        "direct_sweep_service",
+    ),
+    "repro.sweep.planner": ("SweepPlan", "WorkUnit", "plan_sweep"),
+    "repro.sweep.spec": ("SweepSpec", "load_spec_mapping"),
+})

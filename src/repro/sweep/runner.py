@@ -35,6 +35,10 @@ from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+# Every pass resolves an executor, and the shared one attaches the trace
+# store: import both with the service, not inside a timed pass.
+import repro.session.executors  # noqa: F401
+import repro.sweep.store  # noqa: F401
 from repro.core.errors import ResilienceError, SweepError
 from repro.resilience.journal import SweepJournal
 from repro.resilience.policy import CellFailure, RetryPolicy
@@ -58,7 +62,6 @@ __all__ = [
     "SweepService",
     "cached_sweep_service",
     "direct_sweep_service",
-    "register_backends",
 ]
 
 #: What a run may be asked to sweep.
@@ -639,18 +642,3 @@ def cached_sweep_service(**opts) -> SweepService:
 def direct_sweep_service(**opts) -> SweepService:
     """The cache-free variant: dedup only, every unique cell recomputes."""
     return SweepService(cache=False, **opts)
-
-
-def register_backends(registry) -> None:
-    """Self-register the built-in sweep services.
-
-    A ``sweep`` backend is a factory ``(**opts) -> service`` exposing
-    ``plan(grid)`` and ``run(grid, ...) -> SweepOutcome`` over a
-    SweepSpec / spec mapping / spec path / Scenario list, with results
-    in input order.  ``run`` of an empty grid must return an empty
-    outcome without touching disk.
-    """
-    registry.add("sweep", "cached", cached_sweep_service, aliases=("default",))
-    registry.add(
-        "sweep", "direct", direct_sweep_service, aliases=("nocache", "no-cache")
-    )

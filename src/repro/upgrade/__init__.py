@@ -1,41 +1,15 @@
 """Hardware-upgrade carbon analysis (paper Sec. 5, Figs. 8-9)."""
 
-from repro.upgrade.advisor import UpgradeAdvisor, UpgradeDecision, Verdict
-from repro.upgrade.amortization import (
-    SavingsGrid,
-    attribution_sweep,
-    breakeven_table,
-    intensity_scaling_check,
-    sweep_intensities,
-    sweep_usages,
-)
-from repro.upgrade.fleet import (
-    FleetUpgradePlan,
-    RolloutResult,
-    best_rollout,
-    compare_rollouts,
-)
-from repro.upgrade.scenario import (
-    INTENSITY_LEVELS,
-    USAGE_LEVELS,
-    UpgradeScenario,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "UpgradeScenario",
-    "USAGE_LEVELS",
-    "INTENSITY_LEVELS",
-    "SavingsGrid",
-    "sweep_intensities",
-    "sweep_usages",
-    "breakeven_table",
-    "intensity_scaling_check",
-    "attribution_sweep",
-    "UpgradeAdvisor",
-    "UpgradeDecision",
-    "Verdict",
-    "FleetUpgradePlan",
-    "RolloutResult",
-    "compare_rollouts",
-    "best_rollout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.upgrade.scenario": ("UpgradeScenario", "USAGE_LEVELS", "INTENSITY_LEVELS"),
+    "repro.upgrade.amortization": (
+        "SavingsGrid", "sweep_intensities", "sweep_usages", "breakeven_table",
+        "intensity_scaling_check", "attribution_sweep",
+    ),
+    "repro.upgrade.advisor": ("UpgradeAdvisor", "UpgradeDecision", "Verdict"),
+    "repro.upgrade.fleet": (
+        "FleetUpgradePlan", "RolloutResult", "compare_rollouts", "best_rollout",
+    ),
+})

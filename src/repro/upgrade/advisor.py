@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.accounting import CarbonLedger
 from repro.accounting.pue import PUELike
+from repro.core.config import ModelConfig
 from repro.core.errors import UpgradeAnalysisError
 from repro.intensity.trace import IntensityTrace
 from repro.upgrade.scenario import UpgradeScenario
@@ -77,6 +78,7 @@ class UpgradeAdvisor:
         usage: float = 0.40,
         quick_breakeven_years: float = 1.0,
         pue: PUELike = None,
+        config: Optional[ModelConfig] = None,
     ) -> None:
         if quick_breakeven_years <= 0.0:
             raise UpgradeAnalysisError("quick-breakeven threshold must be positive")
@@ -86,6 +88,7 @@ class UpgradeAdvisor:
         self._usage = usage
         self._quick = quick_breakeven_years
         self._pue = pue
+        self._config = config
 
     def evaluate(
         self,
@@ -106,6 +109,7 @@ class UpgradeAdvisor:
             usage=self._usage,
             intensity=self._intensity,
             pue=self._pue,
+            config=self._config,
         )
         breakeven = scenario.breakeven_years(horizon_years=max(lifetime_years * 4, 30.0))
         # Savings come off the scenario's carbon ledger: the keep/upgrade

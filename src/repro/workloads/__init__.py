@@ -4,110 +4,35 @@ Fig. 4), and the ``workload`` backend kind (job sources).
 :mod:`repro.workloads.sources` owns workload *generation*: the
 :class:`~repro.workloads.sources.JobSource` protocol and the built-in
 ``synthetic`` / ``diurnal`` / ``bursty`` / ``trace`` backends the
-session facade resolves by key.  Its names are exposed lazily here so
-importing the calibration tables never drags the cluster substrate in.
+session facade resolves by key.
 """
 
-from repro.workloads.distributed import (
-    SLINGSHOT_200G,
-    DistributedRun,
-    FabricSpec,
-    distributed_throughput,
-    scaling_sweep,
-)
-from repro.workloads.energy import ModelCard, model_card, model_card_table
-from repro.workloads.models import ALL_MODELS, ModelSpec, Suite, get_model
-from repro.workloads.performance import (
-    GENERATION_SPEEDUPS,
-    GENERATIONS,
-    average_time_reduction,
-    generation_speedup,
-    model_speedup,
-    model_throughput_sps,
-    suite_time_reduction,
-    upgrade_options,
-)
-from repro.workloads.runner import TrainingResult, simulate_suite, simulate_training_run
-from repro.workloads.scaling import (
-    SCALING_PARAMS,
-    ScalingParams,
-    communication_overhead_fraction,
-    scaled_performance,
-    scaling_efficiency,
-)
-from repro.workloads.suites import SUITES, list_suites, suite_models, suite_of, table4_rows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Suite",
-    "ModelSpec",
-    "ALL_MODELS",
-    "get_model",
-    "SUITES",
-    "suite_models",
-    "suite_of",
-    "list_suites",
-    "table4_rows",
-    "GENERATIONS",
-    "GENERATION_SPEEDUPS",
-    "generation_speedup",
-    "model_speedup",
-    "model_throughput_sps",
-    "suite_time_reduction",
-    "average_time_reduction",
-    "upgrade_options",
-    "ScalingParams",
-    "SCALING_PARAMS",
-    "scaled_performance",
-    "scaling_efficiency",
-    "communication_overhead_fraction",
-    "TrainingResult",
-    "simulate_training_run",
-    "simulate_suite",
-    "FabricSpec",
-    "SLINGSHOT_200G",
-    "DistributedRun",
-    "distributed_throughput",
-    "scaling_sweep",
-    "ModelCard",
-    "model_card",
-    "model_card_table",
-    "WorkloadParams",
-    "generate_workload",
-    "JobSource",
-    "SyntheticSource",
-    "DiurnalSource",
-    "BurstySource",
-    "TraceReplaySource",
-    "register_backends",
-]
-
-#: Names served lazily from repro.workloads.sources (PEP 562): sources
-#: imports repro.cluster.job, which imports repro.workloads.models —
-#: deferring the hop keeps this package importable from anywhere in
-#: that chain.
-_SOURCE_EXPORTS = frozenset(
-    {
-        "WorkloadParams",
-        "generate_workload",
-        "JobSource",
-        "SyntheticSource",
-        "DiurnalSource",
-        "BurstySource",
-        "TraceReplaySource",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _SOURCE_EXPORTS:
-        from repro.workloads import sources
-
-        return getattr(sources, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def register_backends(registry) -> None:
-    """Self-register the job sources under the ``workload`` kind."""
-    from repro.workloads.sources import register_backends as _register
-
-    _register(registry)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.models": ("Suite", "ModelSpec", "ALL_MODELS", "get_model"),
+    "repro.workloads.suites": (
+        "SUITES", "suite_models", "suite_of", "list_suites", "table4_rows",
+    ),
+    "repro.workloads.performance": (
+        "GENERATIONS", "GENERATION_SPEEDUPS", "generation_speedup",
+        "model_speedup", "model_throughput_sps", "suite_time_reduction",
+        "average_time_reduction", "upgrade_options",
+    ),
+    "repro.workloads.scaling": (
+        "ScalingParams", "SCALING_PARAMS", "scaled_performance",
+        "scaling_efficiency", "communication_overhead_fraction",
+    ),
+    "repro.workloads.runner": (
+        "TrainingResult", "simulate_training_run", "simulate_suite",
+    ),
+    "repro.workloads.distributed": (
+        "FabricSpec", "SLINGSHOT_200G", "DistributedRun",
+        "distributed_throughput", "scaling_sweep",
+    ),
+    "repro.workloads.energy": ("ModelCard", "model_card", "model_card_table"),
+    "repro.workloads.sources": (
+        "WorkloadParams", "generate_workload", "JobSource", "SyntheticSource",
+        "DiurnalSource", "BurstySource", "TraceReplaySource",
+    ),
+})

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.errors import CalibrationError, WorkloadError
 from repro.workloads.models import ModelSpec, Suite, get_model
+from repro.workloads.scaling import scaled_performance
 from repro.workloads.suites import suite_models
 
 __all__ = [
@@ -122,8 +123,6 @@ def model_throughput_sps(
     single = spec.base_throughput_sps * model_speedup(spec, generation)
     if n_gpus == 1:
         return single
-    from repro.workloads.scaling import scaled_performance
-
     return single * scaled_performance(spec.suite, n_gpus)
 
 

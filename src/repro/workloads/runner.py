@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.accounting.pue import PUELike
+from repro.core.config import ModelConfig
 from repro.core.errors import WorkloadError
 from repro.core.units import CarbonMass, Energy
 from repro.hardware.node import NodeSpec, get_node_generation
@@ -62,6 +63,7 @@ def simulate_training_run(
     intensity: Union[float, IntensityTrace] = 200.0,
     start_hour: float = 0.0,
     pue: "PUELike" = None,
+    config: Optional[ModelConfig] = None,
 ) -> TrainingResult:
     """Simulate training ``model`` for ``epochs`` on ``node``.
 
@@ -70,7 +72,8 @@ def simulate_training_run(
     the studied generations.  ``n_gpus`` defaults to all GPUs in the
     node.  ``intensity`` is a constant gCO2/kWh or an hourly trace.
     ``pue`` is a float (the exact legacy path) or an hourly profile /
-    profile model, charged hour-resolved by the tracker.
+    profile model, charged hour-resolved by the tracker.  ``config``
+    supplies the default PUE (default: the active configuration).
     """
     spec = get_model(model) if isinstance(model, str) else model
     node_spec = get_node_generation(node) if isinstance(node, str) else node
@@ -93,7 +96,7 @@ def simulate_training_run(
     cpu_utilization = max(
         (cpu.busy_utilization for cpu, _count in cpu_specs), default=0.0
     )
-    tracker = CarbonTracker(run_node, intensity, pue=pue)
+    tracker = CarbonTracker(run_node, intensity, pue=pue, config=config)
     report = tracker.track_run(
         duration_h,
         gpu_utilization=gpu_spec.busy_utilization,

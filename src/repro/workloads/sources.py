@@ -12,8 +12,8 @@ operator has them.  Every generator lives behind one protocol:
     :class:`~repro.cluster.job.JobBatch`, every submit inside
     ``[0, horizon_h)``.
 
-Built-ins, registered under the ``workload`` registry kind by
-:func:`register_backends`:
+Built-ins, rows of the ``workload`` registry kind in
+:data:`repro.session.backends.BUILTIN_BACKENDS`:
 
 ``synthetic``
     The historical Poisson/log-normal generator: Poisson
@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.core.errors import SimulationError
 from repro.cluster.job import Job, JobBatch, _adopt
+from repro.session.backends import BUILTIN_BACKENDS
 from repro.workloads.models import ALL_MODELS, ModelSpec
 
 __all__ = [
@@ -66,20 +67,19 @@ __all__ = [
     "DiurnalSource",
     "BurstySource",
     "TraceReplaySource",
-    "register_backends",
 ]
 
 #: The facade's historical workload seed (Scenario's default draw).
 DEFAULT_WORKLOAD_SEED = 7
 
-#: Alias -> canonical key for every registered workload backend.  The
-#: single source of truth: registration derives its alias lists from
-#: this map, and the CLI canonicalizes option buckets through it, so
-#: the two can never drift.
+#: Alias -> canonical key for every built-in workload backend, read off
+#: the registry's rows, so the CLI's option buckets and the registered
+#: aliases can never drift.
 KEY_ALIASES: Dict[str, str] = {
-    "poisson": "synthetic",
-    "onoff": "bursty",
-    "replay": "trace",
+    alias: key
+    for kind, key, aliases, _target in BUILTIN_BACKENDS
+    if kind == "workload"
+    for alias in aliases
 }
 
 #: Canonical keys of the built-in parameterized generators — the only
@@ -721,25 +721,3 @@ def generate_workload(
     that predates :class:`~repro.cluster.job.JobBatch`.
     """
     return SyntheticSource(params, models=models).generate(seed=seed).to_jobs()
-
-
-# --- session-facade backends ------------------------------------------------
-def register_backends(registry) -> None:
-    """Self-register job sources under the ``workload`` kind.
-
-    A ``workload`` backend factory takes its knobs as keyword options
-    and returns a :class:`JobSource`.  Every built-in factory accepts
-    ``home_region=`` (the facade injects the scenario's home grid when
-    the caller does not override it); the synthetic family additionally
-    takes ``params=`` (a :class:`WorkloadParams`) **or** the individual
-    fields, and ``trace`` takes ``path=`` plus the replay options.
-    """
-    backends = {
-        "synthetic": SyntheticSource,
-        "diurnal": DiurnalSource,
-        "bursty": BurstySource,
-        "trace": TraceReplaySource,
-    }
-    for key, factory in backends.items():
-        aliases = tuple(a for a, c in KEY_ALIASES.items() if c == key)
-        registry.add("workload", key, factory, aliases=aliases)

@@ -585,3 +585,26 @@ class TestPUEFlags:
     def test_invalid_pue_flags_fail_cleanly(self, capsys, argv):
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestAuditAdviseErrors:
+    """Bad `audit`/`advise` inputs exit 2 with a typed error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--years", "nan"],
+            ["audit", "--years", "-1"],
+            ["advise", "--lifetime", "nan"],
+            ["advise", "--usage", "2"],
+            ["advise", "--intensity", "-5"],
+        ],
+        ids=["audit-years-nan", "audit-years-negative", "advise-lifetime-nan",
+             "advise-usage-above-one", "advise-intensity-negative"],
+    )
+    def test_bad_input_fails_cleanly(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]} error: ")
+        assert captured.out == ""
+

@@ -157,3 +157,31 @@ class TestGlobalRegistry:
         assert fresh._table("policy")["geo"] is marker
         assert "temporal+geographic" in fresh._table("policy")
         assert "frontier" in fresh._table("system")
+
+    def test_builtin_rows_resolve_lazily_and_memoize(self):
+        # A fresh registry holds the rows unloaded; the first resolve
+        # imports the named factory and every alias then serves it.
+        import importlib
+
+        from repro.session.backends import BUILTIN_BACKENDS, load_builtin_backends
+
+        fresh = BackendRegistry()
+        load_builtin_backends(fresh)
+        for kind, key, aliases, target in BUILTIN_BACKENDS:
+            module, attr = target.split(":")
+            factory = fresh.resolve(kind, key)
+            assert factory is getattr(importlib.import_module(module), attr)
+            assert fresh.resolve(kind, key) is factory
+            for alias in aliases:
+                assert fresh._table(kind)[alias] is factory
+
+    def test_rows_list_keys_and_aliases(self):
+        from repro.session.backends import load_builtin_backends
+
+        fresh = BackendRegistry()
+        load_builtin_backends(fresh)
+        assert "fcfs-columnar" in fresh.available("simulator")
+        assert ("simulator", "columnar") in fresh
+        held = fresh._table("simulator")
+        assert held["columnar"] is held["fcfs-columnar"]
+

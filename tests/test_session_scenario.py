@@ -89,6 +89,17 @@ class TestScenarioValidation:
         with pytest.raises(SessionError, match="finite and non-negative"):
             Scenario().forecast_error(error)
 
+    @pytest.mark.parametrize("years", [float("nan"), float("inf")])
+    def test_lifetime_must_be_finite(self, years):
+        # A NaN lifetime printed nan% audit rows and exited 0.
+        with pytest.raises(SessionError, match="finite and positive"):
+            Scenario().lifetime(years)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_constant_intensity_must_be_finite(self, value):
+        with pytest.raises(SessionError, match="finite and non-negative"):
+            Scenario().constant_intensity(value)
+
     def test_run_is_idempotent(self):
         # The forecast RNG is consumed by a run; the session caches its
         # result so repeat run()/render() report identical numbers.
@@ -495,3 +506,78 @@ class TestConfigPlumbing:
         assert scaled.operational_g == pytest.approx(
             base.operational_g * 1.8 / 1.2
         )
+
+    def test_cache_never_serves_default_config_results_under_use_config(
+        self, tmp_path
+    ):
+        # The sweep cache keyed results without the active config, so a
+        # cached default-config result was served under use_config(...).
+        from repro.core import use_config
+        from repro.sweep import SweepService
+
+        def audit():
+            return Scenario().system("frontier").region("ESO")
+
+        SweepService(cache_dir=tmp_path).run([audit()])
+        with use_config(default_config().with_overrides(fab_yield=0.6)):
+            served = SweepService(cache_dir=tmp_path).run([audit()]).results[0]
+            fresh = audit().run()
+        assert served.embodied.manufacturing_g == fresh.embodied.manufacturing_g
+        assert served.to_dict() == fresh.to_dict()
+
+    def test_default_active_config_keeps_fingerprints(self):
+        # The pinned config is recorded only when it differs from the
+        # default, so default sessions hash as they always did.
+        from repro.core import use_config
+
+        session = Scenario().system("lumi").region("ESO").build()
+        with use_config(default_config()):
+            same = Scenario().system("lumi").region("ESO").build()
+        with use_config(default_config().with_overrides(pue=1.8)):
+            other = Scenario().system("lumi").region("ESO").build()
+        assert same.fingerprint() == session.fingerprint()
+        assert other.fingerprint() != session.fingerprint()
+        assert (
+            other.section_fingerprints()["audit"]
+            != session.section_fingerprints()["audit"]
+        )
+
+    def test_session_built_under_override_runs_with_it(self):
+        from repro.core import use_config
+
+        config = default_config().with_overrides(fab_yield=0.6, pue=1.8)
+        with use_config(config):
+            session = (
+                Scenario()
+                .system("lumi")
+                .node("V100")
+                .region("ESO")
+                .training("BERT", n_gpus=2)
+                .upgrade("P100", "A100")
+                .build()
+            )
+        pinned = session.run()
+        explicit = (
+            Scenario()
+            .system("lumi")
+            .node("V100")
+            .region("ESO")
+            .training("BERT", n_gpus=2)
+            .upgrade("P100", "A100")
+            .config(config)
+            .run()
+        )
+        default = (
+            Scenario()
+            .system("lumi")
+            .node("V100")
+            .region("ESO")
+            .training("BERT", n_gpus=2)
+            .upgrade("P100", "A100")
+            .run()
+        )
+        for section in ("embodied", "audit", "training", "upgrade"):
+            got = getattr(pinned, section)
+            assert got == getattr(explicit, section), section
+            assert got != getattr(default, section), section
+
