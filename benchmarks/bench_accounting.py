@@ -5,12 +5,12 @@ the accounting subsystem batches the *charging* side.  This benchmark
 measures it:
 
 1. *Charging kernel* — the ``vectorized`` engine (truth-table gathers)
-   vs the ``scalar-reference`` engine (the seed per-job slice-and-mean
-   loop) on the placements of a 28-day multi-region
-   temporal+geographic workload (target: >= 10x, charges
+   vs ``ScalarReferenceChargingEngine`` (the seed per-job slice-and-mean
+   loop, kept as the test oracle) on the placements of a 28-day
+   multi-region temporal+geographic workload (target: >= 10x, charges
    byte-identical).
-2. *End-to-end* — ``evaluate_policy`` wall clock with both accounting
-   backends (placement + validation + charging + ledger).
+2. *End-to-end* — ``evaluate_policy`` wall clock with both engines
+   (placement + validation + charging + ledger).
 
 ``python benchmarks/bench_accounting.py --write`` records the numbers
 to ``BENCH_accounting.json`` at the repo root; the committed file is
@@ -66,7 +66,8 @@ def bench_charging_kernel() -> dict:
     """Vectorized vs scalar-reference charging of one placement set."""
     import numpy as np
 
-    from repro.accounting import get_engine
+    from repro.accounting import VectorizedChargingEngine
+    from repro.accounting.engines import ScalarReferenceChargingEngine
     from repro.scheduler.policies import place_jobs
     from repro.scheduler.transfer import default_transfer_model
 
@@ -75,8 +76,8 @@ def bench_charging_kernel() -> dict:
     transfer = default_transfer_model()
     kwargs = dict(service=service, node=node, transfer_model=transfer)
 
-    vectorized = get_engine("vectorized")
-    scalar = get_engine("scalar-reference")
+    vectorized = VectorizedChargingEngine()
+    scalar = ScalarReferenceChargingEngine()
     vectorized.charge(jobs[:4], placements[:4], **kwargs)  # warm tables
     scalar.charge(jobs[:4], placements[:4], **kwargs)
 
@@ -103,19 +104,25 @@ def bench_charging_kernel() -> dict:
 
 
 def bench_evaluate_policy() -> dict:
-    """End-to-end evaluate_policy with each accounting backend."""
+    """End-to-end evaluate_policy with each accounting engine."""
+    from repro.accounting import VectorizedChargingEngine
+    from repro.accounting.engines import ScalarReferenceChargingEngine
     from repro.scheduler.evaluation import evaluate_policy
     from repro.scheduler.policies import place_jobs
 
     service, jobs, policy, node = _setup()
     place_jobs(policy, jobs)  # warm the placement score tables for both runs
+    engines = {
+        "scalar-reference": ScalarReferenceChargingEngine(),
+        "vectorized": VectorizedChargingEngine(),
+    }
     timings = {}
     totals = {}
-    for backend in ("scalar-reference", "vectorized"):
-        evaluate_policy(jobs[:4], policy, service, node, accounting=backend)
+    for backend, engine in engines.items():
+        evaluate_policy(jobs[:4], policy, service, node, accounting=engine)
         t0 = time.perf_counter()
         evaluation = evaluate_policy(
-            jobs, policy, service, node, accounting=backend
+            jobs, policy, service, node, accounting=engine
         )
         timings[backend] = time.perf_counter() - t0
         totals[backend] = evaluation.total_carbon.grams

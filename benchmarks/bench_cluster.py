@@ -1,8 +1,8 @@
 """Cluster-simulator benchmarks: oracle vs columnar engine throughput,
 placement-rate floors, and the RQ8 usage-level characterization.
 
-The scalar :func:`repro.cluster.simulator.simulate_cluster` is the
-semantics oracle; :func:`repro.cluster.engine.simulate_cluster_columnar`
+The seed's scalar simulator (``simulate_cluster`` in ``tests/oracles.py``)
+is the semantics oracle; :func:`repro.cluster.simulator.simulate_cluster`
 is the event-driven engine on ``JobBatch`` columns.  This module pins
 the engine's reason to exist:
 
@@ -34,7 +34,6 @@ from repro.analysis.render import format_table
 from repro.cluster.engine import (
     simulate_cluster_backfill,
     simulate_cluster_carbon_aware,
-    simulate_cluster_columnar,
     simulate_cluster_power_cap,
 )
 from repro.cluster.job import JobBatch
@@ -44,6 +43,9 @@ from repro.intensity.generator import generate_trace
 from repro.workloads.sources import WorkloadParams, generate_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.append(str(REPO_ROOT / "tests"))
+import oracles  # noqa: E402  (the scalar oracle lives with the tests)
+
 BASELINE_PATH = REPO_ROOT / "BENCH_cluster.json"
 PLACEMENT_BASELINE_PATH = REPO_ROOT / "BENCH_placement.json"
 
@@ -89,10 +91,10 @@ def bench_engine_throughput() -> dict:
     trace = generate_trace("ESO")
     horizon = 24.0 * (WORKLOAD_DAYS + 4)
 
-    ref = simulate_cluster(batch, cluster, horizon_h=horizon, intensity=trace)
-    col = simulate_cluster_columnar(
+    ref = oracles.simulate_cluster(
         batch, cluster, horizon_h=horizon, intensity=trace
     )
+    col = simulate_cluster(batch, cluster, horizon_h=horizon, intensity=trace)
     import numpy as np
 
     identical = (
@@ -106,12 +108,12 @@ def bench_engine_throughput() -> dict:
     )
 
     oracle_s = _best_of(
-        lambda: simulate_cluster(
+        lambda: oracles.simulate_cluster(
             batch, cluster, horizon_h=horizon, intensity=trace
         )
     )
     columnar_s = _best_of(
-        lambda: simulate_cluster_columnar(
+        lambda: simulate_cluster(
             batch, cluster, horizon_h=horizon, intensity=trace
         )
     )
@@ -131,7 +133,7 @@ MAX_CARBON_AWARE_SLOWDOWN = 5.0
 
 #: The four registry disciplines the throughput table records.
 _DISCIPLINES = (
-    ("fcfs-columnar", simulate_cluster_columnar, {}),
+    ("fcfs-columnar", simulate_cluster, {}),
     ("backfill", simulate_cluster_backfill, {}),
     ("carbon-aware", simulate_cluster_carbon_aware, {}),
     ("power-cap", simulate_cluster_power_cap, {}),
@@ -246,7 +248,7 @@ def test_carbon_aware_within_5x_of_columnar():
     trace = generate_trace("ESO")
     horizon = 24.0 * (WORKLOAD_DAYS + 4)
     base_s = _best_of(
-        lambda: simulate_cluster_columnar(
+        lambda: simulate_cluster(
             batch, cluster, horizon_h=horizon, intensity=trace
         )
     )

@@ -5,8 +5,9 @@ Measures the three hot paths this repo's scheduling results sit behind:
 1. *Placement kernel* — vectorized ``place_all`` vs the scalar ``place``
    reference on a month-long temporal+geographic workload (target:
    >= 10x, placements byte-identical).
-2. *Simulator* — jobs/sec through the incremental-timeline cluster
-   simulator.
+2. *Simulator* — jobs/sec through the seed's incremental-timeline
+   cluster simulator, the oracle ``tests/oracles.py`` keeps (the rate
+   ``bench_cluster``'s engine floor is measured over).
 3. *Sweep executor* — a 4-region × 4-policy ``Session.run_many`` with
    ``executor="process"`` vs serial (target: >= 2x, asserted only when
    the host actually has cores to parallelize over).
@@ -29,6 +30,8 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_placement.json"
+#: The scalar simulator oracle lives with the tests (``tests/oracles.py``).
+sys.path.append(str(REPO_ROOT / "tests"))
 
 #: Month-long workload the kernel benchmark places.
 WORKLOAD_DAYS = 28
@@ -91,8 +94,9 @@ def bench_placement_kernel() -> dict:
 
 
 def bench_simulator() -> dict:
-    """Jobs/sec through the incremental-timeline cluster simulator."""
-    from repro.cluster.simulator import Cluster, simulate_cluster
+    """Jobs/sec through the incremental-timeline oracle simulator."""
+    import oracles
+    from repro.cluster.simulator import Cluster
     from repro.hardware.node import v100_node
     from repro.intensity.generator import generate_trace
 
@@ -100,7 +104,7 @@ def bench_simulator() -> dict:
     cluster = Cluster(v100_node(), n_nodes=16)
     trace = generate_trace("ESO")
     t0 = time.perf_counter()
-    result = simulate_cluster(
+    result = oracles.simulate_cluster(
         jobs, cluster, horizon_h=24.0 * (WORKLOAD_DAYS + 4), intensity=trace
     )
     elapsed = time.perf_counter() - t0

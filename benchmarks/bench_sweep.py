@@ -122,7 +122,7 @@ def _delta_spec(renderers: list) -> dict:
         "name": "bench-delta",
         "base": dict(_DELTA_BASE),
         "axes": {
-            "accounting": ["scalar", "ledger"],
+            "accounting": ["vectorized", "ledger"],
             "pue": [1.1, 1.25],
             "renderer": renderers,
         },

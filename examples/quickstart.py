@@ -101,11 +101,10 @@ for key, best in by_arrivals.items():
     )
 
 # --- 7. beyond one scheduling discipline ------------------------------------
-# Cluster simulators are a registry kind as well: `fcfs` is the scalar
-# plan-ahead oracle, `fcfs-columnar` the byte-identical event-driven
-# engine (~15x faster; use it for anything big), `backfill` EASY
-# backfill — queued jobs jump ahead only when they cannot delay the
-# head job's reservation — and two operate-on-carbon disciplines:
+# Cluster simulators are a registry kind as well: `fcfs` (the default)
+# is plan-ahead FCFS earliest-fit, `backfill` EASY backfill — queued
+# jobs jump ahead only when they cannot delay the head job's
+# reservation — and two operate-on-carbon disciplines:
 # `carbon-aware` (alias `green`) delays each job within its slack
 # budget toward the greenest forward-window start, and `power-cap`
 # (alias `capped`) holds cluster-wide busy GPUs under a fraction of
@@ -113,7 +112,7 @@ for key, best in by_arrivals.items():
 # knobs ride along as keyword arguments and land in provenance.
 by_discipline = {}
 for sim, opts in (
-    ("fcfs-columnar", {}),
+    ("fcfs", {}),
     ("backfill", {}),
     ("carbon-aware", {"slack_h": 24.0}),
     ("power-cap", {"cap_fraction": 0.8}),

@@ -12,10 +12,10 @@ from one place.
 * :class:`CarbonLedger` / :class:`LedgerEntry` — typed, columnar
   charge accounting with multi-axis attribution
   (:mod:`repro.accounting.ledger`).
-* :class:`VectorizedChargingEngine` / :class:`ScalarReferenceChargingEngine`
-  — batched vs seed-loop charging of placed jobs, bit-identical
-  (:mod:`repro.accounting.engines`); swappable through the session
-  registry's ``accounting`` kind (``Scenario.accounting("vectorized")``).
+* :class:`VectorizedChargingEngine` — batched charging of placed jobs
+  (:mod:`repro.accounting.engines`), bit-identical to the seed per-job
+  loop the tests pin it against; the session registry's
+  ``accounting`` kind resolves it (``Scenario.accounting("vectorized")``).
 * :func:`resolve_pue` — scalar *or hourly-profile* facility overhead,
   shared by every charge path (:mod:`repro.accounting.pue`).
 
@@ -31,8 +31,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CarbonLedger", "LedgerEntry", "amortized_embodied_g",
     ),
     "repro.accounting.engines": (
-        "JobCharges", "VectorizedChargingEngine", "ScalarReferenceChargingEngine",
-        "get_engine", "ENGINE_KEYS",
+        "JobCharges", "VectorizedChargingEngine",
     ),
     "repro.accounting.pue": (
         "PUELike", "resolve_pue", "pue_window_means", "align_pue_profile",

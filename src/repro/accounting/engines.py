@@ -6,17 +6,20 @@ charging for a whole batch of ``(job, placement)`` pairs at once and
 returns columnar :class:`JobCharges`; the evaluator, the session layer
 and the benchmarks all consume those arrays.
 
-Two built-ins, registered under the ``accounting`` backend kind:
+Two engines:
 
-* ``vectorized`` — groups jobs by ``(region, window)`` and charges each
-  group with one gather (from the service's memoized
+* :class:`VectorizedChargingEngine` — the one built-in of the
+  ``accounting`` backend kind (key ``vectorized``).  It groups jobs by
+  ``(region, window)`` and charges each group with one gather (from the
+  service's memoized
   :meth:`~repro.intensity.api.CarbonIntensityService.truth_window_table`
   when the group is large enough to amortize the build, a direct 2-D
   window gather otherwise — both reduce rows with the same pairwise
   summation, so the choice never changes a bit).
-* ``scalar-reference`` — the seed per-job loop, kept verbatim as the
-  semantics oracle the vectorized engine is pinned against (and the
-  baseline the accounting benchmark measures speedup over).
+* :class:`ScalarReferenceChargingEngine` — the seed per-job loop, kept
+  verbatim as the test oracle the vectorized engine is pinned against
+  (and the baseline the accounting benchmark measures speedup over).
+  No registry key selects it; tests and benchmarks pass an instance.
 
 Both engines produce **bit-identical** per-job energies and carbon: the
 vectorized kernel performs the exact scalar expressions elementwise, in
@@ -64,8 +67,6 @@ __all__ = [
     "JobCharges",
     "VectorizedChargingEngine",
     "ScalarReferenceChargingEngine",
-    "get_engine",
-    "ENGINE_KEYS",
 ]
 
 
@@ -427,30 +428,3 @@ class ScalarReferenceChargingEngine:
             transfer_kwh=t_kwh_arr,
             transfer_g=t_g_arr,
         )
-
-
-#: Local key -> engine factory map (the session registry mirrors this).
-_ENGINES = {
-    "vectorized": VectorizedChargingEngine,
-    "scalar-reference": ScalarReferenceChargingEngine,
-}
-
-ENGINE_KEYS = tuple(_ENGINES)
-
-
-def get_engine(key: str = "vectorized") -> object:
-    """Construct a charging engine by key (layer-local resolution).
-
-    The session facade resolves the same factories through the backend
-    registry's ``accounting`` kind; this helper keeps the scheduler
-    usable without importing the facade.
-    """
-    if not isinstance(key, str):
-        return key  # already an engine instance
-    try:
-        return _ENGINES[key.strip().lower()]()
-    except KeyError:
-        known = ", ".join(sorted(_ENGINES))
-        raise AccountingError(
-            f"unknown accounting engine {key!r}; known engines: {known}"
-        ) from None

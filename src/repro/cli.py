@@ -1043,7 +1043,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     scenario_parser.add_argument(
         "--accounting", default=None,
-        help="carbon-charging backend key (vectorized/scalar-reference)",
+        help="carbon-charging backend key (vectorized, or a plugin's key)",
     )
     scenario_parser.add_argument(
         "--cluster", type=int, default=None, metavar="N",
@@ -1051,8 +1051,8 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     scenario_parser.add_argument(
         "--simulator", default=None,
-        help="cluster simulator backend key (fcfs/fcfs-columnar/backfill/"
-             "carbon-aware/power-cap); requires --cluster",
+        help="cluster simulator backend key (fcfs/backfill/carbon-aware/"
+             "power-cap); requires --cluster",
     )
     scenario_parser.add_argument(
         "--simulator-arg", action="append", default=None, metavar="K=V",

@@ -1,5 +1,7 @@
 """Cluster simulation substrate: jobs, columnar job batches, and a
-discrete-event simulator with energy/carbon accounting.
+discrete-event simulator with energy/carbon accounting — FCFS
+earliest-fit (:func:`simulate_cluster`) plus the backfill, carbon-aware
+and power-cap disciplines.
 
 (Workload *generation* lives in :mod:`repro.workloads.sources` behind
 the ``workload`` registry kind; ``WorkloadParams``/``generate_workload``
@@ -15,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Cluster", "ScheduledJob", "SimulationResult", "simulate_cluster",
     ),
     "repro.cluster.engine": (
-        "ColumnarSimulationResult", "simulate_cluster_columnar",
         "simulate_cluster_backfill", "simulate_cluster_carbon_aware",
         "simulate_cluster_power_cap",
     ),

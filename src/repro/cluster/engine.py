@@ -1,429 +1,56 @@
-"""Columnar event-driven cluster simulators.
+"""Scheduling disciplines beyond FCFS, on the same columnar pipeline.
 
-The scalar :func:`~repro.cluster.simulator.simulate_cluster` is the
-semantics oracle: per-job :class:`Job` views, a full-node timeline scan
-per placement, and a per-job ``np.arange`` in the busy accumulation.
-This module is the production engine — it consumes
-:class:`~repro.cluster.job.JobBatch` columns directly (no ``to_jobs()``
-anywhere on the hot path) and replaces the per-object bookkeeping with
-event heaps and one vectorized busy-hours pass:
+Every discipline runs through :func:`repro.cluster.simulator._simulate`:
+one FCFS intake (``(submit_h, job_id)`` order, the oversize check), the
+exact occupancy helpers, the vectorized busy-hours pass and the shared
+accounting tail.  Only the placer differs:
 
-* **Placement** (``fcfs-columnar``) keeps a min-heap of running-job end
-  times plus per-node instantaneous free-GPU counters.  While a node
-  carries no queued future start, its GPU occupancy on ``[s, ∞)`` is
-  non-increasing, so "admits the job at its submit time" collapses to
-  one integer compare — the early-exit the oracle needed a timeline
-  walk for.  Only nodes carrying queued jobs (and the rare
-  fully-contended placement) fall back to an exact piecewise-constant
-  occupancy sweep, which reproduces the oracle's earliest-feasible
-  start and lowest-index tie-break bit for bit.
-* **Busy accumulation** is a single ``np.add.at`` pass over
-  per-(job, hour-bin) fractional contributions laid out in schedule
-  order, so every bin accumulates its terms in exactly the order the
-  oracle's per-job loop did — byte-identical busy arrays, hence
-  byte-identical energy/carbon/ledger via the shared
-  :func:`~repro.cluster.simulator._account_horizon` tail.
-* **Service metrics** come off the schedule's columnar
-  ``start_h``/``end_h`` arrays; scalar :class:`ScheduledJob` views are
-  constructed lazily by :attr:`ColumnarSimulationResult.scheduled` for
-  code that wants objects.
-
-The columnar substrate also makes new scheduling disciplines cheap:
-``backfill`` implements EASY backfill — strict FCFS start order is
-relaxed so queued jobs may jump ahead when doing so cannot delay the
-head-of-queue job's resource reservation.  ``carbon-aware`` keeps FCFS
-admission order but delays each job within its ``slack_h`` budget
-toward the lowest forward-window-mean intensity start (the paper's
-"operate on carbon" discipline), and ``power-cap`` holds the cluster's
-instantaneous GPU draw — hence its per-hour busy profile — under a
-configurable fraction of capacity (a demand-response contract).
+* ``backfill`` implements EASY backfill — strict FCFS start order is
+  relaxed so queued jobs may jump ahead when doing so cannot delay the
+  head-of-queue job's resource reservation.
+* ``carbon-aware`` keeps FCFS admission order but delays each job
+  within its ``slack_h`` budget toward the lowest forward-window-mean
+  intensity start (the paper's "operate on carbon" discipline).
+* ``power-cap`` holds the cluster's instantaneous GPU draw — hence its
+  per-hour busy profile — under a configurable fraction of capacity (a
+  demand-response contract).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from heapq import heappop, heappush
 from math import ceil, inf
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.accounting import CarbonLedger
-from repro.accounting.pue import PUELike, resolve_pue
+from repro.accounting.pue import PUELike
 from repro.core.config import ModelConfig
 from repro.core.errors import SimulationError
-from repro.core.units import CarbonMass, Energy
 from repro.cluster.job import Job, JobBatch
 from repro.cluster.simulator import (
     Cluster,
-    ScheduledJob,
-    _account_horizon,
+    SimulationResult,
+    _admits_at,
+    _earliest_start,
+    _node_profile,
+    _prune,
+    _simulate,
+    _walk_earliest,
 )
 from repro.intensity.trace import IntensityTrace
 
 __all__ = [
-    "ColumnarSimulationResult",
-    "simulate_cluster_columnar",
     "simulate_cluster_backfill",
     "simulate_cluster_carbon_aware",
     "simulate_cluster_power_cap",
 ]
 
 
-class ColumnarSimulationResult:
-    """:class:`~repro.cluster.simulator.SimulationResult` twin whose
-    schedule stays columnar.
-
-    ``node_index``/``start_h`` are per-job arrays aligned with ``batch``
-    (the workload in FCFS ``(submit_h, job_id)`` order); service metrics
-    and utilization read the columns directly.  :attr:`scheduled`
-    materializes the scalar :class:`ScheduledJob` tuple lazily — equal,
-    entry for entry, to the oracle's — so parity pins and object-level
-    consumers pay the materialization cost only when they ask for it.
-    """
-
-    __slots__ = (
-        "cluster", "horizon_h", "batch", "node_index", "start_h",
-        "busy_gpu_hours_per_hour", "ic_energy_kwh", "carbon_g", "pue",
-        "ledger", "_scheduled",
-    )
-
-    def __init__(
-        self,
-        *,
-        cluster: Cluster,
-        horizon_h: float,
-        batch: JobBatch,
-        node_index: np.ndarray,
-        start_h: np.ndarray,
-        busy_gpu_hours_per_hour: np.ndarray,
-        ic_energy_kwh: float,
-        carbon_g: float,
-        pue: float,
-        ledger: Optional[CarbonLedger],
-    ) -> None:
-        self.cluster = cluster
-        self.horizon_h = horizon_h
-        self.batch = batch
-        self.node_index = node_index
-        self.start_h = start_h
-        self.busy_gpu_hours_per_hour = busy_gpu_hours_per_hour
-        self.ic_energy_kwh = ic_energy_kwh
-        self.carbon_g = carbon_g
-        self.pue = pue
-        self.ledger = ledger
-        self._scheduled: Optional[Tuple[ScheduledJob, ...]] = None
-
-    # --- columnar schedule ------------------------------------------------
-    @property
-    def end_h(self) -> np.ndarray:
-        return self.start_h + self.batch.duration_h
-
-    @property
-    def wait_h(self) -> np.ndarray:
-        return self.start_h - self.batch.submit_h
-
-    @property
-    def scheduled(self) -> Tuple[ScheduledJob, ...]:
-        """Scalar schedule views, materialized on first access."""
-        if self._scheduled is None:
-            starts = self.start_h.tolist()
-            nodes = self.node_index.tolist()
-            self._scheduled = tuple(
-                ScheduledJob(job=job, node_index=nodes[i], start_h=starts[i])
-                for i, job in enumerate(self.batch)
-            )
-        return self._scheduled
-
-    # --- service metrics --------------------------------------------------
-    @property
-    def n_jobs(self) -> int:
-        return len(self.batch)
-
-    def mean_wait_h(self) -> float:
-        if not len(self.batch):
-            return 0.0
-        return float(np.mean(self.wait_h))
-
-    def makespan_h(self) -> float:
-        if not len(self.batch):
-            return 0.0
-        return float(np.max(self.end_h))
-
-    # --- utilization ------------------------------------------------------
-    def utilization(self) -> np.ndarray:
-        """Per-hour GPU usage rate (busy GPU-hours / total GPU-hours)."""
-        return self.busy_gpu_hours_per_hour / self.cluster.total_gpus
-
-    def average_usage(self) -> float:
-        """Horizon-average GPU usage rate (the paper's 40% medium level)."""
-        return float(self.utilization().mean())
-
-    # --- footprint --------------------------------------------------------
-    @property
-    def energy(self) -> Energy:
-        return Energy(self.ic_energy_kwh)
-
-    @property
-    def carbon(self) -> CarbonMass:
-        return CarbonMass(self.carbon_g)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(n_jobs={self.n_jobs}, "
-            f"horizon_h={self.horizon_h}, "
-            f"ic_energy_kwh={self.ic_energy_kwh:.1f})"
-        )
-
-
-# --- exact occupancy primitives (slow path) ---------------------------------
-def _prune(intervals: List[Tuple[float, float, int]], now: float) -> None:
-    """Drop committed intervals that ended at or before ``now`` in place.
-
-    Submit times are non-decreasing in FCFS order, so completed jobs can
-    never influence a later query (intervals are half-open ``[start,
-    end)``); pruning keeps the per-node sweeps proportional to the
-    node's *live* job count instead of its whole history.
-    """
-    keep = [iv for iv in intervals if iv[1] > now]
-    if len(keep) != len(intervals):
-        intervals[:] = keep
-
-
-def _admits_at(
-    intervals: List[Tuple[float, float, int]],
-    s: float,
-    end_w: float,
-    gpus: int,
-    capacity: int,
-) -> bool:
-    """Exact window check: do ``gpus`` fit on ``[s, end_w)``?
-
-    ``intervals`` are the node's uncompleted commitments (running and
-    queued-future); occupancy is piecewise constant, so it suffices to
-    check the occupancy at ``s`` and after each event inside the
-    window.  Events are applied in time order with releases before
-    acquisitions at equal times (half-open intervals), so intermediate
-    sums never spuriously exceed the cap.
-    """
-    free_cap = capacity - gpus
-    occ = 0
-    events: List[Tuple[float, int]] = []
-    for start, end, g in intervals:
-        if start < end_w and end > s:
-            if start <= s:
-                occ += g
-            else:
-                events.append((start, g))
-            if end < end_w:
-                events.append((end, -g))
-    if occ > free_cap:
-        return False
-    if not events:
-        return True
-    events.sort()
-    for _, delta in events:
-        occ += delta
-        if occ > free_cap:
-            return False
-    return True
-
-
-def _earliest_start(
-    intervals: List[Tuple[float, float, int]],
-    ready: float,
-    duration: float,
-    gpus: int,
-    capacity: int,
-    bound: float = inf,
-) -> float:
-    """Oracle-exact earliest feasible start on one node's commitments.
-
-    Builds the node's breakpoint/occupancy profile from its uncompleted
-    intervals and walks it exactly the way
-    :meth:`~repro.cluster.simulator._NodeTimeline.earliest_start` does —
-    the earliest feasible start is a unique function of the occupancy
-    profile, so the two implementations agree bit for bit.  ``bound``
-    aborts the walk once the trial start can no longer beat a caller's
-    best-so-far under a strict ``<`` comparison: the returned value is
-    then some start ``>= bound``, not necessarily feasible, which such
-    a caller discards anyway.
-    """
-    times, occ = _node_profile(intervals)
-    return _walk_earliest(
-        times, occ, ready, duration, capacity - gpus, bound
-    )
-
-
-def _node_profile(
-    intervals: List[Tuple[float, float, int]],
-) -> Tuple[List[float], List[int]]:
-    """Breakpoint/occupancy profile of one node's commitments.
-
-    The profile is a pure function of the interval list, so callers
-    may cache it across queries at different ``ready`` times and only
-    rebuild after appending a commitment.  Completed intervals merely
-    prepend segments the walk's opening bisect skips — pruning is an
-    optimization, never a correctness requirement.
-    """
-    events: List[Tuple[float, int]] = []
-    for start, end, g in intervals:
-        events.append((start, g))
-        events.append((end, -g))
-    events.sort()
-    times: List[float] = []
-    occ: List[int] = []
-    current = 0
-    i = 0
-    n_events = len(events)
-    while i < n_events:
-        t = events[i][0]
-        delta = 0
-        while i < n_events and events[i][0] == t:
-            delta += events[i][1]
-            i += 1
-        current += delta
-        times.append(t)
-        occ.append(current)
-    return times, occ
-
-
-def _walk_earliest(
-    times: List[float],
-    occ: List[int],
-    ready: float,
-    duration: float,
-    free_cap: int,
-    bound: float = inf,
-) -> float:
-    """Earliest ``t >= ready`` with occupancy ``<= free_cap`` across
-    ``[t, t + duration)``, aborting once ``t`` reaches ``bound``."""
-    t = ready
-    seg = bisect_right(times, t) - 1
-    n_times = len(times)
-    while True:
-        if t >= bound:
-            return t
-        end_w = t + duration
-        k = seg
-        while True:
-            seg_occ = occ[k] if 0 <= k < n_times else 0
-            if seg_occ > free_cap:
-                t = times[k + 1]
-                seg = k + 1
-                break
-            if k + 1 >= n_times or times[k + 1] >= end_w:
-                return t
-            k += 1
-
-
-# --- FCFS earliest-fit on columns -------------------------------------------
-def _place_fcfs_columnar(
-    batch: JobBatch, n_nodes: int, capacity: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FCFS earliest-fit placement straight off the batch columns.
-
-    Returns ``(order, node_index, start_h)``: the FCFS sort permutation
-    plus per-job placements aligned with it.  Decisions are identical to
-    the scalar oracle's: first node (index order) admitting at the
-    submit time wins; otherwise the minimal earliest-feasible start with
-    the lowest-index tie-break.
-    """
-    n = len(batch)
-    order = np.lexsort((batch.job_ids, batch.submit_h))
-    if not n:
-        return order, np.zeros(0, dtype=np.int64), np.zeros(0)
-    if int(batch.n_gpus.max()) > capacity:
-        # Surface the oracle's per-job error for the first offender in
-        # FCFS order (identical message, identical job).
-        gpus_sorted = batch.n_gpus[order]
-        bad = int(np.argmax(gpus_sorted > capacity))
-        raise SimulationError(
-            f"job {int(batch.job_ids[order][bad])} requests "
-            f"{int(gpus_sorted[bad])} GPUs; nodes have {capacity}"
-        )
-    submits = batch.submit_h[order].tolist()
-    durations = batch.duration_h[order].tolist()
-    gpus_list = batch.n_gpus[order].tolist()
-
-    free = [capacity] * n_nodes
-    running: List[Tuple[float, int, int]] = []  # (end, node, gpus)
-    pending: List[Tuple[float, float, int, int]] = []  # (start, end, node, gpus)
-    node_future = [0] * n_nodes  # queued future starts per node
-    node_jobs: List[List[Tuple[float, float, int]]] = [
-        [] for _ in range(n_nodes)
-    ]
-    nodes_out = [0] * n
-    starts_out = [0.0] * n
-    node_range = range(n_nodes)
-
-    for i in range(n):
-        s = submits[i]
-        d = durations[i]
-        g = gpus_list[i]
-        # Advance the frontier: queued jobs whose start arrived begin
-        # occupying, then finished jobs release their GPUs.
-        while pending and pending[0][0] <= s:
-            _, e, nd, gg = heappop(pending)
-            node_future[nd] -= 1
-            free[nd] -= gg
-            heappush(running, (e, nd, gg))
-        while running and running[0][0] <= s:
-            _, nd, gg = heappop(running)
-            free[nd] += gg
-        # Fast path: the first node (index order) admitting at submit.
-        # Without queued future starts a node's occupancy can only fall
-        # after s, so the whole-window check is one integer compare.
-        placed = -1
-        for nd in node_range:
-            if node_future[nd]:
-                jobs_nd = node_jobs[nd]
-                _prune(jobs_nd, s)
-                if _admits_at(jobs_nd, s, s + d, g, capacity):
-                    placed = nd
-                    break
-            elif free[nd] >= g:
-                placed = nd
-                break
-        if placed >= 0:
-            start = s
-            free[placed] -= g
-            end = s + d
-            heappush(running, (end, placed, g))
-        else:
-            # Contended: every node's earliest feasible start is past
-            # the submit time; take the oracle's minimum with the
-            # lowest-index tie-break (strict <).
-            best = None
-            for nd in node_range:
-                jobs_nd = node_jobs[nd]
-                _prune(jobs_nd, s)
-                cand = _earliest_start(jobs_nd, s, d, g, capacity)
-                if best is None or cand < best:
-                    best, placed = cand, nd
-            start = best
-            end = start + d
-            if start > s:
-                node_future[placed] += 1
-                heappush(pending, (start, end, placed, g))
-            else:  # pragma: no cover - fast path already admits at s
-                free[placed] -= g
-                heappush(running, (end, placed, g))
-        node_jobs[placed].append((start, end, g))
-        nodes_out[i] = placed
-        starts_out[i] = start
-
-    return (
-        order,
-        np.asarray(nodes_out, dtype=np.int64),
-        np.asarray(starts_out),
-    )
-
-
 # --- EASY backfill on columns ------------------------------------------------
 def _place_backfill(
     batch: JobBatch, n_nodes: int, capacity: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """EASY-backfill placement: FCFS with reservation-safe jump-ahead.
 
     Discrete-event queue simulation over the batch columns.  At every
@@ -446,19 +73,9 @@ def _place_backfill(
     time-then-index reservation tie-breaks.
     """
     n = len(batch)
-    order = np.lexsort((batch.job_ids, batch.submit_h))
-    if not n:
-        return order, np.zeros(0, dtype=np.int64), np.zeros(0)
-    if int(batch.n_gpus.max()) > capacity:
-        gpus_sorted = batch.n_gpus[order]
-        bad = int(np.argmax(gpus_sorted > capacity))
-        raise SimulationError(
-            f"job {int(batch.job_ids[order][bad])} requests "
-            f"{int(gpus_sorted[bad])} GPUs; nodes have {capacity}"
-        )
-    submits = batch.submit_h[order].tolist()
-    durations = batch.duration_h[order].tolist()
-    gpus_list = batch.n_gpus[order].tolist()
+    submits = batch.submit_h.tolist()
+    durations = batch.duration_h.tolist()
+    gpus_list = batch.n_gpus.tolist()
 
     free = [capacity] * n_nodes
     running: List[Tuple[float, int, int]] = []  # (end, node, gpus)
@@ -564,24 +181,10 @@ def _place_backfill(
                     remaining.append(pos)
             queue = remaining
 
-    return (
-        order,
-        np.asarray(nodes_out, dtype=np.int64),
-        np.asarray(starts_out),
-    )
+    return np.asarray(nodes_out, dtype=np.int64), np.asarray(starts_out)
 
 
 # --- carbon-aware admission on columns ---------------------------------------
-def _oversize_error(batch: JobBatch, order: np.ndarray, capacity: int) -> None:
-    """Raise the oracle's per-job oversize error for the first FCFS offender."""
-    gpus_sorted = batch.n_gpus[order]
-    bad = int(np.argmax(gpus_sorted > capacity))
-    raise SimulationError(
-        f"job {int(batch.job_ids[order][bad])} requests "
-        f"{int(gpus_sorted[bad])} GPUs; nodes have {capacity}"
-    )
-
-
 def _place_carbon_aware(
     batch: JobBatch,
     n_nodes: int,
@@ -589,7 +192,7 @@ def _place_carbon_aware(
     *,
     score_table,
     slack_override: Optional[float],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Carbon-aware admission: FCFS order, slack-bounded greener starts.
 
     Jobs are processed in FCFS ``(submit_h, job_id)`` order.  Each job's
@@ -618,19 +221,14 @@ def _place_carbon_aware(
     earliest-fit returns one at least as early.
     """
     n = len(batch)
-    order = np.lexsort((batch.job_ids, batch.submit_h))
-    if not n:
-        return order, np.zeros(0, dtype=np.int64), np.zeros(0)
-    if int(batch.n_gpus.max()) > capacity:
-        _oversize_error(batch, order, capacity)
-    submits = batch.submit_h[order].tolist()
-    durations = batch.duration_h[order].tolist()
-    gpus_list = batch.n_gpus[order].tolist()
+    submits = batch.submit_h.tolist()
+    durations = batch.duration_h.tolist()
+    gpus_list = batch.n_gpus.tolist()
     if slack_override is not None:
         slk_np = np.full(n, float(slack_override))
         score_limit = max(submits) + float(slack_override)
     else:
-        slk_np = np.asarray(batch.slack_h[order], dtype=float)
+        slk_np = np.asarray(batch.slack_h, dtype=float)
         score_limit = float(
             np.max(batch.submit_h + np.clip(batch.slack_h, 0.0, None))
         )
@@ -649,8 +247,8 @@ def _place_carbon_aware(
     # lazily only when the best candidate fails.  Columns past a job's
     # deadline score +inf and sort last; only the first ``cand_counts``
     # entries are ever tried.
-    sub_np = np.asarray(batch.submit_h[order], dtype=float)
-    dur_np = np.asarray(batch.duration_h[order], dtype=float)
+    sub_np = np.asarray(batch.submit_h, dtype=float)
+    dur_np = np.asarray(batch.duration_h, dtype=float)
     win_np = np.ceil(dur_np).astype(np.int64)
     np.maximum(win_np, 1, out=win_np)
     wins = win_np.tolist()
@@ -678,7 +276,7 @@ def _place_carbon_aware(
         k_np = np.floor(dl_np).astype(np.int64) - base_np + 1
         np.maximum(k_np, 0, out=k_np)
         # Jobs with no delayed candidate take the FCFS fallback whole —
-        # bit-identical to fcfs-columnar, node tie-break included.
+        # bit-identical to fcfs, node tie-break included.
         scoring = scoring[k_np[scoring] >= 1]
         s_idx = sub_np.astype(np.int64)
     if probe is not None and scoring.size:
@@ -909,11 +507,10 @@ def _place_carbon_aware(
         nodes_out[i] = placed
         starts_out[i] = start
 
+    # Delayed candidates carry integer start hours; force float so the
+    # output dtype never depends on the placement mix.
     return (
-        order,
         np.asarray(nodes_out, dtype=np.int64),
-        # Delayed candidates carry integer start hours; force float so
-        # the output dtype never depends on the placement mix.
         np.asarray(starts_out, dtype=float),
     )
 
@@ -925,12 +522,12 @@ def _place_power_cap(
     capacity: int,
     *,
     cap_gpus: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """FCFS earliest-fit under a cluster-wide instantaneous GPU cap.
 
-    Identical to :func:`_place_fcfs_columnar` except that, on top of
-    per-node capacity, the *cluster's* concurrently-busy GPU count may
-    never exceed ``cap_gpus``.  The cap is enforced as one extra
+    Identical to FCFS earliest-fit (the ``fcfs`` placer) except that, on
+    top of per-node capacity, the *cluster's* concurrently-busy GPU count
+    may never exceed ``cap_gpus``.  The cap is enforced as one extra
     commitment timeline spanning all nodes (checked with the same exact
     occupancy primitives), so overflow demand slides to the next
     instant — hence the next hour bin — with headroom under the cap.
@@ -938,21 +535,16 @@ def _place_power_cap(
     GPU-hours is at most ``cap_gpus``, the demand-response contract.
     """
     n = len(batch)
-    order = np.lexsort((batch.job_ids, batch.submit_h))
-    if not n:
-        return order, np.zeros(0, dtype=np.int64), np.zeros(0)
-    if int(batch.n_gpus.max()) > capacity:
-        _oversize_error(batch, order, capacity)
-    if int(batch.n_gpus.max()) > cap_gpus:
-        gpus_sorted = batch.n_gpus[order]
-        bad = int(np.argmax(gpus_sorted > cap_gpus))
+    over_cap = batch.n_gpus > cap_gpus
+    if over_cap.any():
+        bad = int(np.argmax(over_cap))
         raise SimulationError(
-            f"job {int(batch.job_ids[order][bad])} requests "
-            f"{int(gpus_sorted[bad])} GPUs; the power cap admits {cap_gpus}"
+            f"job {int(batch.job_ids[bad])} requests "
+            f"{int(batch.n_gpus[bad])} GPUs; the power cap admits {cap_gpus}"
         )
-    submits = batch.submit_h[order].tolist()
-    durations = batch.duration_h[order].tolist()
-    gpus_list = batch.n_gpus[order].tolist()
+    submits = batch.submit_h.tolist()
+    durations = batch.duration_h.tolist()
+    gpus_list = batch.n_gpus.tolist()
 
     free = [capacity] * n_nodes
     global_free = cap_gpus
@@ -1042,117 +634,10 @@ def _place_power_cap(
         nodes_out[i] = placed
         starts_out[i] = start
 
-    return (
-        order,
-        np.asarray(nodes_out, dtype=np.int64),
-        np.asarray(starts_out),
-    )
-
-
-# --- vectorized busy accumulation --------------------------------------------
-def _busy_gpu_hours_columnar(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    gpus: np.ndarray,
-    n_hours: int,
-) -> np.ndarray:
-    """One-pass busy-GPU-hours accumulation, fractional at edges.
-
-    Byte-identical to the oracle's per-job loop: contributions are laid
-    out job-major in schedule order and applied with the unbuffered
-    ``np.add.at``, so every hour bin accumulates the same IEEE terms in
-    the same order the scalar loop added them.
-    """
-    busy = np.zeros(n_hours)
-    if not starts.shape[0]:
-        return busy
-    first = np.floor(starts).astype(np.int64)
-    last = np.minimum(np.ceil(ends).astype(np.int64), n_hours)
-    keep = first < n_hours
-    if not np.all(keep):
-        first, last = first[keep], last[keep]
-        starts, ends, gpus = starts[keep], ends[keep], gpus[keep]
-    counts = last - first
-    if not counts.sum():
-        return busy
-    # Concatenated per-job bin ranges without a Python loop: offset a
-    # flat arange by each job's window start.
-    bounds = np.cumsum(counts)
-    idx = np.arange(int(bounds[-1])) - np.repeat(bounds - counts, counts)
-    idx += np.repeat(first, counts)
-    start_rep = np.repeat(starts, counts)
-    end_rep = np.repeat(ends, counts)
-    g_rep = np.repeat(gpus, counts)
-    lo = np.maximum(idx, start_rep)
-    hi = np.minimum(idx + 1, end_rep)
-    np.add.at(busy, idx, g_rep * np.maximum(hi - lo, 0.0))
-    return busy
+    return np.asarray(nodes_out, dtype=np.int64), np.asarray(starts_out)
 
 
 # --- entry points -------------------------------------------------------------
-def _simulate_columnar(
-    jobs: Union[Sequence[Job], JobBatch],
-    cluster: Cluster,
-    placer,
-    *,
-    horizon_h: float,
-    intensity: Union[float, IntensityTrace],
-    pue: PUELike,
-    config: Optional[ModelConfig],
-) -> ColumnarSimulationResult:
-    """Shared engine pipeline: place on columns, account the horizon."""
-    if horizon_h <= 0.0:
-        raise SimulationError(f"horizon must be positive, got {horizon_h!r}")
-    batch = JobBatch.coerce(jobs)
-    eff_pue, pue_profile = resolve_pue(pue, config=config, error=SimulationError)
-
-    order, node_index, start_h = placer(
-        batch, cluster.n_nodes, cluster.gpus_per_node
-    )
-    ordered = batch.take(order)
-    end_h = start_h + ordered.duration_h
-    n_hours = int(np.ceil(horizon_h))
-    busy = _busy_gpu_hours_columnar(start_h, end_h, ordered.n_gpus, n_hours)
-    ic_energy_kwh, carbon_g, ledger = _account_horizon(
-        busy, cluster, n_hours, intensity, eff_pue, pue_profile
-    )
-    return ColumnarSimulationResult(
-        cluster=cluster,
-        horizon_h=horizon_h,
-        batch=ordered,
-        node_index=node_index,
-        start_h=start_h,
-        busy_gpu_hours_per_hour=busy,
-        ic_energy_kwh=ic_energy_kwh,
-        carbon_g=carbon_g,
-        pue=eff_pue,
-        ledger=ledger,
-    )
-
-
-def simulate_cluster_columnar(
-    jobs: Union[Sequence[Job], JobBatch],
-    cluster: Cluster,
-    *,
-    horizon_h: float,
-    intensity: Union[float, IntensityTrace] = 200.0,
-    pue: PUELike = None,
-    config: Optional[ModelConfig] = None,
-) -> ColumnarSimulationResult:
-    """FCFS earliest-fit on ``JobBatch`` columns (``fcfs-columnar``).
-
-    Schedules, busy arrays, energy, carbon, and ledgers are
-    byte-identical to the scalar oracle
-    :func:`~repro.cluster.simulator.simulate_cluster`; see the module
-    docstring for why.  Jobs still running at ``horizon_h`` contribute
-    only their in-horizon portion to energy/carbon.
-    """
-    return _simulate_columnar(
-        jobs, cluster, _place_fcfs_columnar,
-        horizon_h=horizon_h, intensity=intensity, pue=pue, config=config,
-    )
-
-
 def simulate_cluster_backfill(
     jobs: Union[Sequence[Job], JobBatch],
     cluster: Cluster,
@@ -1161,7 +646,7 @@ def simulate_cluster_backfill(
     intensity: Union[float, IntensityTrace] = 200.0,
     pue: PUELike = None,
     config: Optional[ModelConfig] = None,
-) -> ColumnarSimulationResult:
+) -> SimulationResult:
     """EASY backfill on ``JobBatch`` columns (``backfill``).
 
     Relaxes strict FCFS start order: queued jobs may start ahead of the
@@ -1170,15 +655,10 @@ def simulate_cluster_backfill(
     Under contention this trades head-of-line blocking for utilization —
     mean waits drop while FCFS fairness is preserved for the head job.
     """
-    return _simulate_columnar(
+    return _simulate(
         jobs, cluster, _place_backfill,
         horizon_h=horizon_h, intensity=intensity, pue=pue, config=config,
     )
-
-
-#: Region label the carbon-aware discipline registers its trace under
-#: when wrapping a bare ``IntensityTrace`` in a scoring service.
-_GREEN_REGION = "__green__"
 
 
 def simulate_cluster_carbon_aware(
@@ -1191,7 +671,7 @@ def simulate_cluster_carbon_aware(
     config: Optional[ModelConfig] = None,
     slack_h: Optional[float] = None,
     slack: Optional[float] = None,
-) -> ColumnarSimulationResult:
+) -> SimulationResult:
     """Carbon-aware admission on ``JobBatch`` columns (``carbon-aware``).
 
     Keeps FCFS intake order but delays each job — never past ``submit +
@@ -1257,7 +737,7 @@ def simulate_cluster_carbon_aware(
             score_table=score_table, slack_override=override,
         )
 
-    return _simulate_columnar(
+    return _simulate(
         jobs, cluster, placer,
         horizon_h=horizon_h, intensity=intensity, pue=pue, config=config,
     )
@@ -1278,7 +758,7 @@ def simulate_cluster_power_cap(
     config: Optional[ModelConfig] = None,
     cap_fraction: Optional[float] = None,
     cap: Optional[float] = None,
-) -> ColumnarSimulationResult:
+) -> SimulationResult:
     """Power-capped FCFS on ``JobBatch`` columns (``power-cap``).
 
     Earliest-fit placement under one extra constraint: the cluster-wide
@@ -1310,7 +790,7 @@ def simulate_cluster_power_cap(
     def placer(batch: JobBatch, n_nodes: int, capacity: int):
         return _place_power_cap(batch, n_nodes, capacity, cap_gpus=cap_gpus)
 
-    return _simulate_columnar(
+    return _simulate(
         jobs, cluster, placer,
         horizon_h=horizon_h, intensity=intensity, pue=pue, config=config,
     )

@@ -13,20 +13,36 @@ Modeling notes (kept deliberately explicit):
 * A node's CPUs are modeled busy in proportion to its busy-GPU
   fraction; DRAM/storage draw their active power whenever the node is
   powered (always, in this study).
-* Energy accounting is vectorized: per-hour busy-GPU occupancy is
-  accumulated with ``numpy`` bin operations, then carbon is one dot
-  product against the intensity trace (Eq. 6).
-* Placement is incremental: each node keeps a bisect-maintained
-  occupancy timeline (:class:`_NodeTimeline`), so a stream of J jobs
-  places in O(J log E) events total rather than re-sorting the event
-  list for every job.
+* Placement reads :class:`~repro.cluster.job.JobBatch` columns and keeps
+  a min-heap of running-job end times plus per-node free-GPU counters.
+  While a node carries no queued future start, its GPU occupancy on
+  ``[s, ∞)`` is non-increasing, so "admits the job at its submit time"
+  is one integer compare.  Only nodes carrying queued jobs (and the
+  rare fully-contended placement) fall back to an exact
+  piecewise-constant occupancy sweep: the earliest feasible start, with
+  the lowest node index breaking ties.
+* Busy accumulation is one ``np.add.at`` pass over per-(job, hour-bin)
+  fractional contributions laid out in schedule order; carbon is one
+  dot product against the intensity trace (Eq. 6).
+* Service metrics come off the schedule's ``start_h``/``end_h``
+  columns; :attr:`SimulationResult.scheduled` builds scalar
+  :class:`ScheduledJob` views lazily for code that wants objects.
+
+The other scheduling disciplines (:mod:`repro.cluster.engine`) run
+through the same pipeline, :func:`_simulate`: one FCFS intake, the
+occupancy helpers, the busy-hours pass and the accounting tail.  The
+seed's scalar simulator is kept with the tests (``tests/oracles.py``),
+which pin this engine to it byte for byte.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from bisect import bisect_right
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import inf
+from numbers import Real
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,10 +80,17 @@ class Cluster:
     """A homogeneous cluster of ``n_nodes`` copies of one node spec."""
 
     def __init__(self, node: NodeSpec, n_nodes: int) -> None:
-        if n_nodes < 1:
-            raise SimulationError(f"cluster needs >= 1 node, got {n_nodes}")
+        if (
+            isinstance(n_nodes, bool)
+            or not isinstance(n_nodes, Real)
+            or not 1 <= n_nodes < inf
+            or n_nodes != int(n_nodes)
+        ):
+            raise SimulationError(
+                f"cluster needs a whole number of nodes >= 1, got {n_nodes!r}"
+            )
         self.node = node
-        self.n_nodes = n_nodes
+        self.n_nodes = int(n_nodes)
         self.power_model = NodePowerModel(node)
 
     @property
@@ -79,112 +102,84 @@ class Cluster:
         return self.n_nodes * self.gpus_per_node
 
 
-class _NodeTimeline:
-    """Incrementally maintained free-GPU timeline for one node.
+class SimulationResult:
+    """Outcome of a cluster simulation over a horizon.
 
-    GPU occupancy on a node is piecewise constant, so the timeline keeps
-    the sorted breakpoint times plus the running occupancy between
-    consecutive breakpoints: ``occ[i]`` GPUs are busy on
-    ``[times[i], times[i+1])`` and zero GPUs outside ``[times[0],
-    times[-1])``.  Committing a job bisect-inserts its two boundaries
-    and bumps the occupancy of the spanned segments; finding the
-    earliest feasible start is a single forward scan that jumps past
-    each blocking segment.  No per-job sorting — the per-placement cost
-    is O(log segments + segments scanned) instead of the former
-    sort-all-events-per-candidate sweep, and results are identical: the
-    earliest feasible start is unique regardless of how candidates are
-    enumerated.
+    ``node_index``/``start_h`` are per-job arrays aligned with ``batch``
+    (the workload in FCFS ``(submit_h, job_id)`` order); service metrics
+    and utilization read the columns directly.  :attr:`scheduled`
+    materializes the scalar :class:`ScheduledJob` tuple lazily, so
+    object-level consumers pay for it only when they ask.
     """
 
-    __slots__ = ("capacity", "times", "occ")
+    __slots__ = (
+        "cluster", "horizon_h", "batch", "node_index", "start_h",
+        "busy_gpu_hours_per_hour", "ic_energy_kwh", "carbon_g", "pue",
+        "ledger", "_scheduled",
+    )
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.times: List[float] = []  # sorted breakpoints
-        self.occ: List[int] = []  # occ[i] busy GPUs on [times[i], times[i+1])
+    def __init__(
+        self,
+        *,
+        cluster: Cluster,
+        horizon_h: float,
+        batch: JobBatch,
+        node_index: np.ndarray,
+        start_h: np.ndarray,
+        busy_gpu_hours_per_hour: np.ndarray,
+        ic_energy_kwh: float,
+        carbon_g: float,
+        pue: float,
+        ledger: Optional[CarbonLedger],
+    ) -> None:
+        self.cluster = cluster
+        self.horizon_h = horizon_h
+        self.batch = batch
+        self.node_index = node_index
+        self.start_h = start_h
+        self.busy_gpu_hours_per_hour = busy_gpu_hours_per_hour
+        self.ic_energy_kwh = ic_energy_kwh
+        self.carbon_g = carbon_g
+        self.pue = pue
+        #: Itemized charge behind ``carbon_g`` (shared accounting currency).
+        self.ledger = ledger
+        self._scheduled: Optional[Tuple[ScheduledJob, ...]] = None
 
-    def _ensure_breakpoint(self, t: float) -> int:
-        """Index of breakpoint ``t``, splitting a segment to create it."""
-        times = self.times
-        i = bisect.bisect_left(times, t)
-        if i < len(times) and times[i] == t:
-            return i
-        times.insert(i, t)
-        if len(times) == 1:
-            pass  # first breakpoint: no segment yet
-        elif i == 0:
-            self.occ.insert(0, 0)  # new segment before the old first event
-        elif i == len(times) - 1:
-            self.occ.append(0)  # new segment after the old last event
-        else:
-            self.occ.insert(i, self.occ[i - 1])  # split: same occupancy
-        return i
+    # --- columnar schedule ------------------------------------------------
+    @property
+    def end_h(self) -> np.ndarray:
+        return self.start_h + self.batch.duration_h
 
-    def earliest_start(self, ready_h: float, duration_h: float, gpus: int) -> float:
-        if gpus > self.capacity:
-            raise SimulationError(
-                f"job requesting {gpus} GPUs exceeds node capacity {self.capacity}"
+    @property
+    def wait_h(self) -> np.ndarray:
+        return self.start_h - self.batch.submit_h
+
+    @property
+    def scheduled(self) -> Tuple[ScheduledJob, ...]:
+        """Scalar schedule views, materialized on first access."""
+        if self._scheduled is None:
+            starts = self.start_h.tolist()
+            nodes = self.node_index.tolist()
+            self._scheduled = tuple(
+                ScheduledJob(job=job, node_index=nodes[i], start_h=starts[i])
+                for i, job in enumerate(self.batch)
             )
-        times, occ = self.times, self.occ
-        free = self.capacity - gpus
-        t = ready_h
-        seg = bisect.bisect_right(times, t) - 1
-        while True:
-            end = t + duration_h
-            k = seg
-            while True:
-                seg_occ = occ[k] if 0 <= k < len(occ) else 0
-                if seg_occ > free:
-                    # Blocked: every start before this segment's end still
-                    # overlaps it, so the next candidate is that boundary.
-                    t = times[k + 1]
-                    seg = k + 1
-                    break
-                seg_end = times[k + 1] if k + 1 < len(times) else None
-                if seg_end is None or seg_end >= end:
-                    return t  # window fits to the right of all events
-                k += 1
+        return self._scheduled
 
-    def commit(self, start_h: float, end_h: float, gpus: int) -> None:
-        i0 = self._ensure_breakpoint(start_h)
-        i1 = self._ensure_breakpoint(end_h)
-        for k in range(i0, i1):
-            self.occ[k] += gpus
-            if self.occ[k] > self.capacity:
-                raise SimulationError(
-                    "internal placement error: capacity violated"
-                )
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Outcome of a cluster simulation over a horizon."""
-
-    cluster: Cluster
-    horizon_h: float
-    scheduled: Tuple[ScheduledJob, ...]
-    busy_gpu_hours_per_hour: np.ndarray = field(repr=False)
-    ic_energy_kwh: float
-    carbon_g: float
-    pue: float
-    #: Itemized charge behind ``carbon_g`` (shared accounting currency);
-    #: not part of equality.
-    ledger: Optional[CarbonLedger] = field(default=None, compare=False, repr=False)
-
-    # --- service metrics -------------------------------------------------
+    # --- service metrics --------------------------------------------------
     @property
     def n_jobs(self) -> int:
-        return len(self.scheduled)
+        return len(self.batch)
 
     def mean_wait_h(self) -> float:
-        if not self.scheduled:
+        if not len(self.batch):
             return 0.0
-        return float(np.mean([s.wait_h for s in self.scheduled]))
+        return float(np.mean(self.wait_h))
 
     def makespan_h(self) -> float:
-        if not self.scheduled:
+        if not len(self.batch):
             return 0.0
-        return max(s.end_h for s in self.scheduled)
+        return float(np.max(self.end_h))
 
     # --- utilization ------------------------------------------------------
     def utilization(self) -> np.ndarray:
@@ -195,7 +190,7 @@ class SimulationResult:
         """Horizon-average GPU usage rate (the paper's 40% medium level)."""
         return float(self.utilization().mean())
 
-    # --- footprint -------------------------------------------------------------
+    # --- footprint --------------------------------------------------------
     @property
     def energy(self) -> Energy:
         return Energy(self.ic_energy_kwh)
@@ -204,57 +199,276 @@ class SimulationResult:
     def carbon(self) -> CarbonMass:
         return CarbonMass(self.carbon_g)
 
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(n_jobs={self.n_jobs}, "
+            f"horizon_h={self.horizon_h}, "
+            f"ic_energy_kwh={self.ic_energy_kwh:.1f})"
+        )
 
-def _place_fcfs(jobs: Sequence[Job], cluster: Cluster) -> List[ScheduledJob]:
-    """FCFS earliest-fit placement across nodes."""
-    states = [_NodeTimeline(cluster.gpus_per_node) for _ in range(cluster.n_nodes)]
-    scheduled: List[ScheduledJob] = []
-    ordered = sorted(jobs, key=lambda j: (j.submit_h, j.job_id))
-    for job in ordered:
-        if job.n_gpus > cluster.gpus_per_node:
-            raise SimulationError(
-                f"job {job.job_id} requests {job.n_gpus} GPUs; nodes have "
-                f"{cluster.gpus_per_node}"
-            )
-        best_start = None
-        best_node = -1
-        for idx, state in enumerate(states):
-            start = state.earliest_start(job.submit_h, job.duration_h, job.n_gpus)
-            if best_start is None or start < best_start:
-                best_start, best_node = start, idx
-                if start <= job.submit_h:
-                    # No node can admit before the submit time, so the
-                    # first timeline yielding start == submit is the
-                    # global minimum *and* the lowest-index tie-break:
-                    # scanning the remaining nodes cannot change the
-                    # choice (identical schedules by construction).
+
+# --- exact occupancy primitives (slow path) ---------------------------------
+def _prune(intervals: List[Tuple[float, float, int]], now: float) -> None:
+    """Drop committed intervals that ended at or before ``now`` in place.
+
+    Submit times are non-decreasing in FCFS order, so completed jobs can
+    never influence a later query (intervals are half-open ``[start,
+    end)``); pruning keeps the per-node sweeps proportional to the
+    node's *live* job count instead of its whole history.
+    """
+    keep = [iv for iv in intervals if iv[1] > now]
+    if len(keep) != len(intervals):
+        intervals[:] = keep
+
+
+def _admits_at(
+    intervals: List[Tuple[float, float, int]],
+    s: float,
+    end_w: float,
+    gpus: int,
+    capacity: int,
+) -> bool:
+    """Exact window check: do ``gpus`` fit on ``[s, end_w)``?
+
+    ``intervals`` are the node's uncompleted commitments (running and
+    queued-future); occupancy is piecewise constant, so it suffices to
+    check the occupancy at ``s`` and after each event inside the
+    window.  Events are applied in time order with releases before
+    acquisitions at equal times (half-open intervals), so intermediate
+    sums never spuriously exceed the cap.
+    """
+    free_cap = capacity - gpus
+    occ = 0
+    events: List[Tuple[float, int]] = []
+    for start, end, g in intervals:
+        if start < end_w and end > s:
+            if start <= s:
+                occ += g
+            else:
+                events.append((start, g))
+            if end < end_w:
+                events.append((end, -g))
+    if occ > free_cap:
+        return False
+    if not events:
+        return True
+    events.sort()
+    for _, delta in events:
+        occ += delta
+        if occ > free_cap:
+            return False
+    return True
+
+
+def _earliest_start(
+    intervals: List[Tuple[float, float, int]],
+    ready: float,
+    duration: float,
+    gpus: int,
+    capacity: int,
+    bound: float = inf,
+) -> float:
+    """Exact earliest feasible start on one node's commitments.
+
+    Builds the node's breakpoint/occupancy profile from its uncompleted
+    intervals and walks it forward from ``ready``, jumping past each
+    blocking segment — the earliest feasible start is a unique function
+    of the occupancy profile.  ``bound`` aborts the walk once the trial
+    start can no longer beat a caller's best-so-far under a strict
+    ``<`` comparison: the returned value is then some start ``>=
+    bound``, not necessarily feasible, which such a caller discards
+    anyway.
+    """
+    times, occ = _node_profile(intervals)
+    return _walk_earliest(
+        times, occ, ready, duration, capacity - gpus, bound
+    )
+
+
+def _node_profile(
+    intervals: List[Tuple[float, float, int]],
+) -> Tuple[List[float], List[int]]:
+    """Breakpoint/occupancy profile of one node's commitments.
+
+    The profile is a pure function of the interval list, so callers
+    may cache it across queries at different ``ready`` times and only
+    rebuild after appending a commitment.  Completed intervals merely
+    prepend segments the walk's opening bisect skips — pruning is an
+    optimization, never a correctness requirement.
+    """
+    events: List[Tuple[float, int]] = []
+    for start, end, g in intervals:
+        events.append((start, g))
+        events.append((end, -g))
+    events.sort()
+    times: List[float] = []
+    occ: List[int] = []
+    current = 0
+    i = 0
+    n_events = len(events)
+    while i < n_events:
+        t = events[i][0]
+        delta = 0
+        while i < n_events and events[i][0] == t:
+            delta += events[i][1]
+            i += 1
+        current += delta
+        times.append(t)
+        occ.append(current)
+    return times, occ
+
+
+def _walk_earliest(
+    times: List[float],
+    occ: List[int],
+    ready: float,
+    duration: float,
+    free_cap: int,
+    bound: float = inf,
+) -> float:
+    """Earliest ``t >= ready`` with occupancy ``<= free_cap`` across
+    ``[t, t + duration)``, aborting once ``t`` reaches ``bound``."""
+    t = ready
+    seg = bisect_right(times, t) - 1
+    n_times = len(times)
+    while True:
+        if t >= bound:
+            return t
+        end_w = t + duration
+        k = seg
+        while True:
+            seg_occ = occ[k] if 0 <= k < n_times else 0
+            if seg_occ > free_cap:
+                t = times[k + 1]
+                seg = k + 1
+                break
+            if k + 1 >= n_times or times[k + 1] >= end_w:
+                return t
+            k += 1
+
+
+# --- FCFS earliest-fit on columns -------------------------------------------
+def _place_fcfs_columnar(
+    batch: JobBatch, n_nodes: int, capacity: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """FCFS earliest-fit placement straight off the batch columns.
+
+    ``batch`` arrives in FCFS ``(submit_h, job_id)`` order; returns the
+    per-job ``(node_index, start_h)`` aligned with it.  The first node
+    (index order) admitting at the submit time wins; otherwise the
+    minimal earliest-feasible start with the lowest-index tie-break.
+    """
+    n = len(batch)
+    submits = batch.submit_h.tolist()
+    durations = batch.duration_h.tolist()
+    gpus_list = batch.n_gpus.tolist()
+
+    free = [capacity] * n_nodes
+    running: List[Tuple[float, int, int]] = []  # (end, node, gpus)
+    pending: List[Tuple[float, float, int, int]] = []  # (start, end, node, gpus)
+    node_future = [0] * n_nodes  # queued future starts per node
+    node_jobs: List[List[Tuple[float, float, int]]] = [
+        [] for _ in range(n_nodes)
+    ]
+    nodes_out = [0] * n
+    starts_out = [0.0] * n
+    node_range = range(n_nodes)
+
+    for i in range(n):
+        s = submits[i]
+        d = durations[i]
+        g = gpus_list[i]
+        # Advance the frontier: queued jobs whose start arrived begin
+        # occupying, then finished jobs release their GPUs.
+        while pending and pending[0][0] <= s:
+            _, e, nd, gg = heappop(pending)
+            node_future[nd] -= 1
+            free[nd] -= gg
+            heappush(running, (e, nd, gg))
+        while running and running[0][0] <= s:
+            _, nd, gg = heappop(running)
+            free[nd] += gg
+        # Fast path: the first node (index order) admitting at submit.
+        # Without queued future starts a node's occupancy can only fall
+        # after s, so the whole-window check is one integer compare.
+        placed = -1
+        for nd in node_range:
+            if node_future[nd]:
+                jobs_nd = node_jobs[nd]
+                _prune(jobs_nd, s)
+                if _admits_at(jobs_nd, s, s + d, g, capacity):
+                    placed = nd
                     break
-        assert best_start is not None
-        states[best_node].commit(best_start, best_start + job.duration_h, job.n_gpus)
-        scheduled.append(ScheduledJob(job=job, node_index=best_node, start_h=best_start))
-    return scheduled
+            elif free[nd] >= g:
+                placed = nd
+                break
+        if placed >= 0:
+            start = s
+            free[placed] -= g
+            end = s + d
+            heappush(running, (end, placed, g))
+        else:
+            # Contended: every node's earliest feasible start is past
+            # the submit time; take the minimum with the lowest-index
+            # tie-break (strict <).
+            best = None
+            for nd in node_range:
+                jobs_nd = node_jobs[nd]
+                _prune(jobs_nd, s)
+                cand = _earliest_start(jobs_nd, s, d, g, capacity)
+                if best is None or cand < best:
+                    best, placed = cand, nd
+            start = best
+            end = start + d
+            if start > s:
+                node_future[placed] += 1
+                heappush(pending, (start, end, placed, g))
+            else:  # pragma: no cover - fast path already admits at s
+                free[placed] -= g
+                heappush(running, (end, placed, g))
+        node_jobs[placed].append((start, end, g))
+        nodes_out[i] = placed
+        starts_out[i] = start
+
+    return np.asarray(nodes_out, dtype=np.int64), np.asarray(starts_out)
 
 
-def _busy_gpu_hours(
-    scheduled: Sequence[ScheduledJob], n_hours: int
+# --- vectorized busy accumulation --------------------------------------------
+def _busy_gpu_hours_columnar(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    gpus: np.ndarray,
+    n_hours: int,
 ) -> np.ndarray:
-    """Accumulate busy GPU-hours into hourly bins, fractional at edges."""
+    """One-pass busy-GPU-hours accumulation, fractional at edges.
+
+    Contributions are laid out job-major in schedule order and applied
+    with the unbuffered ``np.add.at``, so every hour bin accumulates the
+    same IEEE terms in the same order a per-job loop adds them.
+    """
     busy = np.zeros(n_hours)
-    # One bin-index buffer for the whole schedule: per-job windows slice
-    # views out of it instead of allocating a fresh ``np.arange`` each.
-    all_hours = np.arange(n_hours)
-    for entry in scheduled:
-        start, end = entry.start_h, entry.end_h
-        gpus = entry.job.n_gpus
-        first = int(np.floor(start))
-        last = int(np.ceil(end))
-        if first >= n_hours:
-            continue
-        last = min(last, n_hours)
-        hours = all_hours[first:last]
-        lo = np.maximum(hours, start)
-        hi = np.minimum(hours + 1, end)
-        busy[first:last] += gpus * np.maximum(hi - lo, 0.0)
+    if not starts.shape[0]:
+        return busy
+    first = np.floor(starts).astype(np.int64)
+    last = np.minimum(np.ceil(ends).astype(np.int64), n_hours)
+    keep = first < n_hours
+    if not np.all(keep):
+        first, last = first[keep], last[keep]
+        starts, ends, gpus = starts[keep], ends[keep], gpus[keep]
+    counts = last - first
+    if not counts.sum():
+        return busy
+    # Concatenated per-job bin ranges without a Python loop: offset a
+    # flat arange by each job's window start.
+    bounds = np.cumsum(counts)
+    idx = np.arange(int(bounds[-1])) - np.repeat(bounds - counts, counts)
+    idx += np.repeat(first, counts)
+    start_rep = np.repeat(starts, counts)
+    end_rep = np.repeat(ends, counts)
+    g_rep = np.repeat(gpus, counts)
+    lo = np.maximum(idx, start_rep)
+    hi = np.minimum(idx + 1, end_rep)
+    np.add.at(busy, idx, g_rep * np.maximum(hi - lo, 0.0))
     return busy
 
 
@@ -268,10 +482,9 @@ def _account_horizon(
 ) -> Tuple[float, float, CarbonLedger]:
     """Charge a simulated horizon's busy-GPU profile: energy + carbon.
 
-    The single accounting tail shared by every ``simulator`` backend —
-    the scalar oracle and the columnar engines charge through this exact
-    code, so their energy/carbon/ledger outputs are identical whenever
-    their busy arrays are.
+    The single accounting tail shared by every ``simulator`` backend, so
+    their energy/carbon/ledger outputs are identical whenever their busy
+    arrays are.
     """
     if float(busy.max(initial=0.0)) > cluster.total_gpus + 1e-9:
         raise SimulationError("GPU occupancy exceeded cluster capacity")
@@ -302,8 +515,11 @@ def _account_horizon(
         profile = intensity.slice_hours(0, n_hours)
         region = intensity.region_code
     else:
-        if float(intensity) < 0.0:
-            raise SimulationError("carbon intensity must be non-negative")
+        if not 0.0 <= float(intensity) < inf:
+            raise SimulationError(
+                "carbon intensity must be finite and non-negative, "
+                f"got {intensity!r}"
+            )
         profile = np.full(n_hours, float(intensity))
         region = None
 
@@ -326,6 +542,66 @@ def _account_horizon(
     return ic_energy_kwh, carbon_g, ledger
 
 
+# --- the shared pipeline ------------------------------------------------------
+def _simulate(
+    jobs: Union[Sequence[Job], JobBatch],
+    cluster: Cluster,
+    placer: Callable[[JobBatch, int, int], Tuple[np.ndarray, np.ndarray]],
+    *,
+    horizon_h: float,
+    intensity: Union[float, IntensityTrace],
+    pue: PUELike,
+    config: Optional[ModelConfig],
+) -> SimulationResult:
+    """Every discipline's pipeline: FCFS intake, placement, accounting.
+
+    Orders the batch by ``(submit_h, job_id)``, rejects the first job in
+    that order wider than a node, and calls ``placer(ordered, n_nodes,
+    capacity)`` on the ordered, non-empty batch; it returns per-job
+    ``(node_index, start_h)`` arrays aligned with it.  Jobs still
+    running at ``horizon_h`` contribute only their in-horizon portion to
+    energy and carbon.
+    """
+    if not 0.0 < horizon_h < inf:
+        raise SimulationError(
+            f"horizon must be positive and finite, got {horizon_h!r}"
+        )
+    batch = JobBatch.coerce(jobs)
+    eff_pue, pue_profile = resolve_pue(pue, config=config, error=SimulationError)
+
+    capacity = cluster.gpus_per_node
+    ordered = batch.take(np.lexsort((batch.job_ids, batch.submit_h)))
+    if len(ordered):
+        too_wide = ordered.n_gpus > capacity
+        if too_wide.any():
+            bad = int(np.argmax(too_wide))
+            raise SimulationError(
+                f"job {int(ordered.job_ids[bad])} requests "
+                f"{int(ordered.n_gpus[bad])} GPUs; nodes have {capacity}"
+            )
+        node_index, start_h = placer(ordered, cluster.n_nodes, capacity)
+    else:
+        node_index, start_h = np.zeros(0, dtype=np.int64), np.zeros(0)
+    end_h = start_h + ordered.duration_h
+    n_hours = int(np.ceil(horizon_h))
+    busy = _busy_gpu_hours_columnar(start_h, end_h, ordered.n_gpus, n_hours)
+    ic_energy_kwh, carbon_g, ledger = _account_horizon(
+        busy, cluster, n_hours, intensity, eff_pue, pue_profile
+    )
+    return SimulationResult(
+        cluster=cluster,
+        horizon_h=horizon_h,
+        batch=ordered,
+        node_index=node_index,
+        start_h=start_h,
+        busy_gpu_hours_per_hour=busy,
+        ic_energy_kwh=ic_energy_kwh,
+        carbon_g=carbon_g,
+        pue=eff_pue,
+        ledger=ledger,
+    )
+
+
 def simulate_cluster(
     jobs: Union[Sequence[Job], JobBatch],
     cluster: Cluster,
@@ -335,37 +611,19 @@ def simulate_cluster(
     pue: PUELike = None,
     config: Optional[ModelConfig] = None,
 ) -> SimulationResult:
-    """Run the full pipeline: place jobs, account energy and carbon.
+    """FCFS earliest-fit placement, then energy and carbon accounting.
 
-    Jobs still running at ``horizon_h`` contribute only their in-horizon
-    portion to energy/carbon (the tail is truncated, as a fixed-window
-    accounting period would).  ``pue`` takes a float (the legacy exact
-    path) or an hourly profile / :class:`~repro.power.pue.SeasonalPUE`,
-    which weights each simulated hour's charge by that hour's facility
-    overhead.  A columnar :class:`JobBatch` is accepted and materialized
-    into scalar views once (the simulator's schedule bookkeeping is
-    per-job by nature).
+    Jobs start in ``(submit_h, job_id)`` order at their earliest
+    feasible start on the lowest-indexed node offering it.  Jobs still
+    running at ``horizon_h`` contribute only their in-horizon portion to
+    energy/carbon (the tail is truncated, as a fixed-window accounting
+    period would).  ``pue`` takes a float (the legacy exact path) or an
+    hourly profile / :class:`~repro.power.pue.SeasonalPUE`, which
+    weights each simulated hour's charge by that hour's facility
+    overhead.  ``jobs`` may be a job sequence or a columnar
+    :class:`JobBatch`.
     """
-    if horizon_h <= 0.0:
-        raise SimulationError(f"horizon must be positive, got {horizon_h!r}")
-    if isinstance(jobs, JobBatch):
-        jobs = jobs.to_jobs()
-    eff_pue, pue_profile = resolve_pue(pue, config=config, error=SimulationError)
-
-    scheduled = _place_fcfs(jobs, cluster)
-    n_hours = int(np.ceil(horizon_h))
-    busy = _busy_gpu_hours(scheduled, n_hours)
-    ic_energy_kwh, carbon_g, ledger = _account_horizon(
-        busy, cluster, n_hours, intensity, eff_pue, pue_profile
-    )
-
-    return SimulationResult(
-        cluster=cluster,
-        horizon_h=horizon_h,
-        scheduled=tuple(scheduled),
-        busy_gpu_hours_per_hour=busy,
-        ic_energy_kwh=ic_energy_kwh,
-        carbon_g=carbon_g,
-        pue=eff_pue,
-        ledger=ledger,
+    return _simulate(
+        jobs, cluster, _place_fcfs_columnar,
+        horizon_h=horizon_h, intensity=intensity, pue=pue, config=config,
     )

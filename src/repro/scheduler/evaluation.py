@@ -9,8 +9,8 @@ not free).
 
 Charging goes through :mod:`repro.accounting`: the old per-job
 slice-and-mean loop is now one call into a charging engine (the
-``vectorized`` truth-table engine by default, byte-identical to the
-``scalar-reference`` seed loop), and every evaluation carries a
+vectorized truth-table engine by default, byte-identical to the seed
+loop), and every evaluation carries a
 :class:`~repro.accounting.CarbonLedger` with per-job / per-region
 attribution.
 """
@@ -18,11 +18,11 @@ attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.accounting import CarbonLedger, get_engine
+from repro.accounting import CarbonLedger, VectorizedChargingEngine
 from repro.accounting.pue import PUELike, resolve_pue
 from repro.core.config import ModelConfig
 from repro.core.errors import SchedulingError
@@ -117,7 +117,7 @@ def evaluate_policy(
     transfer_model: Optional["TransferModel"] = None,
     pue: PUELike = None,
     config: Optional[ModelConfig] = None,
-    accounting: Union[str, object] = "vectorized",
+    accounting: Optional[object] = None,
     ledger: Optional[CarbonLedger] = None,
     batch: Optional[JobBatch] = None,
 ) -> PolicyEvaluation:
@@ -132,10 +132,11 @@ def evaluate_policy(
       count, with the transfer's carbon split between both grids.
 
     ``pue`` takes a float (the legacy exact path) or an hourly profile /
-    :class:`~repro.power.pue.SeasonalPUE`; ``accounting`` selects the
-    charging engine (``"vectorized"`` / ``"scalar-reference"`` or an
-    engine instance).  When ``ledger`` is given, the evaluation's
-    charges are also folded into it (policy-attributed).
+    :class:`~repro.power.pue.SeasonalPUE`; ``accounting`` is the
+    charging engine instance (``None``: a
+    :class:`~repro.accounting.VectorizedChargingEngine`).  When
+    ``ledger`` is given, the evaluation's charges are also folded into
+    it (policy-attributed).
 
     ``jobs`` may be a job sequence or a columnar
     :class:`~repro.cluster.job.JobBatch`; a batch flows through
@@ -152,7 +153,7 @@ def evaluate_policy(
     # re-resolution of either form is a cheap no-op).
     eff_pue, pue_profile = resolve_pue(pue, config=config, error=SchedulingError)
     resolved_pue = eff_pue if pue_profile is None else pue_profile
-    engine = get_engine(accounting)
+    engine = VectorizedChargingEngine() if accounting is None else accounting
     if batch is None:
         batch = JobBatch.coerce(jobs)
     elif len(batch) != len(jobs):

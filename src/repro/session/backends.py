@@ -39,10 +39,11 @@ calling conventions, per kind:
     exposing the same schedule/metrics/accounting surface); discipline
     options arrive as extra optional keywords, threaded from
     ``Scenario.cluster(n, simulator=..., **opts)`` and the CLI's
-    ``--simulator-arg K=V``.  ``fcfs`` is the scalar FCFS-earliest-fit
-    oracle; ``fcfs-columnar`` (alias ``columnar``) is the event-driven
-    engine on ``JobBatch`` columns, byte-identical to the oracle and
-    ~10x faster; ``backfill`` (alias ``easy``) is EASY backfill —
+    ``--simulator-arg K=V``.  ``fcfs`` (aliases ``default``,
+    ``fcfs-columnar``, ``columnar``) is FCFS earliest-fit on
+    ``JobBatch`` columns; a scenario's ``simulator`` knob keeps the
+    spelling it was given, so provenance and fingerprints tell the
+    aliases apart; ``backfill`` (alias ``easy``) is EASY backfill —
     queued jobs may start ahead of the head of the queue when doing so
     cannot delay the head's reservation; ``carbon-aware`` (alias
     ``green``) delays each job within its slack budget (``slack_h=``,
@@ -52,14 +53,14 @@ calling conventions, per kind:
     ``power-cap`` (alias ``capped``) runs FCFS earliest-fit under a
     cluster-wide busy-GPU cap (``cap_fraction=``, alias ``cap=``,
     default 0.8 of installed GPUs), so the hourly busy profile never
-    exceeds the cap (see :mod:`repro.cluster.engine`).
+    exceeds the cap (see :mod:`repro.cluster.simulator` and
+    :mod:`repro.cluster.engine`).
 ``accounting``
     ``factory(**opts) -> engine`` — a charging engine exposing
     ``charge(jobs, placements, *, service, node, pue, config,
     transfer_overhead_fraction, transfer_model) -> JobCharges`` (see
-    :mod:`repro.accounting.engines`).  ``vectorized`` is the production
-    truth-table path; ``scalar-reference`` is the seed per-job loop kept
-    as the byte-identical oracle.
+    :mod:`repro.accounting.engines`).  ``vectorized`` (aliases
+    ``default``, ``ledger``) is the one built-in: the truth-table path.
 ``pue``
     ``factory(**opts) -> profile object`` exposing ``profile(n_hours)
     -> np.ndarray`` of hourly PUE values ``>= 1.0`` (see
@@ -160,9 +161,8 @@ BUILTIN_BACKENDS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
     ("policy", "temporal+geographic",
      ("carbon_aware", "carbon-aware", "temporal_geographic"),
      "repro.scheduler.policies:temporal_geographic_policy"),
-    ("simulator", "fcfs", ("default",), "repro.cluster.simulator:simulate_cluster"),
-    ("simulator", "fcfs-columnar", ("columnar",),
-     "repro.cluster.engine:simulate_cluster_columnar"),
+    ("simulator", "fcfs", ("default", "fcfs-columnar", "columnar"),
+     "repro.cluster.simulator:simulate_cluster"),
     ("simulator", "backfill", ("easy",), "repro.cluster.engine:simulate_cluster_backfill"),
     ("simulator", "carbon-aware", ("green",),
      "repro.cluster.engine:simulate_cluster_carbon_aware"),
@@ -170,8 +170,6 @@ BUILTIN_BACKENDS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
      "repro.cluster.engine:simulate_cluster_power_cap"),
     ("accounting", "vectorized", ("default", "ledger"),
      "repro.accounting.engines:VectorizedChargingEngine"),
-    ("accounting", "scalar-reference", ("scalar",),
-     "repro.accounting.engines:ScalarReferenceChargingEngine"),
     ("pue", "constant", ("flat",), "repro.power.pue:constant_pue"),
     ("pue", "seasonal", (), "repro.power.pue:seasonal_pue"),
     ("pue", "profile", ("hourly",), "repro.power.pue:hourly_pue"),

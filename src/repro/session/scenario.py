@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import math
 import pathlib
+from numbers import Real
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -285,8 +286,15 @@ class Scenario:
         recorded in provenance when present; a backend that does not
         understand an option fails loudly at run time.
         """
-        if int(n_nodes) < 1:
-            raise SessionError("cluster needs >= 1 node")
+        if (
+            isinstance(n_nodes, bool)
+            or not isinstance(n_nodes, Real)
+            or not 1 <= n_nodes < math.inf
+            or n_nodes != int(n_nodes)
+        ):
+            raise SessionError(
+                f"cluster needs a whole number of nodes >= 1, got {n_nodes!r}"
+            )
         self._set("cluster_nodes", int(n_nodes))
         self._simulator_opts = dict(opts)
         return self._set("simulator", str(simulator))
@@ -298,9 +306,14 @@ class Scenario:
         """Scheduling/simulation horizon (default: the workload's)."""
         if (hours is None) == (days is None):
             raise SessionError("window takes exactly one of hours= or days=")
-        value = float(hours) if hours is not None else float(days) * 24.0
-        if value <= 0.0:
-            raise SessionError(f"window must be positive, got {value!r}")
+        given = hours if hours is not None else days
+        if isinstance(given, bool):
+            raise SessionError(f"window must be a number, got {given!r}")
+        value = float(given) if hours is not None else float(given) * 24.0
+        if not 0.0 < value < math.inf:
+            raise SessionError(
+                f"window must be positive and finite, got {value!r}"
+            )
         return self._set("window_h", value)
 
     def lifetime(self, years: float) -> "Scenario":
@@ -411,11 +424,10 @@ class Scenario:
     def accounting(self, key: str, **opts) -> "Scenario":
         """``accounting`` registry key: the carbon-charging engine.
 
-        ``"vectorized"`` (default) charges placed jobs from the
-        per-(region, window) truth tables in one gather;
-        ``"scalar-reference"`` is the seed per-job loop kept as the
-        byte-identical oracle.  Extra keyword options are passed to the
-        backend factory.
+        ``"vectorized"`` (default; aliases ``"default"``, ``"ledger"``)
+        charges placed jobs from the per-(region, window) truth tables
+        in one gather; plugins register further engines.  Extra keyword
+        options are passed to the backend factory.
         """
         self._accounting_opts = dict(opts)
         return self._set("accounting", str(key))

@@ -24,6 +24,23 @@ def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
 
 
+@pytest.fixture()
+def plugin_backend():
+    """``register(kind, key, factory)`` for one test; the registry drops
+    every key registered through it afterwards."""
+    from repro.session import registry
+
+    added = []
+
+    def register(kind: str, key: str, factory) -> None:
+        registry.add(kind, key, factory)
+        added.append((kind, key))
+
+    yield register
+    for kind, key in added:
+        del registry._factories[kind][key.lower()]
+
+
 @pytest.fixture(scope="session")
 def all_traces():
     """Full-year traces for every Table 3 region (expensive: session-scoped)."""

@@ -1,7 +1,7 @@
 """The unified carbon ledger (repro.accounting).
 
 The load-bearing guarantee is the byte-identity pin: the vectorized
-charging engine (and the preserved scalar-reference engine) must
+charging engine (and the preserved scalar reference engine) must
 reproduce the *seed* ``evaluate_policy`` per-job loop bit for bit —
 per-job energies, per-job carbon, and therefore evaluation totals —
 across policies, fractional submit hours, and both transfer-cost
@@ -21,9 +21,9 @@ from repro.accounting import (
     LedgerEntry,
     VectorizedChargingEngine,
     amortized_embodied_g,
-    get_engine,
     resolve_pue,
 )
+from repro.accounting.engines import ScalarReferenceChargingEngine
 from repro.core.config import get_config
 from repro.core.errors import AccountingError, SchedulingError
 from repro.cluster.job import Job
@@ -159,7 +159,9 @@ class TestByteIdentityPin:
             ["oblivious", "temporal", "geographic", "joint"]
         ),
         physical_transfer=st.booleans(),
-        backend=st.sampled_from(["vectorized", "scalar-reference"]),
+        backend=st.sampled_from(
+            [VectorizedChargingEngine, ScalarReferenceChargingEngine]
+        ),
     )
     def test_engines_match_seed_loop(
         self, service, node, jobs, policy_kind, physical_transfer, backend
@@ -175,7 +177,7 @@ class TestByteIdentityPin:
             service,
             node,
             transfer_model=transfer,
-            accounting=backend,
+            accounting=backend(),
         )
         for outcome, (ref_energy, ref_carbon) in zip(
             evaluation.outcomes, reference
@@ -252,12 +254,10 @@ class TestPUEProfiles:
         ]
         policy = CarbonObliviousPolicy(service, "ESO")
         seasonal = SeasonalPUE(annual_mean=1.2, seasonal_amplitude=0.08)
-        vec = evaluate_policy(
-            jobs, policy, service, node, pue=seasonal, accounting="vectorized"
-        )
+        vec = evaluate_policy(jobs, policy, service, node, pue=seasonal)
         ref = evaluate_policy(
             jobs, policy, service, node, pue=seasonal,
-            accounting="scalar-reference",
+            accounting=ScalarReferenceChargingEngine(),
         )
         const = evaluate_policy(jobs, policy, service, node, pue=1.2)
         assert [o.carbon_g for o in vec.outcomes] == [
@@ -388,12 +388,35 @@ class TestCarbonLedger:
                 "node", 1.0, duration_h=1.0, lifetime_years=1.0, share=1.5
             )
 
-    def test_get_engine(self):
-        assert isinstance(get_engine("vectorized"), VectorizedChargingEngine)
-        engine = VectorizedChargingEngine()
-        assert get_engine(engine) is engine
-        with pytest.raises(AccountingError):
-            get_engine("warp-drive")
+    def test_get_engine(self, service, node):
+        # Engines resolve through the registry's accounting kind, whose
+        # one built-in is the vectorized engine; evaluate_policy takes an
+        # instance and defaults to a fresh vectorized engine.
+        from repro.core.errors import UnknownBackendError
+        from repro.session import resolve_backend
+
+        for key in ("vectorized", "default", "ledger"):
+            assert resolve_backend("accounting", key) is VectorizedChargingEngine
+        with pytest.raises(UnknownBackendError, match="vectorized"):
+            resolve_backend("accounting", "warp-drive")
+
+        charged = []
+
+        class Recording(VectorizedChargingEngine):
+            def charge(self, *args, **kwargs):
+                charged.append(self)
+                return super().charge(*args, **kwargs)
+
+        jobs = [
+            Job(job_id=0, user="u", model=get_model("BERT"), n_gpus=1,
+                duration_h=2.0, submit_h=0.0, home_region="ESO")
+        ]
+        policy = CarbonObliviousPolicy(service, "ESO")
+        engine = Recording()
+        passed = evaluate_policy(jobs, policy, service, node, accounting=engine)
+        assert charged == [engine]
+        default = evaluate_policy(jobs, policy, service, node)
+        assert passed.outcomes == default.outcomes
 
 
 class TestSubsystemConsolidation:
@@ -472,7 +495,17 @@ class TestSessionCarbonSection:
         from repro.session import available_backends
 
         keys = available_backends("accounting")
-        assert "vectorized" in keys and "scalar-reference" in keys
+        assert keys == ("default", "ledger", "vectorized")
+
+    def test_scalar_reference_is_not_a_key(self):
+        from repro.core.errors import UnknownBackendError
+        from repro.session import Scenario
+
+        scenario = (
+            Scenario().node("V100").region("ESO").accounting("scalar-reference")
+        )
+        with pytest.raises(UnknownBackendError, match="registered: .*vectorized"):
+            scenario.build()
 
     def test_carbon_section_for_workload_scenario(self):
         from repro.cluster import WorkloadParams
@@ -517,9 +550,13 @@ class TestSessionCarbonSection:
         )
         assert any("carbon ledger" in line for line in result.summary_lines())
 
-    def test_scalar_reference_backend_equals_vectorized(self):
+    def test_scalar_reference_backend_equals_vectorized(self, plugin_backend):
         from repro.cluster import WorkloadParams
         from repro.session import Scenario
+
+        plugin_backend(
+            "accounting", "scalar-reference", ScalarReferenceChargingEngine
+        )
 
         def build(key):
             return (

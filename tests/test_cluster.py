@@ -132,6 +132,23 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             simulate_cluster([make_job(gpus=8)], cluster, horizon_h=10.0)
 
+    @pytest.mark.parametrize("n_nodes", [float("nan"), float("inf"), 2.5, True, 0])
+    def test_cluster_needs_a_whole_node_count(self, n_nodes):
+        # Cluster(node, 2.5) used to report total_gpus == 10.0.
+        with pytest.raises(SimulationError, match="whole number of nodes"):
+            Cluster(v100_node(), n_nodes)
+
+    def test_integral_float_node_count_is_an_int(self):
+        cluster = Cluster(v100_node(), 2.0)
+        assert cluster.n_nodes == 2 and isinstance(cluster.n_nodes, int)
+
+    def test_nan_constant_intensity_rejected(self, cluster):
+        # A NaN intensity passed the < 0 check and returned NaN carbon.
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            simulate_cluster(
+                [make_job()], cluster, horizon_h=4.0, intensity=float("nan")
+            )
+
     def test_utilization_matches_busy_hours(self, cluster):
         jobs = [make_job(job_id=0, gpus=4, duration=6.0, submit=0.0)]
         result = simulate_cluster(jobs, cluster, horizon_h=12.0)
@@ -193,30 +210,6 @@ class TestSimulator:
         jobs = generate_workload(params, seed=seed)
         result = simulate_cluster(jobs, cluster, horizon_h=24 * 4)
         assert float(result.busy_gpu_hours_per_hour.max(initial=0.0)) <= 8 + 1e-9
-
-    def test_placement_does_constant_sorts(self, cluster, monkeypatch):
-        """The incremental timeline must not re-sort events per job.
-
-        Placing a pre-sorted job stream is allowed exactly one ``sorted``
-        call (the FCFS submit-order sort) regardless of stream length —
-        the per-job re-sorts of the old event-sweep implementation are
-        the regression this guards against.
-        """
-        import repro.cluster.simulator as sim_module
-
-        calls = {"n": 0}
-        real_sorted = sorted
-
-        def counting_sorted(*args, **kwargs):
-            calls["n"] += 1
-            return real_sorted(*args, **kwargs)
-
-        monkeypatch.setattr(sim_module, "sorted", counting_sorted, raising=False)
-        params = WorkloadParams(horizon_h=24 * 7, total_gpus=8, target_usage=0.7)
-        jobs = generate_workload(params, seed=9)
-        result = sim_module.simulate_cluster(jobs, cluster, horizon_h=24 * 9)
-        assert result.n_jobs == len(jobs)
-        assert calls["n"] == 1, f"expected O(1) sorts, saw {calls['n']}"
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000))

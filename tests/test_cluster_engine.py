@@ -1,11 +1,11 @@
-"""Columnar engine parity pins and backfill discipline semantics.
+"""FCFS engine parity pins and the other disciplines' semantics.
 
-``fcfs-columnar`` (:mod:`repro.cluster.engine`) is a pure performance
-feature: every observable — the (job, node, start) schedule, the busy
-GPU-hours array, energy, carbon, and the attached ledger — must be
-**byte-identical** to the scalar oracle
-:func:`repro.cluster.simulator.simulate_cluster`.  These tests pin that
-contract with hypothesis-generated workloads (including saturated
+The columnar FCFS engine (:func:`repro.cluster.simulator.simulate_cluster`,
+the ``fcfs`` key) must match the seed's scalar simulator
+(``oracles.simulate_cluster``, kept with the tests) in every observable —
+the (job, node, start) schedule, the busy GPU-hours array, energy,
+carbon, and the attached ledger — **byte for byte**.  These tests pin
+that contract with hypothesis-generated workloads (including saturated
 regimes that exercise the contended slow path) and across all four
 workload registry backends.
 
@@ -27,13 +27,14 @@ from repro.cluster import Cluster
 from repro.cluster.engine import (
     simulate_cluster_backfill,
     simulate_cluster_carbon_aware,
-    simulate_cluster_columnar,
     simulate_cluster_power_cap,
 )
 from repro.cluster.job import Job, JobBatch
 from repro.cluster.simulator import SimulationError, simulate_cluster
 from repro.session import resolve_backend
 from repro.workloads.models import get_model
+
+import oracles
 
 HORIZON_H = 96.0
 
@@ -93,10 +94,10 @@ def job_lists(draw):
 @given(jobs=job_lists(), n_nodes=st.sampled_from([1, 2, 5]))
 def test_columnar_matches_oracle_hypothesis(jobs, n_nodes, v100_node):
     cluster = Cluster(v100_node, n_nodes)
-    ref = simulate_cluster(
+    ref = oracles.simulate_cluster(
         jobs, cluster, horizon_h=HORIZON_H, intensity=150.0
     )
-    col = simulate_cluster_columnar(
+    col = simulate_cluster(
         jobs, cluster, horizon_h=HORIZON_H, intensity=150.0
     )
     _assert_parity(ref, col)
@@ -123,10 +124,10 @@ def test_columnar_matches_oracle_all_workload_backends(
     batch = source.generate(seed=13)
     cluster = Cluster(v100_node, 4)
     trace = resolve_backend("intensity", "synthetic")(seed=2).trace("ESO")
-    ref = simulate_cluster(
+    ref = oracles.simulate_cluster(
         batch, cluster, horizon_h=HORIZON_H, intensity=trace, pue=1.25
     )
-    col = simulate_cluster_columnar(
+    col = simulate_cluster(
         batch, cluster, horizon_h=HORIZON_H, intensity=trace, pue=1.25
     )
     _assert_parity(ref, col)
@@ -139,8 +140,8 @@ def test_columnar_accepts_batch_and_sequence(v100_node):
         WorkloadParams(horizon_h=48.0, total_gpus=8), seed=3
     )
     cluster = Cluster(v100_node, 2)
-    from_list = simulate_cluster_columnar(jobs, cluster, horizon_h=60.0)
-    from_batch = simulate_cluster_columnar(
+    from_list = simulate_cluster(jobs, cluster, horizon_h=60.0)
+    from_batch = simulate_cluster(
         JobBatch.from_jobs(jobs), cluster, horizon_h=60.0
     )
     assert from_list.scheduled == from_batch.scheduled
@@ -149,10 +150,10 @@ def test_columnar_accepts_batch_and_sequence(v100_node):
 
 def test_columnar_empty_workload(v100_node):
     cluster = Cluster(v100_node, 2)
-    ref = simulate_cluster([], cluster, horizon_h=4.0, intensity=100.0)
-    col = simulate_cluster_columnar(
+    ref = oracles.simulate_cluster(
         [], cluster, horizon_h=4.0, intensity=100.0
     )
+    col = simulate_cluster([], cluster, horizon_h=4.0, intensity=100.0)
     _assert_parity(ref, col)
     assert col.scheduled == ()
     assert col.mean_wait_h() == 0.0
@@ -172,7 +173,7 @@ def _one_job(job_id, submit, duration, gpus):
 
 
 @pytest.mark.parametrize(
-    "simulate", [simulate_cluster_columnar, simulate_cluster_backfill]
+    "simulate", [simulate_cluster, simulate_cluster_backfill]
 )
 def test_engine_rejects_oversized_job(simulate, v100_node):
     cluster = Cluster(v100_node, 2)
@@ -183,13 +184,51 @@ def test_engine_rejects_oversized_job(simulate, v100_node):
         simulate([], cluster, horizon_h=0.0)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        simulate_cluster,
+        simulate_cluster_backfill,
+        simulate_cluster_carbon_aware,
+        simulate_cluster_power_cap,
+    ],
+)
+def test_non_finite_horizon_is_a_simulation_error(simulate, horizon, v100_node):
+    # NaN raised a bare ValueError and inf an OverflowError from
+    # int(ceil(horizon)), after placement had already run.
+    cluster = Cluster(v100_node, 2)
+    with pytest.raises(SimulationError, match="horizon must be positive"):
+        simulate([_one_job(0, 0.0, 1.0, 1)], cluster, horizon_h=horizon)
+
+
+def test_contended_tie_goes_to_the_lowest_node(v100_node):
+    # Continuous hypothesis durations almost never tie two nodes' earliest
+    # starts, so the tie-break needs a constructed case: both nodes free
+    # up at t=2 for the third full-node job.
+    cap = v100_node.gpu_count
+    cluster = Cluster(v100_node, 2)
+    jobs = [
+        _one_job(0, 0.0, 2.0, cap),
+        _one_job(1, 0.0, 2.0, cap),
+        _one_job(2, 0.5, 1.0, cap),
+        _one_job(3, 0.5, 1.0, cap),
+    ]
+    ref = oracles.simulate_cluster(jobs, cluster, horizon_h=8.0)
+    col = simulate_cluster(jobs, cluster, horizon_h=8.0)
+    _assert_parity(ref, col)
+    assert [(s.node_index, s.start_h) for s in col.scheduled] == [
+        (0, 0.0), (1, 0.0), (0, 2.0), (1, 2.0)
+    ]
+
+
 def test_columnar_error_matches_oracle(v100_node):
     cluster = Cluster(v100_node, 1)
     bad = _one_job(3, 0.0, 1.0, cluster.gpus_per_node + 2)
     with pytest.raises(SimulationError) as oracle_err:
-        simulate_cluster([bad], cluster, horizon_h=4.0)
+        oracles.simulate_cluster([bad], cluster, horizon_h=4.0)
     with pytest.raises(SimulationError) as engine_err:
-        simulate_cluster_columnar([bad], cluster, horizon_h=4.0)
+        simulate_cluster([bad], cluster, horizon_h=4.0)
     assert str(engine_err.value) == str(oracle_err.value)
 
 
@@ -200,7 +239,7 @@ def test_columnar_scheduled_is_lazy_and_cached(v100_node):
         WorkloadParams(horizon_h=24.0, total_gpus=8), seed=1
     )
     cluster = Cluster(v100_node, 2)
-    col = simulate_cluster_columnar(jobs, cluster, horizon_h=48.0)
+    col = simulate_cluster(jobs, cluster, horizon_h=48.0)
     assert col._scheduled is None  # nothing materialized on the hot path
     first = col.scheduled
     assert col._scheduled is not None
@@ -293,10 +332,10 @@ def test_backfill_reduces_wait_under_head_of_line_blocking(v100_node):
     """Mean wait drops vs strict-FCFS intake in a blocked-queue regime.
 
     Many short narrow jobs queue behind full-width long jobs on one
-    node: EASY lets the shorts fill the gaps.  (The scalar oracle
-    plans earliest-fit starts at submit time, which backfills
-    implicitly, so the honest baseline for this comparison is strict
-    FCFS start order — job k never starts before job k-1.)
+    node: EASY lets the shorts fill the gaps.  (FCFS earliest-fit
+    plans starts at submit time, which backfills implicitly, so the
+    honest baseline for this comparison is strict FCFS start order —
+    job k never starts before job k-1.)
     """
     cap = v100_node.gpu_count
     cluster = Cluster(v100_node, 1)
@@ -321,9 +360,8 @@ def test_registry_keys_resolve_to_engine():
     assert {
         "fcfs", "fcfs-columnar", "backfill", "carbon-aware", "power-cap"
     } <= keys
-    assert resolve_backend("simulator", "columnar") is resolve_backend(
-        "simulator", "fcfs-columnar"
-    )
+    for key in ("fcfs", "default", "fcfs-columnar", "columnar"):
+        assert resolve_backend("simulator", key) is simulate_cluster
     assert resolve_backend("simulator", "easy") is resolve_backend(
         "simulator", "backfill"
     )
@@ -336,10 +374,15 @@ def test_registry_keys_resolve_to_engine():
 
 
 def test_scenario_discipline_sweep_byte_identical_fcfs():
-    """Through the facade: fcfs vs fcfs-columnar agree on every metric."""
+    """Through the facade: the fcfs spellings serialize the same cluster
+    section apart from the ``simulator`` name, which keeps them apart in
+    the fingerprints (a sweep flipping ``fcfs`` -> ``fcfs-columnar``
+    recomputes the cluster section)."""
+    import json
+
     from repro import Scenario
 
-    def run(sim):
+    def build(sim):
         return (
             Scenario()
             .node("A100")
@@ -347,16 +390,21 @@ def test_scenario_discipline_sweep_byte_identical_fcfs():
             .workload("synthetic", horizon_h=48.0, total_gpus=8)
             .cluster(2, simulator=sim)
             .seed(7)
-            .run()
-            .cluster
+            .build()
         )
 
-    ref, col = run("fcfs"), run("fcfs-columnar")
-    assert col.n_jobs == ref.n_jobs
-    assert col.ic_energy_kwh == ref.ic_energy_kwh
-    assert col.carbon_g == ref.carbon_g
-    assert col.mean_wait_h == ref.mean_wait_h
-    assert col.average_usage == ref.average_usage
+    sessions = {sim: build(sim) for sim in ("fcfs", "fcfs-columnar", "columnar")}
+    sections = {}
+    for sim, session in sessions.items():
+        section = session.run().to_dict()["cluster"]
+        assert section.pop("simulator") == sim
+        sections[sim] = json.dumps(section, sort_keys=True)
+    assert len(set(sections.values())) == 1
+    for fingerprints in (
+        [s.section_fingerprints()["cluster"] for s in sessions.values()],
+        [s.fingerprint() for s in sessions.values()],
+    ):
+        assert len(set(fingerprints)) == len(sessions)
 
 
 # --- carbon-aware discipline -------------------------------------------------
@@ -409,7 +457,7 @@ def test_carbon_aware_constant_intensity_degenerates_to_fcfs(v100_node):
     green = simulate_cluster_carbon_aware(
         jobs, cluster, horizon_h=200.0, intensity=150.0
     )
-    fcfs = simulate_cluster_columnar(
+    fcfs = simulate_cluster(
         jobs, cluster, horizon_h=200.0, intensity=150.0
     )
     assert np.array_equal(
@@ -429,7 +477,7 @@ def test_carbon_aware_zero_slack_is_fcfs(v100_node):
         jobs, cluster, horizon_h=200.0, intensity=_diurnal_trace(),
         slack_h=0.0,
     )
-    fcfs = simulate_cluster_columnar(jobs, cluster, horizon_h=200.0)
+    fcfs = simulate_cluster(jobs, cluster, horizon_h=200.0)
     assert [
         (s.job.job_id, s.start_h, s.node_index) for s in green.scheduled
     ] == [(s.job.job_id, s.start_h, s.node_index) for s in fcfs.scheduled]
@@ -587,7 +635,7 @@ def test_power_cap_full_cap_matches_fcfs(v100_node):
     capped = simulate_cluster_power_cap(
         jobs, cluster, horizon_h=200.0, cap_fraction=1.0
     )
-    fcfs = simulate_cluster_columnar(jobs, cluster, horizon_h=200.0)
+    fcfs = simulate_cluster(jobs, cluster, horizon_h=200.0)
     assert [
         (s.job.job_id, s.start_h, s.node_index) for s in capped.scheduled
     ] == [(s.job.job_id, s.start_h, s.node_index) for s in fcfs.scheduled]
@@ -640,8 +688,8 @@ def test_zero_job_metrics_are_warning_free(v100_node):
 
     cluster = Cluster(v100_node, 2)
     engines = [
+        oracles.simulate_cluster,
         simulate_cluster,
-        simulate_cluster_columnar,
         simulate_cluster_backfill,
         simulate_cluster_carbon_aware,
         simulate_cluster_power_cap,
@@ -688,7 +736,7 @@ def test_backfill_never_delays_head_job(key, seed, v100_node,
     if len(batch) == 0:
         return
     cluster = Cluster(v100_node, 2)
-    fcfs = simulate_cluster_columnar(batch, cluster, horizon_h=HORIZON_H)
+    fcfs = simulate_cluster(batch, cluster, horizon_h=HORIZON_H)
     easy = simulate_cluster_backfill(batch, cluster, horizon_h=HORIZON_H)
     order = np.lexsort((batch.job_ids, batch.submit_h))
     head = int(batch.job_ids[order[0]])

@@ -153,6 +153,17 @@ def test_scenario_without_cluster_skips_the_cluster_engine():
     assert "repro.cluster.engine" not in loaded
 
 
+def test_fcfs_cluster_run_skips_the_discipline_engine():
+    loaded = _modules_after(
+        _CLI.format(argv=[
+            "scenario", "--system", "frontier", "--node", "A100",
+            "--region", "ESO", "--workload", "synthetic", "--cluster", "2",
+        ])
+    )
+    assert "repro.cluster.simulator" in loaded
+    assert "repro.cluster.engine" not in loaded
+
+
 def test_listing_backends_imports_no_layer():
     loaded = _modules_after(_CLI.format(argv=["scenario", "--list-backends"]))
     assert sorted(loaded & set(LAYERS)) == []

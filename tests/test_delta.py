@@ -149,7 +149,7 @@ class TestSectionFingerprints:
                 ("simulator", "fcfs", "columnar"),
                 ("workload_seed", 11, 12),
                 ("lifetime_years", 5.0, 4.0),
-                ("accounting", "scalar", "ledger"),
+                ("accounting", "vectorized", "ledger"),
             ]
         )
     )

@@ -22,6 +22,8 @@ import pytest
 from repro.cluster import WorkloadParams
 from repro.session import Scenario
 
+import oracles
+
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 #: The canonical matrix: 2 systems x 2 policies, constant PUE.
@@ -114,16 +116,20 @@ def test_cluster_scenario_matches_golden(update_golden):
     )
 
 
-def test_cluster_golden_is_simulator_invariant_for_fcfs():
-    """The engine pin doubles as a parity pin: the scalar oracle must
-    produce the same cluster section, number for number."""
+def test_cluster_golden_is_simulator_invariant_for_fcfs(plugin_backend):
+    """The engine pin doubles as a parity pin: the seed's scalar
+    simulator, run on the golden scenario's jobs, must produce the
+    committed cluster section, number for number."""
     path = GOLDEN_DIR / "scenario-cluster-fcfs_columnar.json"
     committed = json.loads(path.read_text(encoding="utf-8"))
-    oracle = _build_cluster().cluster(2, simulator="fcfs").run().to_dict()
+    plugin_backend("simulator", "scalar-oracle", oracles.simulate_cluster)
+    oracle = (
+        _build_cluster().cluster(2, simulator="scalar-oracle").run().to_dict()
+    )
     committed_cluster = dict(committed["cluster"])
     oracle_cluster = dict(oracle["cluster"])
     assert committed_cluster.pop("simulator") == "fcfs-columnar"
-    assert oracle_cluster.pop("simulator") == "fcfs"
+    assert oracle_cluster.pop("simulator") == "scalar-oracle"
     assert oracle_cluster == committed_cluster
 
 

@@ -100,6 +100,22 @@ class TestScenarioValidation:
         with pytest.raises(SessionError, match="finite and non-negative"):
             Scenario().constant_intensity(value)
 
+    @pytest.mark.parametrize(
+        "window",
+        [{"hours": float("nan")}, {"hours": float("inf")},
+         {"days": float("inf")}, {"hours": True}],
+    )
+    def test_window_must_be_a_finite_number(self, window):
+        # An infinite window reached the simulator's int(ceil(horizon)).
+        with pytest.raises(SessionError, match="window must be"):
+            Scenario().window(**window)
+
+    @pytest.mark.parametrize("n_nodes", [float("nan"), float("inf"), 2.5, True])
+    def test_cluster_needs_a_whole_node_count(self, n_nodes):
+        # 2.5 silently ran 2 nodes; NaN raised a bare ValueError.
+        with pytest.raises(SessionError, match="whole number of nodes"):
+            Scenario().cluster(n_nodes)
+
     def test_run_is_idempotent(self):
         # The forecast RNG is consumed by a run; the session caches its
         # result so repeat run()/render() report identical numbers.

@@ -652,6 +652,27 @@ class TestSweepCli:
         assert main(["sweep", "run", str(bad)]) == 2
         assert "sweep error" in capsys.readouterr().err
 
+    def test_non_finite_window_fails_before_any_cell_runs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "window.json"
+        # json.dumps spells float("inf") as the Infinity literal.
+        spec.write_text(json.dumps({
+            "name": "inf-window",
+            "base": {
+                "node": "V100", "region": "ESO", "seed": 7,
+                "workload": "synthetic",
+                "workload_opts": {"horizon_h": 24.0, "total_gpus": 8},
+                "cluster": 2,
+            },
+            "axes": {"window_h": [24.0, float("inf")]},
+        }))
+        assert main(["sweep", "run", str(spec), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert "sweep error" in captured.err
+        assert "window must be positive and finite" in captured.err
+        assert "cell 0" not in captured.out
+
 
 # --- fingerprint plumbing ----------------------------------------------------
 class TestFingerprintPlumbing:

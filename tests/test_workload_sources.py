@@ -478,19 +478,20 @@ class TestColumnarPaths:
         assert from_batch.total_carbon.grams == from_jobs.total_carbon.grams
 
     def test_engines_agree_on_batch(self, service, workload):
-        from repro.accounting import get_engine
+        from repro.accounting import VectorizedChargingEngine
+        from repro.accounting.engines import ScalarReferenceChargingEngine
         from repro.hardware.node import v100_node
         from repro.scheduler.policies import TemporalShiftingPolicy, place_jobs
 
         policy = TemporalShiftingPolicy(service, "ESO")
         placements = place_jobs(policy, workload)
         node = v100_node()
-        vec = get_engine("vectorized").charge(
+        vec = VectorizedChargingEngine().charge(
             workload, placements, service=service, node=node,
             pue=None, config=None, transfer_overhead_fraction=0.02,
             transfer_model=None,
         )
-        ref = get_engine("scalar-reference").charge(
+        ref = ScalarReferenceChargingEngine().charge(
             workload, placements, service=service, node=node,
             pue=None, config=None, transfer_overhead_fraction=0.02,
             transfer_model=None,
