@@ -48,7 +48,7 @@ single ``charged_kwh``/``transfer_*`` split above is the consolidation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from repro.accounting.ledger import CarbonLedger
 from repro.accounting.pue import PUELike, pue_window_means, resolve_pue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.job import Job, Placement
+    from repro.cluster.job import Job, Placement, PlacementBatch
     from repro.hardware.node import NodeSpec
     from repro.intensity.api import CarbonIntensityService
     from repro.scheduler.transfer import TransferModel
@@ -137,14 +137,18 @@ def _empty_charges() -> JobCharges:
 
 
 class VectorizedChargingEngine:
-    """Batched truth-table charging (the default accounting backend)."""
+    """Batched truth-table charging (the default accounting backend).
+
+    Reads a :class:`~repro.cluster.job.PlacementBatch`'s columns; a
+    plain placement sequence is columnized once on entry.
+    """
 
     name = "vectorized"
 
     def charge(
         self,
         jobs: Sequence["Job"],
-        placements: Sequence["Placement"],
+        placements: Union["PlacementBatch", Sequence["Placement"]],
         *,
         service: "CarbonIntensityService",
         node: "NodeSpec",
@@ -153,6 +157,9 @@ class VectorizedChargingEngine:
         transfer_overhead_fraction: float = 0.02,
         transfer_model: Optional["TransferModel"] = None,
     ) -> JobCharges:
+        from repro.cluster.job import JobBatch, PlacementBatch, charge_windows
+
+        placements = PlacementBatch.coerce(placements)
         if len(jobs) != len(placements):
             raise AccountingError(
                 f"{len(placements)} placements for {len(jobs)} jobs"
@@ -165,8 +172,6 @@ class VectorizedChargingEngine:
 
         # Columnar fast path: a JobBatch hands its arrays straight to
         # the kernel (no per-job objects); sequences columnize here.
-        from repro.cluster.job import JobBatch, charge_windows
-
         if isinstance(jobs, JobBatch):
             gpus = jobs.n_gpus.astype(float)
             durations = jobs.duration_h
@@ -175,10 +180,9 @@ class VectorizedChargingEngine:
             gpus = np.array([j.n_gpus for j in jobs], dtype=float)
             durations = np.array([j.duration_h for j in jobs], dtype=float)
             job_ids = np.array([j.job_id for j in jobs], dtype=np.int64)
-        starts = np.array([p.start_h for p in placements], dtype=float)
-        migrated = np.array([p.migrated for p in placements], dtype=bool)
-        start_hours = np.floor(starts).astype(np.int64)
-        regions = tuple([p.region for p in placements])
+        migrated = placements.migrated
+        start_hours = np.floor(placements.start_h).astype(np.int64)
+        regions = tuple(placements.region_names())
         windows = charge_windows(durations)
 
         # One energy code path (see module docstring): compute draw,
@@ -207,7 +211,7 @@ class VectorizedChargingEngine:
                 combo_of: List[int] = []
                 for i in moved:
                     job = jobs[i]
-                    dest = placements[i].region
+                    dest = regions[i]
                     home = job.home_region if job.home_region is not None else dest
                     homes.append(home)
                     dests.append(dest)
@@ -229,7 +233,9 @@ class VectorizedChargingEngine:
                 transfer_g[moved] = t_kwh * 0.5 * (src_int + dst_int)
             energy_kwh = compute_kwh + transfer_kwh
 
-        groups = self._group_by_region_window(regions, windows)
+        groups = self._group_by_region_window(
+            placements.region_codes, placements.regions, windows
+        )
         truth_means = self._truth_means(service, groups, start_hours)
         if pue_profile is None:
             operational_g = charged_kwh * truth_means * eff_pue
@@ -251,30 +257,20 @@ class VectorizedChargingEngine:
     # --- gathers ---------------------------------------------------------
     @staticmethod
     def _group_by_region_window(
-        regions: Sequence[str], windows: np.ndarray
+        region_codes: np.ndarray, regions: Sequence[str], windows: np.ndarray
     ) -> List[Tuple[str, int, np.ndarray]]:
         """``(region, window, job_indices)`` groups, one per unique pair.
 
-        One stable argsort over a composite integer key, then group
-        boundaries off a ``diff`` — jobs sharing a placement region and
-        a charging window charge together with a single gather.
+        Jobs sharing a placement region and a charging window charge
+        together with a single gather.
         """
-        code_map: Dict[str, int] = {}
-        region_idx = np.fromiter(
-            (code_map.setdefault(r, len(code_map)) for r in regions),
-            count=len(regions),
-            dtype=np.int64,
-        )
-        combo = region_idx * (int(windows.max()) + 1) + windows
-        order = np.argsort(combo, kind="stable")
-        sorted_combo = combo[order]
-        bounds = [0, *(np.flatnonzero(np.diff(sorted_combo)) + 1), order.shape[0]]
-        groups: List[Tuple[str, int, np.ndarray]] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            idxs = order[lo:hi]
-            first = int(idxs[0])
-            groups.append((regions[first], int(windows[first]), idxs))
-        return groups
+        from repro.cluster.job import row_groups
+
+        combo = region_codes * (int(windows.max()) + 1) + windows
+        return [
+            (regions[int(region_codes[idxs[0]])], int(windows[idxs[0]]), idxs)
+            for idxs in row_groups(combo)
+        ]
 
     def _truth_means(
         self,

@@ -66,7 +66,11 @@ class LedgerEntry:
 
 
 class _Batch:
-    """One columnar append: shared attribution + per-entry arrays."""
+    """One columnar append: shared attribution + per-entry arrays.
+
+    ``labels`` is ``None`` when the caller gave none; :meth:`label`
+    derives the default (``job:<id>``, else the kind) on demand.
+    """
 
     __slots__ = ("kind", "policy", "labels", "regions", "job_ids", "energy_kwh", "carbon_g")
 
@@ -75,7 +79,7 @@ class _Batch:
         kind: str,
         carbon_g: np.ndarray,
         energy_kwh: np.ndarray,
-        labels: Sequence[str],
+        labels: Optional[Sequence[str]],
         regions: Sequence[Optional[str]],
         policy: Optional[str],
         job_ids: Optional[np.ndarray],
@@ -90,6 +94,13 @@ class _Batch:
 
     def __len__(self) -> int:
         return int(self.carbon_g.shape[0])
+
+    def label(self, i: int) -> str:
+        if self.labels is not None:
+            return self.labels[i]
+        if self.job_ids is not None:
+            return f"job:{int(self.job_ids[i])}"
+        return self.kind
 
 
 def amortized_embodied_g(
@@ -168,15 +179,11 @@ class CarbonLedger:
             region_seq = list(regions)
         if job_ids is not None:
             job_ids = np.asarray(job_ids)
+        # Default labels are derived by entries(), their only reader.
         label_seq = list(labels) if labels is not None else None
-        if label_seq is None:
-            if job_ids is not None:
-                label_seq = [f"job:{int(j)}" for j in job_ids]
-            else:
-                label_seq = [kind] * n
         for name, length in (
             ("energy", energy.shape[0]),
-            ("labels", len(label_seq)),
+            ("labels", n if label_seq is None else len(label_seq)),
             ("regions", len(region_seq)),
             ("job_ids", n if job_ids is None else job_ids.shape[0]),
         ):
@@ -430,7 +437,7 @@ class CarbonLedger:
             for i in range(len(batch)):
                 yield LedgerEntry(
                     kind=batch.kind,
-                    label=batch.labels[i],
+                    label=batch.label(i),
                     carbon_g=float(batch.carbon_g[i]),
                     energy_kwh=float(batch.energy_kwh[i]),
                     region=batch.regions[i],

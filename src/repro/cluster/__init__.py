@@ -11,7 +11,7 @@ stay re-exported here for compatibility.)
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.cluster.job": ("Job", "JobBatch", "Placement"),
+    "repro.cluster.job": ("Job", "JobBatch", "Placement", "PlacementBatch"),
     "repro.workloads.sources": ("WorkloadParams", "generate_workload"),
     "repro.cluster.simulator": (
         "Cluster", "ScheduledJob", "SimulationResult", "simulate_cluster",

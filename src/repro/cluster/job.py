@@ -15,6 +15,11 @@ vectorized accounting engine consume the columns directly, so a month of
 jobs flows through the hot path without materializing per-job Python
 objects; :class:`Job` remains the scalar view, constructed lazily by
 ``batch[i]`` / iteration for code that wants objects.
+
+:class:`PlacementBatch` is the same pairing for scheduling decisions:
+the built-in ``place_all`` kernels return one, and validation, charging
+and the carbon rollup read its start/duration/migrated/region-code
+columns; :class:`Placement` is its lazily built scalar view.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.workloads.models import ModelSpec
 
-__all__ = ["Job", "JobBatch", "Placement", "charge_windows"]
+__all__ = [
+    "Job", "JobBatch", "Placement", "PlacementBatch", "charge_windows",
+    "row_groups",
+]
 
 
 def charge_windows(durations) -> np.ndarray:
@@ -40,6 +48,24 @@ def charge_windows(durations) -> np.ndarray:
     byte-identity contract depends on the two never drifting apart.
     """
     return np.maximum(np.ceil(np.asarray(durations)).astype(np.int64), 1)
+
+
+def row_groups(keys: np.ndarray) -> List[np.ndarray]:
+    """Row indices per distinct key, groups in first-seen key order.
+
+    Rows ascend within a group, so a loop over the groups visits rows in
+    the order a dict-of-lists pass over ``keys`` would.  The placement
+    kernels and the charging engine group jobs with it.
+    """
+    if not keys.size:
+        return []
+    order = np.argsort(keys, kind="stable")
+    bounds = [
+        0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), order.shape[0]
+    ]
+    groups = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    groups.sort(key=lambda rows: int(rows[0]))
+    return groups
 
 
 def _adopt(array: np.ndarray) -> np.ndarray:
@@ -112,7 +138,7 @@ def _readonly(values, dtype) -> np.ndarray:
     array = np.ascontiguousarray(values, dtype=dtype)
     if array.ndim != 1:
         raise SimulationError(
-            f"job batch columns must be 1-D, got shape {array.shape}"
+            f"batch columns must be 1-D, got shape {array.shape}"
         )
     if array is values and array.flags.writeable:
         # ascontiguousarray returns the input unchanged when it already
@@ -577,3 +603,184 @@ class Placement:
     @property
     def end_h(self) -> float:
         return self.start_h + self.duration_h
+
+
+class PlacementBatch:
+    """Scheduling decisions as a columnar struct-of-arrays.
+
+    The columnar twin of :class:`Placement`, as :class:`JobBatch` is of
+    :class:`Job`: row ``i`` places job ``job_ids[i]`` in region
+    ``regions[region_codes[i]]``, where ``regions`` is a table of
+    distinct names the batch carries.  Columns are read-only, and
+    construction runs :class:`Placement`'s two checks over them, naming
+    the first offending job.
+
+    The batch implements the sequence protocol — ``len``, ``batch[i]``
+    (a lazily built :class:`Placement`), slices (a sub-batch) and
+    iteration — and compares equal to another batch or to a list or
+    tuple of :class:`Placement` holding the same decoded rows, whatever
+    either side's region table.
+    """
+
+    __slots__ = (
+        "job_ids", "start_h", "duration_h", "migrated", "region_codes",
+        "regions",
+    )
+
+    def __init__(
+        self,
+        *,
+        job_ids,
+        start_h,
+        duration_h,
+        migrated,
+        region_codes,
+        regions: Sequence[str],
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "job_ids", _readonly(job_ids, np.int64))
+        set_(self, "start_h", _readonly(start_h, float))
+        set_(self, "duration_h", _readonly(duration_h, float))
+        set_(self, "migrated", _readonly(migrated, np.bool_))
+        set_(self, "region_codes", _readonly(region_codes, np.int64))
+        set_(self, "regions", tuple(str(r) for r in regions))
+        self._validate()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("PlacementBatch is immutable")
+
+    def _validate(self) -> None:
+        n = self.job_ids.shape[0]
+        for name in ("start_h", "duration_h", "migrated", "region_codes"):
+            rows = getattr(self, name).shape[0]
+            if rows != n:
+                raise SimulationError(
+                    f"placement batch column {name!r} has {rows} rows, "
+                    f"expected {n}"
+                )
+        if len(set(self.regions)) != len(self.regions):
+            raise SimulationError("placement batch region table repeats a name")
+        if n and (
+            int(self.region_codes.min()) < 0
+            or int(self.region_codes.max()) >= len(self.regions)
+        ):
+            raise SimulationError(
+                "placement batch region codes fall outside the region table"
+            )
+        # Placement.__post_init__'s checks, in its order, for the first
+        # row failing either.
+        bad = (self.start_h < 0.0) | (self.duration_h <= 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            job_id = int(self.job_ids[i])
+            if self.start_h[i] < 0.0:
+                raise SimulationError(f"placement for job {job_id}: negative start")
+            raise SimulationError(
+                f"placement for job {job_id}: duration must be positive"
+            )
+
+    # --- construction -----------------------------------------------------
+    @classmethod
+    def from_placements(cls, placements: Iterable[Placement]) -> "PlacementBatch":
+        """Columnize a placement sequence (lossless; see ``batch[i]``)."""
+        placements = list(placements)
+        table: Dict[str, int] = {}
+        return cls(
+            job_ids=[p.job_id for p in placements],
+            start_h=[p.start_h for p in placements],
+            duration_h=[p.duration_h for p in placements],
+            migrated=[p.migrated for p in placements],
+            region_codes=[table.setdefault(p.region, len(table)) for p in placements],
+            regions=tuple(table),
+        )
+
+    @classmethod
+    def coerce(
+        cls, placements: Union["PlacementBatch", Iterable[Placement]]
+    ) -> "PlacementBatch":
+        """A batch view of ``placements`` (identity when already columnar)."""
+        if isinstance(placements, cls):
+            return placements
+        return cls.from_placements(placements)
+
+    # --- scalar views -----------------------------------------------------
+    def placement(self, index: int) -> Placement:
+        """The lazily constructed scalar view of row ``index``."""
+        i = operator.index(index)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(
+                f"placement index {index} out of range for {n} placements"
+            )
+        return Placement(
+            job_id=int(self.job_ids[i]),
+            region=self.regions[int(self.region_codes[i])],
+            start_h=float(self.start_h[i]),
+            duration_h=float(self.duration_h[i]),
+            migrated=bool(self.migrated[i]),
+        )
+
+    def region_names(self) -> List[str]:
+        """Per-row region names: the decoded ``region_codes`` column."""
+        return [self.regions[code] for code in self.region_codes.tolist()]
+
+    def __len__(self) -> int:
+        return int(self.job_ids.shape[0])
+
+    def __iter__(self) -> Iterator[Placement]:
+        for row in zip(
+            self.job_ids.tolist(), self.region_names(), self.start_h.tolist(),
+            self.duration_h.tolist(), self.migrated.tolist(),
+        ):
+            yield Placement(*row)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PlacementBatch(
+                job_ids=self.job_ids[index],
+                start_h=self.start_h[index],
+                duration_h=self.duration_h[index],
+                migrated=self.migrated[index],
+                region_codes=self.region_codes[index],
+                regions=self.regions,
+            )
+        return self.placement(index)
+
+    # --- equality / pickling ---------------------------------------------
+    def __eq__(self, other) -> bool:
+        """The same placements row for row, whatever the region tables."""
+        if not isinstance(other, PlacementBatch):
+            if not isinstance(other, (list, tuple)):
+                return NotImplemented
+            if not all(isinstance(p, Placement) for p in other):
+                return False
+            other = PlacementBatch.from_placements(other)
+        return (
+            len(self) == len(other)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("job_ids", "start_h", "duration_h", "migrated")
+            )
+            and self.region_names() == other.region_names()
+        )
+
+    __hash__ = None  # equal to lists, which are unhashable
+
+    def __repr__(self) -> str:
+        return (
+            f"PlacementBatch(n_placements={len(self)}, regions={self.regions!r}, "
+            f"migrated={int(np.count_nonzero(self.migrated))})"
+        )
+
+    def __reduce__(self) -> Tuple:
+        # Same reason as JobBatch.__reduce__: rebuild through __init__.
+        return (
+            _rebuild_placements,
+            ({name: getattr(self, name) for name in self.__slots__},),
+        )
+
+
+def _rebuild_placements(columns: Dict[str, object]) -> PlacementBatch:
+    return PlacementBatch(**columns)

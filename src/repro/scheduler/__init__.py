@@ -18,14 +18,21 @@ on which caller asked first.  Both placement paths read it:
 * ``policy.place_all(jobs)`` — the batched kernel: one gather +
   ``argmin`` per job group (2-D region × start matrix from
   ``window_score_matrix`` and ``unravel_index`` for the joint policy),
-  returning placements in input order that are **byte-identical** to
-  per-job ``place`` calls (pinned by the hypothesis tests in
+  returning a columnar :class:`~repro.cluster.job.PlacementBatch` in
+  input order whose rows are **byte-identical** to per-job ``place``
+  calls (pinned by the hypothesis tests in
   ``tests/test_placement_vectorized.py``).
 
 Evaluation and capacity replay drive policies through
 :func:`repro.scheduler.policies.place_jobs`, which prefers ``place_all``
 and falls back to per-job ``place`` for minimal third-party policies —
 implementing ``place`` alone keeps a custom policy fully functional.
+``place_jobs`` always returns a ``PlacementBatch``: a built-in kernel's
+passes through, and a third-party list of
+:class:`~repro.cluster.job.Placement` (or the ``place`` results) is
+columnized once there.  Validation, charging and the carbon rollup read
+the batch's columns; ``Placement`` and per-job ``JobOutcome`` objects
+are built only when a caller reads them.
 """
 
 from repro._lazy import lazy_exports

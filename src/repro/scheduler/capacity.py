@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Sequence
 
-from repro.core.errors import SchedulingError
-from repro.cluster.job import Job
+from repro.cluster.job import Job, JobBatch
 from repro.cluster.simulator import Cluster, SimulationResult, simulate_cluster
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.trace import IntensityTrace
+from repro.scheduler.evaluation import _validate_placements
 from repro.scheduler.policies import SchedulingPolicy, place_jobs
 
 __all__ = [
@@ -59,26 +59,19 @@ def _reshaped_jobs(jobs: Sequence[Job], policy: SchedulingPolicy) -> tuple[list[
     The simulator treats submit time as the earliest allowed start, so a
     proposal becomes a delayed resubmission.  Slack accounting stays
     intact for validation.  Returns the jobs plus the mean proposed
-    delay.
+    delay.  Proposals pass the evaluator's validator, so a fault raises
+    the same :class:`~repro.core.errors.SchedulingError` here as there.
     """
-    reshaped: list[Job] = []
-    total_delay = 0.0
-    for job, placement in zip(jobs, place_jobs(policy, jobs)):
-        if placement.start_h < job.submit_h - 1e-9:
-            raise SchedulingError(
-                f"policy {policy.name!r} proposed starting job {job.job_id} "
-                "before submission"
-            )
-        if placement.start_h > job.latest_start_h + 1e-9:
-            raise SchedulingError(
-                f"policy {policy.name!r} violated slack for job {job.job_id}"
-            )
-        delay = placement.start_h - job.submit_h
-        total_delay += delay
-        reshaped.append(
-            replace(job, submit_h=placement.start_h, slack_h=job.slack_h - delay)
-        )
-    mean_delay = total_delay / len(jobs) if jobs else 0.0
+    batch = JobBatch.coerce(jobs)
+    placements = place_jobs(policy, jobs)
+    _validate_placements(batch, placements, policy.name)
+    starts = placements.start_h.tolist()
+    delays = (placements.start_h - batch.submit_h).tolist()
+    reshaped = [
+        replace(job, submit_h=start, slack_h=job.slack_h - delay)
+        for job, start, delay in zip(jobs, starts, delays)
+    ]
+    mean_delay = sum(delays) / len(jobs) if jobs else 0.0
     return reshaped, mean_delay
 
 

@@ -13,12 +13,21 @@ vectorized truth-table engine by default, byte-identical to the seed
 loop), and every evaluation carries a
 :class:`~repro.accounting.CarbonLedger` with per-job / per-region
 attribution.
+
+Placements and outcomes stay columnar: the policy's
+:class:`~repro.cluster.job.PlacementBatch` is validated and charged on
+its columns, and :class:`PolicyEvaluation` keeps it beside the per-job
+energy, carbon and delay columns.  Its reductions read the columns in
+the scalar path's order, bit for bit; the per-job :class:`JobOutcome`
+tuple is built only when a caller reads ``outcomes``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +36,7 @@ from repro.accounting.pue import PUELike, resolve_pue
 from repro.core.config import ModelConfig
 from repro.core.errors import SchedulingError
 from repro.core.units import CarbonMass, Energy
-from repro.cluster.job import JobBatch, Placement
+from repro.cluster.job import JobBatch, Placement, PlacementBatch
 from repro.hardware.node import NodeSpec
 from repro.intensity.api import CarbonIntensityService
 from repro.scheduler.policies import JobStream, SchedulingPolicy, place_jobs
@@ -46,31 +55,71 @@ class JobOutcome:
     delay_h: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyEvaluation:
-    """Aggregate outcome of one policy over a workload."""
+    """Aggregate outcome of one policy over a workload.
+
+    The placements and the per-job ``energy_kwh`` / ``carbon_g`` /
+    ``delay_h`` columns are aligned with the input job order.
+    Equality compares the policy name and the outcomes, never the
+    ledger.
+    """
 
     policy_name: str
-    outcomes: tuple[JobOutcome, ...]
-    #: Itemized charges behind the outcomes (per-job/region attribution);
-    #: not part of equality.
-    ledger: Optional[CarbonLedger] = field(default=None, compare=False, repr=False)
+    placements: PlacementBatch = field(repr=False)
+    energy_kwh: np.ndarray = field(repr=False)
+    carbon_g: np.ndarray = field(repr=False)
+    delay_h: np.ndarray = field(repr=False)
+    #: Itemized charges behind the outcomes (per-job/region attribution).
+    ledger: Optional[CarbonLedger] = field(default=None, repr=False)
 
+    @cached_property
+    def outcomes(self) -> Tuple[JobOutcome, ...]:
+        """Per-job outcomes, built from the columns on first access."""
+        return tuple(
+            JobOutcome(
+                job_id=placement.job_id,
+                placement=placement,
+                energy_kwh=energy,
+                carbon_g=carbon,
+                delay_h=delay,
+            )
+            for placement, energy, carbon, delay in zip(
+                self.placements,
+                self.energy_kwh.tolist(),
+                self.carbon_g.tolist(),
+                self.delay_h.tolist(),
+            )
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolicyEvaluation):
+            return NotImplemented
+        return (
+            self.policy_name == other.policy_name
+            and self.outcomes == other.outcomes
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.policy_name, self.outcomes))
+
+    # The reductions add the per-job floats left to right, as a sum over
+    # the outcomes does; np.sum adds pairwise and would move the bits.
     @property
     def total_carbon(self) -> CarbonMass:
-        return CarbonMass(sum(o.carbon_g for o in self.outcomes))
+        return CarbonMass(sum(self.carbon_g.tolist()))
 
     @property
     def total_energy(self) -> Energy:
-        return Energy(sum(o.energy_kwh for o in self.outcomes))
+        return Energy(sum(self.energy_kwh.tolist()))
 
     def mean_delay_h(self) -> float:
-        if not self.outcomes:
+        if not self.delay_h.shape[0]:
             return 0.0
-        return float(np.mean([o.delay_h for o in self.outcomes]))
+        return float(np.mean(self.delay_h))
 
     def migration_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.placement.migrated)
+        return int(np.count_nonzero(self.placements.migrated))
 
     def carbon_by_region(self) -> Dict[str, float]:
         """Realized grams per placement region (ledger attribution)."""
@@ -80,31 +129,42 @@ class PolicyEvaluation:
 
 
 def _validate_placements(
-    batch: JobBatch, placements: Sequence[Placement], policy_name: str
+    batch: JobBatch, placements: PlacementBatch, policy_name: str
 ) -> None:
     """The placement sanity contract the seed evaluator enforced.
 
     (Job/placement id pairing is already enforced by ``place_jobs``,
-    the single chokepoint every evaluation path goes through.)  Works
-    off the batch columns — no per-job objects.
+    the single chokepoint every evaluation path goes through.)  Reads
+    the batch and placement columns — no per-job objects — and reports
+    the first offending job in input order; for that job the checks
+    run in the seed's order (duplicate, before submit, slack), then a
+    non-finite start, which every comparison above lets through.
     """
-    seen: set[int] = set()
-    submits = batch.submit_h
-    latest = batch.submit_h + batch.slack_h
-    job_ids = batch.job_ids
-    for i, placement in enumerate(placements):
-        if placement.job_id in seen:
-            raise SchedulingError(f"job {int(job_ids[i])} placed twice")
-        seen.add(placement.job_id)
-        if placement.start_h < submits[i] - 1e-9:
-            raise SchedulingError(
-                f"policy {policy_name!r} started job {int(job_ids[i])} "
-                "before submit"
-            )
-        if placement.start_h > latest[i] + 1e-9:
-            raise SchedulingError(
-                f"policy {policy_name!r} violated slack for job {int(job_ids[i])}"
-            )
+    starts = placements.start_h
+    duplicate = np.ones(starts.shape[0], dtype=bool)
+    duplicate[np.unique(placements.job_ids, return_index=True)[1]] = False
+    early = starts < batch.submit_h - 1e-9
+    late = starts > batch.submit_h + batch.slack_h + 1e-9
+    non_finite = ~np.isfinite(starts)
+    bad = duplicate | early | late | non_finite
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    job_id = int(batch.job_ids[i])
+    if duplicate[i]:
+        raise SchedulingError(f"job {job_id} placed twice")
+    if early[i]:
+        raise SchedulingError(
+            f"policy {policy_name!r} started job {job_id} before submit"
+        )
+    if late[i]:
+        raise SchedulingError(
+            f"policy {policy_name!r} violated slack for job {job_id}"
+        )
+    raise SchedulingError(
+        f"policy {policy_name!r} placed job {job_id} at non-finite start "
+        f"{float(starts[i])!r}"
+    )
 
 
 def evaluate_policy(
@@ -143,9 +203,15 @@ def evaluate_policy(
     placement, validation, and charging on its columns alone — no
     per-job Python objects on the hot path (sequences are columnized
     once at the door).  ``batch`` optionally supplies that columnar
-    view precomputed (it must describe the same jobs) so multi-policy
-    sweeps pay for one encoding, not one per policy.
+    view precomputed so multi-policy sweeps pay for one encoding, not
+    one per policy; it must describe the same jobs, and a batch whose
+    ``job_ids`` differ from the placed jobs' raises
+    :class:`SchedulingError` before anything is charged.
     """
+    if not math.isfinite(transfer_overhead_fraction):
+        raise SchedulingError(
+            f"transfer overhead must be finite, got {transfer_overhead_fraction!r}"
+        )
     if transfer_overhead_fraction < 0.0:
         raise SchedulingError("transfer overhead must be non-negative")
     # Resolve the PUE once, with this layer's error type; the engine
@@ -168,6 +234,13 @@ def evaluate_policy(
     # state its own Job subclass carries, which the columnar batch's
     # reconstructed scalar views would drop.
     placements = place_jobs(policy, jobs)
+    mismatched = batch.job_ids != placements.job_ids
+    if mismatched.any():
+        i = int(np.argmax(mismatched))
+        raise SchedulingError(
+            f"precomputed batch row {i} holds job {int(batch.job_ids[i])}, "
+            f"but the policy placed job {int(placements.job_ids[i])} there"
+        )
     _validate_placements(batch, placements, policy.name)
 
     # Charging: the whole per-job accounting loop is one engine call.
@@ -186,20 +259,13 @@ def evaluate_policy(
     if ledger is not None:
         ledger.merge(own_ledger)
 
-    job_ids = batch.job_ids
-    submits = batch.submit_h
-    outcomes = tuple(
-        JobOutcome(
-            job_id=int(job_ids[i]),
-            placement=placement,
-            energy_kwh=float(charges.energy_kwh[i]),
-            carbon_g=float(charges.carbon_g[i]),
-            delay_h=float(placement.start_h - submits[i]),
-        )
-        for i, placement in enumerate(placements)
-    )
     return PolicyEvaluation(
-        policy_name=policy.name, outcomes=outcomes, ledger=own_ledger
+        policy_name=policy.name,
+        placements=placements,
+        energy_kwh=np.asarray(charges.energy_kwh, dtype=float),
+        carbon_g=np.asarray(charges.carbon_g, dtype=float),
+        delay_h=placements.start_h - batch.submit_h,
+        ledger=own_ledger,
     )
 
 

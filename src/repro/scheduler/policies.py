@@ -29,7 +29,14 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.errors import SchedulingError
-from repro.cluster.job import Job, JobBatch, Placement, charge_windows
+from repro.cluster.job import (
+    Job,
+    JobBatch,
+    Placement,
+    PlacementBatch,
+    charge_windows,
+    row_groups,
+)
 from repro.intensity.api import CarbonIntensityService
 
 __all__ = [
@@ -57,10 +64,13 @@ class SchedulingPolicy(Protocol):
     on each job (the built-in policies score both paths from the same
     :meth:`~repro.intensity.api.CarbonIntensityService.window_score_table`).
     ``place_all`` accepts a job sequence **or** a columnar
-    :class:`~repro.cluster.job.JobBatch`; the built-in kernels read the
-    batch's columns directly and never materialize per-job objects.
-    Third-party policies that only implement ``place`` still work
-    everywhere — drive them through :func:`place_jobs`.
+    :class:`~repro.cluster.job.JobBatch` and returns a columnar
+    :class:`~repro.cluster.job.PlacementBatch`; the built-in kernels read
+    the batch's columns, fill the placement columns and never
+    materialize per-job objects.  A third-party ``place_all`` may return
+    a plain list of :class:`~repro.cluster.job.Placement`, and policies
+    that only implement ``place`` still work everywhere — drive either
+    through :func:`place_jobs`, which columnizes their results once.
     """
 
     name: str
@@ -68,38 +78,45 @@ class SchedulingPolicy(Protocol):
     def place(self, job: Job) -> Placement:  # pragma: no cover - protocol
         ...
 
-    def place_all(self, jobs: JobStream) -> List[Placement]:  # pragma: no cover
+    def place_all(self, jobs: JobStream) -> PlacementBatch:  # pragma: no cover
         ...
 
 
-def place_jobs(policy: SchedulingPolicy, jobs: JobStream) -> List[Placement]:
+def place_jobs(policy: SchedulingPolicy, jobs: JobStream) -> PlacementBatch:
     """Place a job stream, batched when the policy supports it.
 
     Uses ``policy.place_all`` when present (the vectorized hot path) and
     falls back to per-job ``place`` calls otherwise, so minimal policies
-    keep working unchanged.
+    keep working unchanged.  A built-in kernel's
+    :class:`~repro.cluster.job.PlacementBatch` passes through; a list of
+    placements is columnized here, once, as ``JobBatch.coerce`` does for
+    jobs.  Raises :class:`SchedulingError` unless row ``i`` places job
+    ``i`` of ``jobs``.
     """
     batch = getattr(policy, "place_all", None)
     if batch is None:
-        placements = [policy.place(job) for job in jobs]
+        placements = PlacementBatch.from_placements(
+            [policy.place(job) for job in jobs]
+        )
     else:
-        placements = list(batch(jobs))
+        placements = PlacementBatch.coerce(batch(jobs))
         if len(placements) != len(jobs):
             raise SchedulingError(
                 f"policy {policy.name!r} returned {len(placements)} placements "
                 f"for {len(jobs)} jobs"
             )
     expected_ids = (
-        jobs.job_ids.tolist()
+        jobs.job_ids
         if isinstance(jobs, JobBatch)
-        else [job.job_id for job in jobs]
+        else np.array([job.job_id for job in jobs], dtype=np.int64)
     )
-    for job_id, placement in zip(expected_ids, placements):
-        if placement.job_id != job_id:
-            raise SchedulingError(
-                f"policy {policy.name!r} returned placement for job "
-                f"{placement.job_id}, expected {job_id}"
-            )
+    mispaired = placements.job_ids != expected_ids
+    if mispaired.any():
+        i = int(np.argmax(mispaired))
+        raise SchedulingError(
+            f"policy {policy.name!r} returned placement for job "
+            f"{int(placements.job_ids[i])}, expected {int(expected_ids[i])}"
+        )
     return placements
 
 
@@ -117,20 +134,33 @@ def _window_hours(duration_h: float) -> int:
 
 
 def _job_columns(jobs: JobStream, default_region: str):
-    """``(job_ids, submits, durations, slacks, homes)`` columns.
+    """``(job_ids, submits, durations, slacks, home_codes, regions)``.
 
     The kernels' one extraction chokepoint: a :class:`JobBatch` hands
     its arrays over directly (no per-job objects), a job sequence is
     columnized once.  Values are identical either way, which is what
-    keeps batch and object placements byte-identical.
+    keeps batch and object placements byte-identical.  Home regions
+    come back as codes into ``regions``, a name -> code table of
+    distinct names; kernels add their candidate regions to it, and it
+    becomes the region table of the :class:`PlacementBatch` they return.
     """
+    regions: Dict[str, int] = {}
     if isinstance(jobs, JobBatch):
+        # Code -1 (no home region) reads the last slot: the default.
+        remap = np.array(
+            [
+                regions.setdefault(name, len(regions))
+                for name in (*jobs.regions, default_region)
+            ],
+            dtype=np.int64,
+        )
         return (
             jobs.job_ids,
             jobs.submit_h,
             jobs.duration_h,
             jobs.slack_h,
-            jobs.home_regions(default_region),
+            remap[jobs.region_codes],
+            regions,
         )
     jobs = list(jobs)
     return (
@@ -138,7 +168,38 @@ def _job_columns(jobs: JobStream, default_region: str):
         np.array([j.submit_h for j in jobs], dtype=float),
         np.array([j.duration_h for j in jobs], dtype=float),
         np.array([j.slack_h for j in jobs], dtype=float),
-        [_job_region(j, default_region) for j in jobs],
+        np.array(
+            [
+                regions.setdefault(_job_region(j, default_region), len(regions))
+                for j in jobs
+            ],
+            dtype=np.int64,
+        ),
+        regions,
+    )
+
+
+def _placed(
+    ids: np.ndarray,
+    starts: np.ndarray,
+    durations: np.ndarray,
+    codes: np.ndarray,
+    regions: Dict[str, int],
+    home_codes: Optional[np.ndarray] = None,
+) -> PlacementBatch:
+    """The kernels' result; a job placed away from its home is migrated."""
+    migrated = (
+        np.zeros(ids.shape[0], dtype=bool)
+        if home_codes is None
+        else codes != home_codes
+    )
+    return PlacementBatch(
+        job_ids=ids,
+        start_h=starts,
+        duration_h=durations,
+        migrated=migrated,
+        region_codes=codes,
+        regions=tuple(regions),
     )
 
 
@@ -214,20 +275,12 @@ class CarbonObliviousPolicy:
             duration_h=job.duration_h,
         )
 
-    def place_all(self, jobs: JobStream) -> List[Placement]:
+    def place_all(self, jobs: JobStream) -> PlacementBatch:
         """Batch path: no scoring, straight from the columns."""
-        ids, submits, durations, _slacks, homes = _job_columns(
+        ids, submits, durations, _slacks, homes, regions = _job_columns(
             jobs, self.default_region
         )
-        return [
-            Placement(
-                job_id=int(ids[i]),
-                region=homes[i],
-                start_h=float(submits[i]),
-                duration_h=float(durations[i]),
-            )
-            for i in range(ids.shape[0])
-        ]
+        return _placed(ids, submits, durations, homes, regions)
 
 
 @dataclass
@@ -272,7 +325,7 @@ class TemporalShiftingPolicy:
             duration_h=job.duration_h,
         )
 
-    def place_all(self, jobs: JobStream) -> List[Placement]:
+    def place_all(self, jobs: JobStream) -> PlacementBatch:
         """Vectorized batch placement, byte-identical to per-job ``place``.
 
         Jobs group by (region, window); each group scores every
@@ -280,22 +333,22 @@ class TemporalShiftingPolicy:
         and one row-wise ``argmin``.  First-occurrence argmin ties match
         the scalar path's first-best scan exactly.  Column extraction
         goes through :func:`_job_columns`, so a :class:`JobBatch` flows
-        through without per-job objects.
+        through without per-job objects, and the chosen starts fill the
+        returned batch's start column.
         """
-        ids, submits, durations, slacks, homes = _job_columns(
+        ids, submits, durations, slacks, homes, regions = _job_columns(
             jobs, self.default_region
         )
-        n_jobs = ids.shape[0]
+        names = list(regions)
         windows = charge_windows(durations)
-        placements: List[Optional[Placement]] = [None] * n_jobs
-        groups: Dict[Tuple[str, int], List[int]] = {}
-        for i in range(n_jobs):
-            groups.setdefault((homes[i], int(windows[i])), []).append(i)
-        for (region, window), idxs in groups.items():
-            starts_list = [
-                _slack_starts(submits[i], slacks[i], self.step_h) for i in idxs
-            ]
-            matrix, pad_mask, _ = _padded_starts(starts_list)
+        starts = np.empty(ids.shape[0])
+        keys = homes * (int(windows.max(initial=0)) + 1) + windows
+        for idxs in row_groups(keys):
+            region = names[int(homes[idxs[0]])]
+            window = int(windows[idxs[0]])
+            matrix, pad_mask, _ = _padded_starts(
+                [_slack_starts(submits[i], slacks[i], self.step_h) for i in idxs]
+            )
             hours = np.floor(matrix).astype(np.int64) % len(
                 self.service.trace(region)
             )
@@ -305,14 +358,8 @@ class TemporalShiftingPolicy:
             scores = table[hours]
             scores[pad_mask] = np.inf
             best_cols = np.argmin(scores, axis=1)
-            for row, i in enumerate(idxs):
-                placements[i] = Placement(
-                    job_id=int(ids[i]),
-                    region=region,
-                    start_h=float(starts_list[row][best_cols[row]]),
-                    duration_h=float(durations[i]),
-                )
-        return placements
+            starts[idxs] = matrix[np.arange(idxs.shape[0]), best_cols]
+        return _placed(ids, starts, durations, homes, regions)
 
 
 @dataclass
@@ -360,7 +407,7 @@ class GeographicPolicy:
             migrated=best_region != home,
         )
 
-    def place_all(self, jobs: JobStream) -> List[Placement]:
+    def place_all(self, jobs: JobStream) -> PlacementBatch:
         """Vectorized batch placement, byte-identical to per-job ``place``.
 
         Jobs group by window; each group scores as one column gather
@@ -370,32 +417,24 @@ class GeographicPolicy:
         """
         n = _shared_horizon(self.service, self._candidates)
         if n is None:
-            return [self.place(job) for job in jobs]
-        ids, submits, durations, _slacks, homes = _job_columns(
+            return PlacementBatch.from_placements([self.place(job) for job in jobs])
+        ids, submits, durations, _slacks, homes, regions = _job_columns(
             jobs, self.default_region
         )
-        n_jobs = ids.shape[0]
+        candidates = np.array(
+            [regions.setdefault(code, len(regions)) for code in self._candidates],
+            dtype=np.int64,
+        )
         windows = charge_windows(durations)
-        placements: List[Optional[Placement]] = [None] * n_jobs
-        groups: Dict[int, List[int]] = {}
-        for i in range(n_jobs):
-            groups.setdefault(int(windows[i]), []).append(i)
-        for window, idxs in groups.items():
+        codes = np.empty(ids.shape[0], dtype=np.int64)
+        for idxs in row_groups(windows):
+            window = int(windows[idxs[0]])
             hours = np.floor(submits[idxs]).astype(np.int64) % n
             matrix = self.service.window_score_matrix(
                 self._candidates, window, rows=int(hours.max()) + 1
             )
-            region_rows = np.argmin(matrix[:, hours], axis=0)
-            for row, i in zip(region_rows, idxs):
-                best_region = self._candidates[int(row)]
-                placements[i] = Placement(
-                    job_id=int(ids[i]),
-                    region=best_region,
-                    start_h=float(submits[i]),
-                    duration_h=float(durations[i]),
-                    migrated=best_region != homes[i],
-                )
-        return placements
+            codes[idxs] = candidates[np.argmin(matrix[:, hours], axis=0)]
+        return _placed(ids, submits, durations, codes, regions, homes)
 
 
 @dataclass
@@ -439,7 +478,7 @@ class TemporalGeographicPolicy:
             migrated=region != home,
         )
 
-    def place_all(self, jobs: JobStream) -> List[Placement]:
+    def place_all(self, jobs: JobStream) -> PlacementBatch:
         """Vectorized joint placement, byte-identical to per-job ``place``.
 
         Jobs group by window; each group gathers a ``(region, job,
@@ -451,41 +490,35 @@ class TemporalGeographicPolicy:
         candidates = self._geo._candidates
         n = _shared_horizon(self.service, candidates)
         if n is None:
-            return [self.place(job) for job in jobs]
-        ids, submits, durations, slacks, homes = _job_columns(
+            return PlacementBatch.from_placements([self.place(job) for job in jobs])
+        ids, submits, durations, slacks, homes, regions = _job_columns(
             jobs, self.default_region
         )
-        n_jobs = ids.shape[0]
+        candidate_codes = np.array(
+            [regions.setdefault(code, len(regions)) for code in candidates],
+            dtype=np.int64,
+        )
         windows = charge_windows(durations)
-        placements: List[Optional[Placement]] = [None] * n_jobs
-        groups: Dict[int, List[int]] = {}
-        for i in range(n_jobs):
-            groups.setdefault(int(windows[i]), []).append(i)
-        for window, idxs in groups.items():
-            starts_list = [
-                _slack_starts(submits[i], slacks[i], self.step_h) for i in idxs
-            ]
-            padded, pad_mask, _ = _padded_starts(starts_list)
+        starts = np.empty(ids.shape[0])
+        codes = np.empty(ids.shape[0], dtype=np.int64)
+        for idxs in row_groups(windows):
+            window = int(windows[idxs[0]])
+            padded, pad_mask, _ = _padded_starts(
+                [_slack_starts(submits[i], slacks[i], self.step_h) for i in idxs]
+            )
             hour_idx = np.floor(padded).astype(np.int64) % n
             matrix = self.service.window_score_matrix(
                 candidates, window, rows=int(hour_idx.max()) + 1
             )
             scores = matrix[:, hour_idx]  # (regions, jobs, starts)
             scores[:, pad_mask] = np.inf
-            flat = scores.transpose(1, 0, 2).reshape(len(idxs), -1)
+            flat = scores.transpose(1, 0, 2).reshape(idxs.shape[0], -1)
             region_rows, start_cols = np.unravel_index(
                 np.argmin(flat, axis=1), (len(candidates), padded.shape[1])
             )
-            for row, i in enumerate(idxs):
-                region = candidates[int(region_rows[row])]
-                placements[i] = Placement(
-                    job_id=int(ids[i]),
-                    region=region,
-                    start_h=float(starts_list[row][start_cols[row]]),
-                    duration_h=float(durations[i]),
-                    migrated=region != homes[i],
-                )
-        return placements
+            codes[idxs] = candidate_codes[region_rows]
+            starts[idxs] = padded[np.arange(idxs.shape[0]), start_cols]
+        return _placed(ids, starts, durations, codes, regions, homes)
 
 
 # --- session-facade backends (the ``policy`` kind) ----------------------------

@@ -739,7 +739,7 @@ class Session:
             primary.add_batch(
                 "embodied",
                 carbon_g=amortized,
-                regions=[o.placement.region for o in evaluation.outcomes],
+                regions=evaluation.placements.region_names(),
                 policy=best.policy,
                 job_ids=jobs.job_ids,
             )

@@ -127,11 +127,26 @@ def _check_workload(key, factory, ctx):
 
 
 def _check_policy(key, factory, ctx):
+    from repro.cluster.job import PlacementBatch
+    from repro.workloads.sources import WorkloadParams, generate_workload
+
     policy = factory(ctx["flat_service"], "ESO", regions=None)
     assert isinstance(policy.name, str) and policy.name
     assert callable(getattr(policy, "place", None)), (
         f"policy {key!r} lacks the place(job) protocol method"
     )
+    # The batched kernel returns columns, row for row the scalar path's.
+    jobs = generate_workload(
+        WorkloadParams(horizon_h=24.0, total_gpus=4, home_region="ESO",
+                       slack_fraction=1.0),
+        seed=5,
+    )
+    placed = policy.place_all(jobs)
+    assert isinstance(placed, PlacementBatch), (
+        f"policy {key!r} place_all returned {type(placed).__name__}, "
+        "expected PlacementBatch"
+    )
+    assert placed == [policy.place(job) for job in jobs]
 
 
 def _check_simulator(key, factory, ctx):

@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accounting import VectorizedChargingEngine
 from repro.core.errors import SchedulingError
-from repro.cluster.job import Job, Placement
+from repro.cluster.job import Job, JobBatch, Placement
+from repro.cluster.simulator import Cluster
 from repro.workloads.sources import WorkloadParams, generate_workload
 from repro.hardware.node import v100_node
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.trace import IntensityTrace
+from repro.scheduler.capacity import simulate_with_policy
 from repro.scheduler.evaluation import compare_policies, evaluate_policy
 from repro.scheduler.policies import (
     CarbonObliviousPolicy,
@@ -39,6 +42,34 @@ def make_job(job_id=0, submit=0.0, duration=1.0, slack=0.0, region="A"):
         slack_h=slack,
         home_region=region,
     )
+
+
+class ProposalPolicy:
+    """A place()-only policy proposing the given start per job id
+    (submit time otherwise), in the job's home region."""
+
+    def __init__(self, starts, name="proposer"):
+        self.starts = starts
+        self.name = name
+
+    def place(self, job):
+        return Placement(
+            job_id=job.job_id,
+            region=job.home_region,
+            start_h=self.starts.get(job.job_id, job.submit_h),
+            duration_h=job.duration_h,
+        )
+
+
+class RecordingEngine(VectorizedChargingEngine):
+    """The default charging engine, counting its charge calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def charge(self, *args, **kwargs):
+        self.calls += 1
+        return super().charge(*args, **kwargs)
 
 
 class TestCarbonOblivious:
@@ -235,6 +266,93 @@ class TestEvaluation:
         ]
         with pytest.raises(SchedulingError):
             compare_policies([make_job()], policies, service, v100_node())
+
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            # Job 1 breaks its slack, job 2 starts early: job 1 is named.
+            ({1: 22.0, 2: 22.0}, "policy 'bad' violated slack for job 1"),
+            ({1: 12.0, 2: 32.0}, "policy 'bad' started job 1 before submit"),
+        ],
+    )
+    def test_first_offending_job_reported(self, starts, message):
+        """Evaluation and capacity replay name the first offending job in
+        input order, with the seed evaluator's message."""
+        service = make_service()
+        jobs = [make_job(job_id=i, submit=10.0 * i + 5.0, slack=2.0) for i in range(3)]
+        policy = ProposalPolicy(starts, name="bad")
+        with pytest.raises(SchedulingError) as evaluated:
+            evaluate_policy(jobs, policy, service, v100_node())
+        assert str(evaluated.value) == message
+        with pytest.raises(SchedulingError) as replayed:
+            simulate_with_policy(
+                jobs, policy, Cluster(v100_node(), n_nodes=2),
+                service.trace("A"), horizon_h=48.0,
+            )
+        assert str(replayed.value) == message
+
+
+class TestRejectedBeforeCharging:
+    """Inputs evaluate_policy once accepted and then mis-charged or
+    reported late: each raises SchedulingError before any charging."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        service = CarbonIntensityService()
+        jobs = [
+            make_job(job_id=i, submit=5.0 * i, duration=2.0, slack=6.0, region="ESO")
+            for i in range(3)
+        ]
+        return service, jobs
+
+    def test_nan_start_rejected(self, case):
+        service, jobs = case
+        engine = RecordingEngine()
+        with pytest.raises(
+            SchedulingError,
+            match="policy 'proposer' placed job 1 at non-finite start nan",
+        ):
+            evaluate_policy(
+                jobs, ProposalPolicy({1: float("nan")}), service, v100_node(),
+                accounting=engine,
+            )
+        assert engine.calls == 0
+
+    def test_nan_start_rejected_by_capacity_replay(self, case):
+        service, jobs = case
+        with pytest.raises(SchedulingError, match="job 1 at non-finite start"):
+            simulate_with_policy(
+                jobs, ProposalPolicy({1: float("nan")}),
+                Cluster(v100_node(), n_nodes=2), service.trace("ESO"),
+                horizon_h=48.0,
+            )
+
+    def test_batch_of_other_jobs_rejected(self, case):
+        service, jobs = case
+        other = JobBatch.coerce(
+            [
+                make_job(job_id=10 + i, submit=5.0 * i, duration=30.0, region="ESO")
+                for i in range(3)
+            ]
+        )
+        engine = RecordingEngine()
+        with pytest.raises(SchedulingError, match="batch row 0 holds job 10"):
+            evaluate_policy(
+                jobs, CarbonObliviousPolicy(service, "ESO"), service, v100_node(),
+                accounting=engine, batch=other,
+            )
+        assert engine.calls == 0
+
+    @pytest.mark.parametrize("overhead", [float("nan"), float("inf")])
+    def test_non_finite_transfer_overhead_rejected(self, case, overhead):
+        service, jobs = case
+        engine = RecordingEngine()
+        with pytest.raises(SchedulingError, match="overhead must be finite"):
+            evaluate_policy(
+                jobs, GeographicPolicy(service, "ESO"), service, v100_node(),
+                transfer_overhead_fraction=overhead, accounting=engine,
+            )
+        assert engine.calls == 0
 
 
 class TestRealisticSavings:
