@@ -24,6 +24,7 @@ columns; :class:`Placement` is its lazily built scalar view.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -121,6 +122,17 @@ class Job:
             raise SimulationError(f"job {self.job_id}: submit time must be >= 0")
         if self.slack_h < 0.0:
             raise SimulationError(f"job {self.job_id}: slack must be >= 0")
+        # NaN passes every comparison above; JobBatch rejects the same
+        # values column-wide.
+        for what, value in (
+            ("submit time", self.submit_h),
+            ("duration", self.duration_h),
+            ("slack", self.slack_h),
+        ):
+            if not math.isfinite(value):
+                raise SimulationError(
+                    f"job {self.job_id}: {what} must be finite, got {value!r}"
+                )
 
     @property
     def gpu_hours(self) -> float:

@@ -33,10 +33,8 @@ __all__ = [
     "oracle_service",
     "synthetic_service",
     "TableCacheInfo",
-    "set_table_provider",
     "table_cache_info",
     "table_key",
-    "table_provider",
 ]
 
 #: Lead-time chunk width for noisy score-table construction: caps the
@@ -63,43 +61,9 @@ _SCORE_ROW_BLOCK = 64
 #: used tables are dropped and rebuilt on their next request.
 _TABLE_MEMO_BYTES = 64 * 1024 * 1024
 
-#: Externalizable truth-table hook, the second tier behind the
-#: process-wide memo.  When set,
-#: ``provider(kind, identity, region, window, build)`` is consulted on a
-#: process-wide memo miss before building a truth window table:
-#: ``kind`` is ``"truth"``, ``identity`` carries the content digest of
-#: the region trace, and ``build`` computes the table when the provider
-#: has no copy.  :class:`repro.sweep.store.SharedTraceStore` uses this to
-#: serialize tables once to memory-mapped ``.npy`` files that every
-#: sweep worker attaches to.  Providers must be byte-faithful; the
-#: builds are deterministic per identity, so a last-writer-wins store
-#: converges on identical bytes.  Score tables never reach the provider:
-#: each process builds only the issue hours its callers read (see
-#: :meth:`CarbonIntensityService.window_score_table`), which costs less
-#: than attaching whole-year tables.
-_table_provider = None
-
-
-def set_table_provider(provider):
-    """Install (or with ``None`` clear) the external truth-table provider.
-
-    Score tables are always built in-process, row-scoped, and never
-    reach it.  Returns the previously installed provider so callers can
-    restore it.
-    """
-    global _table_provider
-    previous = _table_provider
-    _table_provider = provider
-    return previous
-
-
-def table_provider():
-    """The currently installed external table provider (or ``None``)."""
-    return _table_provider
-
 
 def table_key(kind: str, identity: Mapping, region: str, window: int) -> tuple:
-    """What one window table's bytes depend on: its memo and store key.
+    """What one window table's bytes depend on: its memo key.
 
     Truth tables are pure functions of the trace content, so services
     that differ only in forecast error share them; score tables also
@@ -129,8 +93,7 @@ class _TableMemo:
     the entry in one assignment, so rows and stream position commit
     together, and eviction drops both.  A lookup is a hit when the
     entry holds the rows asked for.  ``builds`` counts table identities
-    computed in this process: growing a table is not a build, nor is a
-    miss the external provider serves.
+    computed in this process; growing a table is not a build.
     """
 
     def __init__(self) -> None:
@@ -211,9 +174,9 @@ def table_cache_info() -> TableCacheInfo:
     ``hits`` count lookups served from the rows already held,
     ``misses`` the others (no table yet, or a score table that had to
     grow).  ``builds`` counts the table identities this process
-    computed: growing a score table is not a build, nor is a miss the
-    external provider serves.  ``entries``/``bytes`` are what the memo
-    holds now, partial score tables at the rows built so far.
+    computed; growing a score table is not a build.  ``entries``/``bytes``
+    are what the memo holds now, partial score tables at the rows built
+    so far.
     :func:`repro.intensity.generator.trace_cache_clear` empties the memo
     and resets the counters.
     """
@@ -508,8 +471,7 @@ class CarbonIntensityService:
         against the forecast score tables, the carbon ledger charges
         realized placements against these.  Built once per trace content
         and window, and memoized process-wide (shared across seeds and
-        forecast errors; an attached external provider is consulted only
-        on a memo miss), so charging a batch of placed jobs is a single
+        forecast errors), so charging a batch of placed jobs is a single
         gather instead of a per-job slice-and-mean.
 
         Each row is reduced with the same pairwise summation ``numpy``
@@ -523,21 +485,12 @@ class CarbonIntensityService:
         The returned array is read-only and shared; copy before writing.
         """
         window = _window(window_hours)
-        identity = self._table_identity(region)
-        key = table_key("truth", identity, region, window)
+        key = table_key("truth", self._table_identity(region), region, window)
         entry = _TABLES.get(key)
         if entry is not None:
             return entry[0]
-
-        def counted_build() -> np.ndarray:
-            _TABLES.builds += 1
-            return self._build_truth_table(region, window)
-
-        table = None
-        if _table_provider is not None:
-            table = _table_provider("truth", identity, region, window, counted_build)
-        if table is None:
-            table = counted_build()
+        _TABLES.builds += 1
+        table = self._build_truth_table(region, window)
         table.setflags(write=False)
         _TABLES.put(key, table)
         return table

@@ -15,13 +15,19 @@ on which caller asked first.  Both placement paths read it:
 
 * ``policy.place(job)`` — the scalar reference path: per-candidate
   table lookups via ``forecast_window_mean`` (deduped by floored hour).
-* ``policy.place_all(jobs)`` — the batched kernel: one gather +
-  ``argmin`` per job group (2-D region × start matrix from
-  ``window_score_matrix`` and ``unravel_index`` for the joint policy),
-  returning a columnar :class:`~repro.cluster.job.PlacementBatch` in
-  input order whose rows are **byte-identical** to per-job ``place``
-  calls (pinned by the hypothesis tests in
-  ``tests/test_placement_vectorized.py``).
+* ``policy.place_all(jobs)`` — the batched kernel: one gather + flat
+  ``argmin`` per job group over the 2-D region × start block from
+  ``window_score_matrix``, decoded with ``unravel_index``, returning a
+  columnar :class:`~repro.cluster.job.PlacementBatch` in input order
+  whose rows are **byte-identical** to per-job ``place`` calls (pinned
+  by the hypothesis tests in ``tests/test_placement_vectorized.py``).
+
+The three carbon-aware policies (temporal shifting, geographic, and
+both) share one search, so one ``place`` and one ``place_all`` serve
+them all; each policy only declares its candidate regions (its list,
+or the job's home alone) and candidate starts (the slack grid, or the
+submit time alone).  ``tests/oracles.py`` keeps one scalar scan per
+policy as the parity oracle.
 
 Evaluation and capacity replay drive policies through
 :func:`repro.scheduler.policies.place_jobs`, which prefers ``place_all``

@@ -6,7 +6,7 @@ exploit temporal variations" and geographic distribution.  This module
 implements that family:
 
 * :class:`CarbonObliviousPolicy` — the baseline: run at submit time in
-  the home region.
+  the home region.  It reads no forecasts.
 * :class:`TemporalShiftingPolicy` — delay a job within its slack window
   to the start hour minimizing the *forecast* mean intensity over the
   job's duration (Fig. 7's within-day variation).
@@ -14,6 +14,13 @@ implements that family:
   region at submit time, paying a data-transfer overhead (the paper's
   Insight 7 caveat about transfer energy).
 * :class:`TemporalGeographicPolicy` — joint choice of (region, start).
+
+The three carbon-aware policies make one decision: the lowest forecast
+window mean over candidate regions × candidate starts.  They differ
+only in their candidate sets — the job's home region or the policy's
+region list, the submit time or the slack grid — and share one search,
+:class:`_ForecastSearch`, for both the scalar ``place`` and the batched
+``place_all``.
 
 Policies only see *forecasts* through the
 :class:`~repro.intensity.api.CarbonIntensityService`; evaluation charges
@@ -23,6 +30,7 @@ realistically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
@@ -237,20 +245,18 @@ def _unique_floor_hours(starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.unique(hours, return_index=True)
 
 
-def _padded_starts(
-    starts_list: List[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _padded_starts(starts_list: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Stack ragged per-job candidate-start arrays into one matrix.
 
-    Returns ``(matrix, pad_mask, lengths)`` where padded cells (mask
-    True) hold 0.0 and must be score-masked before any argmin.
+    Returns ``(matrix, pad_mask)`` where padded cells (mask True) hold
+    0.0 and must be score-masked before any argmin.
     """
     lengths = np.array([s.size for s in starts_list], dtype=np.int64)
     matrix = np.zeros((len(starts_list), int(lengths.max())))
     for row, starts in enumerate(starts_list):
         matrix[row, : starts.size] = starts
     pad_mask = np.arange(matrix.shape[1])[None, :] >= lengths[:, None]
-    return matrix, pad_mask, lengths
+    return matrix, pad_mask
 
 
 @dataclass
@@ -283,187 +289,67 @@ class CarbonObliviousPolicy:
         return _placed(ids, submits, durations, homes, regions)
 
 
-@dataclass
-class TemporalShiftingPolicy:
-    """Shift the start within the slack window to the forecast-cleanest
-    hour in the home region.
+class _ForecastSearch:
+    """The placement search of the three carbon-aware policies.
 
-    ``step_h`` sets the candidate-start granularity (1 h matches the
-    resolution of grid-intensity feeds).
+    A job goes to the (region, start) pair with the lowest forecast mean
+    intensity over its duration, among candidate regions × candidate
+    starts.  Each policy is a dataclass over this base that declares its
+    fields and its two candidate sets:
+
+    * ``_in_space`` — candidate regions are the policy's ``regions``
+      (every served region by default), else the job's home region
+      alone;
+    * ``_in_time`` — candidate starts are the slack grid, every
+      ``step_h`` hours from submit to the latest start
+      (:func:`_slack_starts`), else the submit time alone.
+
+    :meth:`place` scans regions outer and starts inner and keeps the
+    first best candidate; :meth:`place_all` takes the same decision for
+    a whole job stream in one flat ``argmin`` per window group.
     """
 
-    service: CarbonIntensityService
-    default_region: str
-    step_h: float = 1.0
-    name: str = "temporal-shifting"
+    _in_space = False
+    _in_time = False
 
     def __post_init__(self) -> None:
-        if self.step_h <= 0.0:
-            raise SchedulingError(f"step must be positive, got {self.step_h!r}")
+        if self._in_time:
+            if not math.isfinite(self.step_h):
+                raise SchedulingError(f"step must be finite, got {self.step_h!r}")
+            if self.step_h <= 0.0:
+                raise SchedulingError(f"step must be positive, got {self.step_h!r}")
         if self.default_region not in self.service.regions:
             raise SchedulingError(
                 f"default region {self.default_region!r} not served"
             )
-
-    def _candidate_starts(self, job: Job) -> np.ndarray:
-        return _slack_starts(job.submit_h, job.slack_h, self.step_h)
+        self._candidates: Optional[List[str]] = None
+        if self._in_space:
+            candidates = (
+                list(self.regions)
+                if self.regions is not None
+                else self.service.regions
+            )
+            unknown = [r for r in candidates if r not in self.service.regions]
+            if unknown:
+                raise SchedulingError(f"unknown candidate regions: {unknown}")
+            if not candidates:
+                raise SchedulingError("no candidate regions")
+            self._candidates = candidates
 
     def place(self, job: Job) -> Placement:
-        region = _job_region(job, self.default_region)
-        window = _window_hours(job.duration_h)
-        starts = self._candidate_starts(job)
-        hours, first_idx = _unique_floor_hours(starts)
-        scores = [
-            self.service.forecast_window_mean(region, int(h), window)
-            for h in hours
-        ]
-        best = starts[int(first_idx[int(np.argmin(scores))])]
-        return Placement(
-            job_id=job.job_id,
-            region=region,
-            start_h=float(best),
-            duration_h=job.duration_h,
-        )
-
-    def place_all(self, jobs: JobStream) -> PlacementBatch:
-        """Vectorized batch placement, byte-identical to per-job ``place``.
-
-        Jobs group by (region, window); each group scores every
-        candidate start with one gather from the precomputed score table
-        and one row-wise ``argmin``.  First-occurrence argmin ties match
-        the scalar path's first-best scan exactly.  Column extraction
-        goes through :func:`_job_columns`, so a :class:`JobBatch` flows
-        through without per-job objects, and the chosen starts fill the
-        returned batch's start column.
-        """
-        ids, submits, durations, slacks, homes, regions = _job_columns(
-            jobs, self.default_region
-        )
-        names = list(regions)
-        windows = charge_windows(durations)
-        starts = np.empty(ids.shape[0])
-        keys = homes * (int(windows.max(initial=0)) + 1) + windows
-        for idxs in row_groups(keys):
-            region = names[int(homes[idxs[0]])]
-            window = int(windows[idxs[0]])
-            matrix, pad_mask, _ = _padded_starts(
-                [_slack_starts(submits[i], slacks[i], self.step_h) for i in idxs]
-            )
-            hours = np.floor(matrix).astype(np.int64) % len(
-                self.service.trace(region)
-            )
-            table = self.service.window_score_table(
-                region, window, rows=int(hours.max()) + 1
-            )
-            scores = table[hours]
-            scores[pad_mask] = np.inf
-            best_cols = np.argmin(scores, axis=1)
-            starts[idxs] = matrix[np.arange(idxs.shape[0]), best_cols]
-        return _placed(ids, starts, durations, homes, regions)
-
-
-@dataclass
-class GeographicPolicy:
-    """Run each job in the forecast-cleanest region at submit time.
-
-    ``regions`` restricts the candidate set (default: all regions the
-    service knows).  A job placed away from home is marked ``migrated``
-    and later charged the transfer overhead by the evaluator.
-    """
-
-    service: CarbonIntensityService
-    default_region: str
-    regions: Optional[Sequence[str]] = None
-    name: str = "geographic"
-
-    def __post_init__(self) -> None:
-        if self.default_region not in self.service.regions:
-            raise SchedulingError(
-                f"default region {self.default_region!r} not served"
-            )
-        candidates = (
-            list(self.regions) if self.regions is not None else self.service.regions
-        )
-        unknown = [r for r in candidates if r not in self.service.regions]
-        if unknown:
-            raise SchedulingError(f"unknown candidate regions: {unknown}")
-        if not candidates:
-            raise SchedulingError("no candidate regions")
-        self._candidates = candidates
-
-    def place(self, job: Job) -> Placement:
+        """The scalar reference path: regions outer, starts inner, and
+        the first best candidate wins."""
         home = _job_region(job, self.default_region)
         window = _window_hours(job.duration_h)
-        hour = int(np.floor(job.submit_h))
-        best_region = min(
-            self._candidates,
-            key=lambda code: self.service.forecast_window_mean(code, hour, window),
-        )
-        return Placement(
-            job_id=job.job_id,
-            region=best_region,
-            start_h=job.submit_h,
-            duration_h=job.duration_h,
-            migrated=best_region != home,
-        )
-
-    def place_all(self, jobs: JobStream) -> PlacementBatch:
-        """Vectorized batch placement, byte-identical to per-job ``place``.
-
-        Jobs group by window; each group scores as one column gather
-        from the (region × hour) score matrix and one ``argmin`` down
-        the region axis (first occurrence, matching ``min``'s
-        keep-first tie-break over the candidate order).
-        """
-        n = _shared_horizon(self.service, self._candidates)
-        if n is None:
-            return PlacementBatch.from_placements([self.place(job) for job in jobs])
-        ids, submits, durations, _slacks, homes, regions = _job_columns(
-            jobs, self.default_region
-        )
-        candidates = np.array(
-            [regions.setdefault(code, len(regions)) for code in self._candidates],
-            dtype=np.int64,
-        )
-        windows = charge_windows(durations)
-        codes = np.empty(ids.shape[0], dtype=np.int64)
-        for idxs in row_groups(windows):
-            window = int(windows[idxs[0]])
-            hours = np.floor(submits[idxs]).astype(np.int64) % n
-            matrix = self.service.window_score_matrix(
-                self._candidates, window, rows=int(hours.max()) + 1
-            )
-            codes[idxs] = candidates[np.argmin(matrix[:, hours], axis=0)]
-        return _placed(ids, submits, durations, codes, regions, homes)
-
-
-@dataclass
-class TemporalGeographicPolicy:
-    """Joint (region, start-hour) optimization within the slack window."""
-
-    service: CarbonIntensityService
-    default_region: str
-    regions: Optional[Sequence[str]] = None
-    step_h: float = 1.0
-    name: str = "temporal+geographic"
-
-    def __post_init__(self) -> None:
-        self._temporal = TemporalShiftingPolicy(
-            self.service, self.default_region, step_h=self.step_h
-        )
-        self._geo = GeographicPolicy(
-            self.service, self.default_region, regions=self.regions
-        )
-
-    def place(self, job: Job) -> Placement:
-        home = _job_region(job, self.default_region)
-        window = _window_hours(job.duration_h)
-        starts = self._temporal._candidate_starts(job)
+        if self._in_time:
+            starts = _slack_starts(job.submit_h, job.slack_h, self.step_h)
+        else:
+            starts = np.array([float(job.submit_h)])
         # Distinct starts flooring to one hour share a score; ask the
         # service once per (region, hour) instead of once per start.
         hours, first_idx = _unique_floor_hours(starts)
         best: tuple[float, str, float] | None = None
-        for region in self._geo._candidates:
+        for region in self._candidates or [home]:
             for k, hour in enumerate(hours):
                 score = self.service.forecast_window_mean(region, int(hour), window)
                 if best is None or score < best[0]:
@@ -479,46 +365,118 @@ class TemporalGeographicPolicy:
         )
 
     def place_all(self, jobs: JobStream) -> PlacementBatch:
-        """Vectorized joint placement, byte-identical to per-job ``place``.
+        """Vectorized batch placement, byte-identical to per-job ``place``.
 
-        Jobs group by window; each group gathers a ``(region, job,
-        start)`` score tensor from the 2-D score matrix, masks padding,
-        and takes one flat ``argmin`` per job over the row-major
-        (region, start) block — ``unravel_index`` order matches the
-        scalar path's region-outer/start-inner first-best scan.
+        Jobs group by window, and by home region when that is the only
+        candidate region.  Each group gathers a ``(region, job, start)``
+        score tensor from
+        :meth:`~repro.intensity.api.CarbonIntensityService.window_score_matrix`,
+        masks the padding of ragged slack grids, and takes one flat
+        ``argmin`` per job over the row-major (region, start) block:
+        ``unravel_index`` order is the scalar path's region-outer,
+        start-inner first-best scan.  Submit-only starts stay a single
+        column, with no padding.  A candidate list whose traces differ
+        in length has no shared score matrix and places per job through
+        :meth:`place`.
         """
-        candidates = self._geo._candidates
-        n = _shared_horizon(self.service, candidates)
-        if n is None:
+        candidates = self._candidates
+        if (
+            candidates is not None
+            and _shared_horizon(self.service, candidates) is None
+        ):
             return PlacementBatch.from_placements([self.place(job) for job in jobs])
         ids, submits, durations, slacks, homes, regions = _job_columns(
             jobs, self.default_region
         )
-        candidate_codes = np.array(
-            [regions.setdefault(code, len(regions)) for code in candidates],
-            dtype=np.int64,
-        )
+        names = list(regions)
         windows = charge_windows(durations)
+        if candidates is None:
+            keys = homes * (int(windows.max(initial=0)) + 1) + windows
+        else:
+            keys = windows
+            candidate_codes = np.array(
+                [regions.setdefault(code, len(regions)) for code in candidates],
+                dtype=np.int64,
+            )
         starts = np.empty(ids.shape[0])
         codes = np.empty(ids.shape[0], dtype=np.int64)
-        for idxs in row_groups(windows):
+        for idxs in row_groups(keys):
             window = int(windows[idxs[0]])
-            padded, pad_mask, _ = _padded_starts(
-                [_slack_starts(submits[i], slacks[i], self.step_h) for i in idxs]
+            if candidates is None:
+                group_codes = homes[idxs[:1]]
+                group = [names[int(group_codes[0])]]
+            else:
+                group_codes, group = candidate_codes, candidates
+            if self._in_time:
+                grid, pad_mask = _padded_starts(
+                    [_slack_starts(submits[i], slacks[i], self.step_h) for i in idxs]
+                )
+            else:
+                grid, pad_mask = submits[idxs, None], None
+            hours = np.floor(grid).astype(np.int64) % len(
+                self.service.trace(group[0])
             )
-            hour_idx = np.floor(padded).astype(np.int64) % n
             matrix = self.service.window_score_matrix(
-                candidates, window, rows=int(hour_idx.max()) + 1
+                group, window, rows=int(hours.max()) + 1
             )
-            scores = matrix[:, hour_idx]  # (regions, jobs, starts)
-            scores[:, pad_mask] = np.inf
+            scores = matrix[:, hours]  # (regions, jobs, starts)
+            if pad_mask is not None:
+                scores[:, pad_mask] = np.inf
             flat = scores.transpose(1, 0, 2).reshape(idxs.shape[0], -1)
             region_rows, start_cols = np.unravel_index(
-                np.argmin(flat, axis=1), (len(candidates), padded.shape[1])
+                np.argmin(flat, axis=1), (len(group), grid.shape[1])
             )
-            codes[idxs] = candidate_codes[region_rows]
-            starts[idxs] = padded[np.arange(idxs.shape[0]), start_cols]
+            codes[idxs] = group_codes[region_rows]
+            starts[idxs] = grid[np.arange(idxs.shape[0]), start_cols]
         return _placed(ids, starts, durations, codes, regions, homes)
+
+
+@dataclass
+class TemporalShiftingPolicy(_ForecastSearch):
+    """Shift the start within the slack window to the forecast-cleanest
+    hour in the home region.
+
+    ``step_h`` sets the candidate-start granularity (1 h matches the
+    resolution of grid-intensity feeds).
+    """
+
+    service: CarbonIntensityService
+    default_region: str
+    step_h: float = 1.0
+    name: str = "temporal-shifting"
+
+    _in_time = True
+
+
+@dataclass
+class GeographicPolicy(_ForecastSearch):
+    """Run each job in the forecast-cleanest region at submit time.
+
+    ``regions`` restricts the candidate set (default: all regions the
+    service knows).  A job placed away from home is marked ``migrated``
+    and later charged the transfer overhead by the evaluator.
+    """
+
+    service: CarbonIntensityService
+    default_region: str
+    regions: Optional[Sequence[str]] = None
+    name: str = "geographic"
+
+    _in_space = True
+
+
+@dataclass
+class TemporalGeographicPolicy(_ForecastSearch):
+    """Joint (region, start-hour) optimization within the slack window."""
+
+    service: CarbonIntensityService
+    default_region: str
+    regions: Optional[Sequence[str]] = None
+    step_h: float = 1.0
+    name: str = "temporal+geographic"
+
+    _in_space = True
+    _in_time = True
 
 
 # --- session-facade backends (the ``policy`` kind) ----------------------------

@@ -196,6 +196,6 @@ def shared_executor(
     set to memory-mapped ``.npy`` files under ``store_dir`` (default:
     the sweep cache's ``store/`` directory) before the pool starts, and
     each worker attaches a :class:`repro.sweep.store.SharedTraceStore`
-    instead of regenerating traces and truth tables from scratch.
+    instead of regenerating traces from scratch.
     """
     return _pool(max_workers, shared=True, store_dir=store_dir)

@@ -1,27 +1,19 @@
-"""The shared trace store: mmap-backed memos for sweep workers.
+"""The shared trace store: mmap-backed trace sets for sweep workers.
 
-PR 2's sweep benchmarks recorded the ``process`` executor at ~1x: every
-worker re-warmed its own in-process memos — regenerating the Table 3
-trace set and rebuilding the score/truth window tables from scratch.
-:class:`SharedTraceStore` externalizes those memos to ``.npy`` files in
-a shared directory:
+Without it every pooled worker regenerates the Table 3 trace set from
+scratch.  :class:`SharedTraceStore` keeps trace sets as ``.npy`` files
+in a shared directory: one stacked ``(n_regions, n_hours)`` array plus
+a JSON sidecar (codes, timezone offsets) per ``(regions, n_hours,
+seed)`` signature, attached read-only via ``numpy`` memory mapping and
+plugged into :func:`repro.intensity.generator.set_trace_provider`.
 
-* **traces** — one stacked ``(n_regions, n_hours)`` array plus a JSON
-  sidecar (codes, timezone offsets) per ``(regions, n_hours, seed)``
-  signature, plugged into
-  :func:`repro.intensity.generator.set_trace_provider`;
-* **truth tables** — one array per charging truth-table identity
-  (trace content digest + region + window), attached read-only via
-  ``numpy`` memory mapping through
-  :func:`repro.intensity.api.set_table_provider`.  The store is the
-  second tier: each process first asks its own process-wide table memo
-  (same identity), and reaches the store only on a memo miss — at most
-  once per identity per process while the memo holds the table.
-
-Forecast score tables are not stored.  Each process builds only the
-issue hours its placements read
+Window tables are not stored; each process keeps its own in the
+process-wide memo of :mod:`repro.intensity.api`.  Forecast score
+tables hold only the issue hours a process's placements read
 (:meth:`repro.intensity.api.CarbonIntensityService.window_score_table`),
-which costs less than writing and attaching whole-year tables.
+and charging builds a truth table only for a job group large enough to
+amortize it, which neither the canonical scenario nor the benchmark
+sweep grid reaches.
 
 Files are written atomically (tmp + ``os.replace``); builds are
 deterministic per identity, so racing workers converge on identical
@@ -34,7 +26,7 @@ local regeneration, so an attached worker can always make progress.
 An absent ``.npy`` is a plain miss and logs nothing, even when another
 worker's write lands a moment later.
 Attach a store with :meth:`SharedTraceStore.attach` (or as a context
-manager); detach restores whatever providers were installed before.
+manager); detach restores whatever trace provider was installed before.
 """
 
 from __future__ import annotations
@@ -116,10 +108,10 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 
 class SharedTraceStore:
-    """A directory of mmap-attachable trace sets and truth tables.
+    """A directory of mmap-attachable trace sets.
 
     Construction touches no disk; files appear lazily as memo misses
-    flow through the attached providers (or eagerly via
+    flow through the attached provider (or eagerly via
     :meth:`ensure_traces`, which the shared executor's parent process
     calls once before forking workers).
     """
@@ -133,7 +125,6 @@ class SharedTraceStore:
         self._trace_sets: Dict[Tuple, Tuple] = {}
         self._attached = False
         self._prev_trace = None
-        self._prev_table = None
 
     @property
     def directory(self) -> pathlib.Path:
@@ -144,22 +135,20 @@ class SharedTraceStore:
         """Install this store as the intensity layer's external memo."""
         if self._attached:
             return self
-        from repro.intensity import api, generator
+        from repro.intensity import generator
 
         self._prev_trace = generator.set_trace_provider(self.provide_traces)
-        self._prev_table = api.set_table_provider(self.provide_table)
         self._attached = True
         return self
 
     def detach(self) -> None:
-        """Restore the providers that were installed before :meth:`attach`."""
+        """Restore the provider that was installed before :meth:`attach`."""
         if not self._attached:
             return
-        from repro.intensity import api, generator
+        from repro.intensity import generator
 
         generator.set_trace_provider(self._prev_trace)
-        api.set_table_provider(self._prev_table)
-        self._prev_trace = self._prev_table = None
+        self._prev_trace = None
         self._attached = False
 
     def __enter__(self) -> "SharedTraceStore":
@@ -282,34 +271,3 @@ class SharedTraceStore:
                 self._dir,
                 exc,
             )
-
-    # --- truth tables -----------------------------------------------------
-    def provide_table(
-        self, kind: str, identity: Dict, region: str, window: int, build
-    ) -> Optional[np.ndarray]:
-        """The :func:`set_table_provider` hook: mmap-or-build a table.
-
-        Files are named ``{kind}-{digest}.npy`` after
-        :func:`repro.intensity.api.table_key`, the key of the
-        process-wide memo in front of this store.  The intensity layer
-        asks only for ``"truth"`` tables, which key off the trace
-        content alone.
-        """
-        from repro.intensity.api import table_key
-
-        key_parts = list(table_key(kind, identity, region, window))
-        path = self._dir / "tables" / f"{kind}-{_digest(key_parts)}.npy"
-        table = _load_array(path)
-        if table is not None:
-            return table
-        table = build()
-        try:
-            _atomic_save(path, table)
-        except OSError as exc:
-            logger.warning(
-                "cannot write shared table store under %s (%s); "
-                "continuing without persistence",
-                self._dir,
-                exc,
-            )
-        return table

@@ -8,6 +8,14 @@ busy-hours loop.  The package's columnar engine,
 byte — schedule, busy array, energy, carbon and ledger — and both charge
 through the package's ``_account_horizon``.
 
+:func:`temporal_shifting_place`, :func:`geographic_place` and
+:func:`temporal_geographic_place` are one scalar ``place`` scan per
+carbon-aware policy, each its own loop over that policy's candidates,
+with the candidate sets read from the policy's public fields.  The
+search the policies share (``repro.scheduler.policies._ForecastSearch``)
+must match them placement for placement, in ``place`` and
+``place_all`` alike.
+
 The tests import this module as ``oracles`` (pytest puts ``tests/`` on
 ``sys.path``); the benchmarks' oracle arms append ``tests/`` to
 ``sys.path`` first.  The accounting oracle,
@@ -28,11 +36,23 @@ from repro.accounting.pue import PUELike, resolve_pue
 from repro.core.config import ModelConfig
 from repro.core.errors import SimulationError
 from repro.core.units import CarbonMass, Energy
-from repro.cluster.job import Job, JobBatch
+from repro.cluster.job import Job, JobBatch, Placement
 from repro.cluster.simulator import Cluster, ScheduledJob, _account_horizon
 from repro.intensity.trace import IntensityTrace
+from repro.scheduler.policies import (
+    _job_region,
+    _slack_starts,
+    _unique_floor_hours,
+    _window_hours,
+)
 
-__all__ = ["SimulationResult", "simulate_cluster"]
+__all__ = [
+    "SimulationResult",
+    "simulate_cluster",
+    "temporal_shifting_place",
+    "geographic_place",
+    "temporal_geographic_place",
+]
 
 
 class _NodeTimeline:
@@ -256,4 +276,79 @@ def simulate_cluster(
         carbon_g=carbon_g,
         pue=eff_pue,
         ledger=ledger,
+    )
+
+
+# --- scalar placement scans ---------------------------------------------------
+def _candidate_starts(policy, job: Job) -> np.ndarray:
+    return _slack_starts(job.submit_h, job.slack_h, policy.step_h)
+
+
+def _candidate_regions(policy) -> List[str]:
+    return (
+        list(policy.regions)
+        if policy.regions is not None
+        else policy.service.regions
+    )
+
+
+def temporal_shifting_place(policy, job: Job) -> Placement:
+    """``TemporalShiftingPolicy.place``: the home region's slack grid."""
+    region = _job_region(job, policy.default_region)
+    window = _window_hours(job.duration_h)
+    starts = _candidate_starts(policy, job)
+    hours, first_idx = _unique_floor_hours(starts)
+    scores = [
+        policy.service.forecast_window_mean(region, int(h), window)
+        for h in hours
+    ]
+    best = starts[int(first_idx[int(np.argmin(scores))])]
+    return Placement(
+        job_id=job.job_id,
+        region=region,
+        start_h=float(best),
+        duration_h=job.duration_h,
+    )
+
+
+def geographic_place(policy, job: Job) -> Placement:
+    """``GeographicPolicy.place``: the candidate regions at submit time."""
+    home = _job_region(job, policy.default_region)
+    window = _window_hours(job.duration_h)
+    hour = int(np.floor(job.submit_h))
+    best_region = min(
+        _candidate_regions(policy),
+        key=lambda code: policy.service.forecast_window_mean(code, hour, window),
+    )
+    return Placement(
+        job_id=job.job_id,
+        region=best_region,
+        start_h=job.submit_h,
+        duration_h=job.duration_h,
+        migrated=best_region != home,
+    )
+
+
+def temporal_geographic_place(policy, job: Job) -> Placement:
+    """``TemporalGeographicPolicy.place``: candidate regions × slack grid."""
+    home = _job_region(job, policy.default_region)
+    window = _window_hours(job.duration_h)
+    starts = _candidate_starts(policy, job)
+    # Distinct starts flooring to one hour share a score; ask the
+    # service once per (region, hour) instead of once per start.
+    hours, first_idx = _unique_floor_hours(starts)
+    best: tuple[float, str, float] | None = None
+    for region in _candidate_regions(policy):
+        for k, hour in enumerate(hours):
+            score = policy.service.forecast_window_mean(region, int(hour), window)
+            if best is None or score < best[0]:
+                best = (score, region, float(starts[first_idx[k]]))
+    assert best is not None
+    _score, region, start = best
+    return Placement(
+        job_id=job.job_id,
+        region=region,
+        start_h=start,
+        duration_h=job.duration_h,
+        migrated=region != home,
     )

@@ -46,6 +46,15 @@ class TestJob:
         with pytest.raises(SimulationError):
             make_job(**kw)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "kw, what",
+        [("submit", "submit time"), ("duration", "duration"), ("slack_h", "slack")],
+    )
+    def test_non_finite_times_rejected(self, kw, what, value):
+        with pytest.raises(SimulationError, match=f"job 7: {what} must be finite"):
+            make_job(job_id=7, **{kw: value})
+
     def test_placement_end(self):
         p = Placement(job_id=1, region="ESO", start_h=2.0, duration_h=3.0)
         assert p.end_h == 5.0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.job import Job, Placement
+from repro.cluster.job import Job, JobBatch, Placement
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.trace import IntensityTrace
 from repro.scheduler.policies import (
@@ -26,6 +26,8 @@ from repro.scheduler.policies import (
     place_jobs,
 )
 from repro.workloads.models import get_model
+
+import oracles
 
 REGIONS = ("A", "B", "C")
 N_HOURS = 240
@@ -215,6 +217,89 @@ class TestScalarVectorEquivalence:
         assert table.shape == (N_HOURS,)
         assert np.isfinite(table).all()
         assert service.forecast_window_mean("A", 5, 1000) == float(table[5])
+
+
+#: One scalar ``place`` scan per carbon-aware policy (``tests/oracles.py``).
+ORACLES = {
+    "temporal-shifting": oracles.temporal_shifting_place,
+    "geographic": oracles.geographic_place,
+    "temporal+geographic": oracles.temporal_geographic_place,
+}
+
+
+class TestSharedSearchParity:
+    """The shared search (``_ForecastSearch``) against one scalar scan
+    per policy, kept in ``tests/oracles.py``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        jobs=job_lists(),
+        seed=st.integers(0, 50),
+        forecast_error=st.sampled_from([0.0, 0.05, 0.25]),
+        step_h=st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+        candidates=st.sampled_from([None, ["B"], list(REGIONS)]),
+        horizons=st.sampled_from(
+            [(N_HOURS,) * 3, (N_HOURS, 168, N_HOURS), (72, N_HOURS, 100)]
+        ),
+        policy_key=st.sampled_from(sorted(ORACLES)),
+    )
+    def test_place_and_place_all_match_the_scalar_oracles(
+        self, jobs, seed, forecast_error, step_h, candidates, horizons,
+        policy_key,
+    ):
+        rng = np.random.default_rng(seed)
+        service = CarbonIntensityService(
+            {
+                code: IntensityTrace(code, 0, rng.uniform(50.0, 500.0, size=n))
+                for code, n in zip(REGIONS, horizons)
+            },
+            forecast_error=forecast_error,
+            seed=seed,
+        )
+        if policy_key == "temporal-shifting":
+            policy = TemporalShiftingPolicy(service, "A", step_h=step_h)
+        elif policy_key == "geographic":
+            policy = GeographicPolicy(service, "A", regions=candidates)
+        else:
+            policy = TemporalGeographicPolicy(
+                service, "A", regions=candidates, step_h=step_h
+            )
+        expected = [ORACLES[policy_key](policy, job) for job in jobs]
+        assert [policy.place(job) for job in jobs] == expected
+        assert policy.place_all(jobs) == expected
+        assert policy.place_all(JobBatch.from_jobs(jobs)) == expected
+
+    def test_submit_only_starts_build_no_slack_grid(self, monkeypatch):
+        """The geographic kernel scores submit times as one column: no
+        per-job candidate-start arrays, which measurably slowed it."""
+        from repro.scheduler import policies
+
+        calls = []
+        for name in ("_slack_starts", "_padded_starts"):
+            def counting(*args, _real=getattr(policies, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(policies, name, counting)
+        service = make_service(9, 0.05)
+        jobs = [
+            Job(
+                job_id=i,
+                user="u",
+                model=get_model("BERT"),
+                n_gpus=1,
+                duration_h=1.0 + i % 3,
+                submit_h=2.5 * i,
+                slack_h=6.0,
+                home_region=REGIONS[i % 3],
+            )
+            for i in range(10)
+        ]
+        GeographicPolicy(service, "A").place_all(jobs)
+        assert calls == []
+        # The counters do see the kernels that search the slack grid.
+        TemporalGeographicPolicy(service, "A").place_all(jobs)
+        assert set(calls) == {"_slack_starts", "_padded_starts"}
 
 
 class TestExecutorEquality:

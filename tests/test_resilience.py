@@ -873,66 +873,30 @@ class TestStoreFailSoft:
         assert traces is not None and len(traces) == 1
         assert any("without persistence" in r.message for r in caplog.records)
 
-    def test_unwritable_table_store_fails_soft(self, tmp_path, caplog):
-        from repro.sweep.store import SharedTraceStore
-
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        store = SharedTraceStore(blocker / "store")
-        built = {"n": 0}
-
-        def build():
-            built["n"] += 1
-            return np.arange(4.0)
-
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            table = store.provide_table(
-                "truth", {"trace": "digest"}, "ESO", 24, build
-            )
-        assert built["n"] == 1
-        np.testing.assert_array_equal(table, np.arange(4.0))
-        assert any("without persistence" in r.message for r in caplog.records)
-
-    def test_corrupt_table_rebuilds(self, tmp_path, caplog):
-        from repro.sweep.store import SharedTraceStore
-
-        store = SharedTraceStore(tmp_path / "store")
-        identity = {"trace": "digest"}
-        first = store.provide_table(
-            "truth", identity, "ESO", 24, lambda: np.arange(6.0)
-        )
-        np.testing.assert_array_equal(first, np.arange(6.0))
-        # Truncate the one table file, then read through a fresh store.
-        (table_file,) = (tmp_path / "store" / "tables").glob("*.npy")
-        table_file.write_bytes(table_file.read_bytes()[:8])
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            rebuilt = SharedTraceStore(tmp_path / "store").provide_table(
-                "truth", identity, "ESO", 24, lambda: np.arange(6.0)
-            )
-        np.testing.assert_array_equal(rebuilt, np.arange(6.0))
-        assert any("unreadable" in r.message for r in caplog.records)
-
     def test_write_landing_during_a_failed_load_is_a_silent_miss(
         self, tmp_path, monkeypatch, caplog
     ):
         """Another worker's os.replace lands between this worker's failed
         load and any later look at the path: a plain miss, no warning."""
+        from repro.intensity.generator import generate_trace, trace_cache_clear
         from repro.sweep.store import SharedTraceStore
 
-        reference = np.arange(6.0)
+        reference = generate_trace("ESO", n_hours=48, seed=127)
         save = np.save
 
         def racing_load(path, mmap_mode=None):
             path.parent.mkdir(parents=True, exist_ok=True)
-            save(path, reference)
+            save(path, reference.values[None, :])
             raise FileNotFoundError(2, "No such file or directory", str(path))
 
         monkeypatch.setattr(np, "load", racing_load)
+        trace_cache_clear()
         with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            table = SharedTraceStore(tmp_path / "store").provide_table(
-                "truth", {"trace": "digest"}, "ESO", 24, reference.copy
+            traces = SharedTraceStore(tmp_path / "store").provide_traces(
+                ("ESO",), 48, 127
             )
-        np.testing.assert_array_equal(table, reference)
+        trace_cache_clear()
+        np.testing.assert_array_equal(traces[0].values, reference.values)
         assert not caplog.records
 
     def test_manifest_without_array_is_a_silent_miss(self, tmp_path, caplog):

@@ -108,6 +108,17 @@ class TestTemporalShifting:
         with pytest.raises(SchedulingError):
             TemporalShiftingPolicy(make_service(), "A", step_h=0.0)
 
+    @pytest.mark.parametrize(
+        "policy", [TemporalShiftingPolicy, TemporalGeographicPolicy]
+    )
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_non_finite_step_rejected(self, policy, step):
+        """A NaN step would fail only at the first placement, inside
+        ``np.arange``; an infinite one would shrink the grid to the
+        submit time."""
+        with pytest.raises(SchedulingError, match="step must be finite"):
+            policy(make_service(), "A", step_h=step)
+
 
 class TestGeographic:
     def test_picks_cleaner_region(self):

@@ -8,9 +8,9 @@ The load-bearing pins:
 * **invalidation** — any knob change keys a new fingerprint and misses;
 * **fail-soft** — corrupted or truncated cache-dir entries count as
   errors and recompute, never surface wrong results;
-* **shared store** — traces and window tables served from the
-  memory-mapped store are byte-equal to freshly generated ones, and
-  detach restores the providers that were installed before.
+* **shared store** — traces served from the memory-mapped store are
+  byte-equal to freshly generated ones, and detach restores the
+  provider that was installed before.
 """
 
 from __future__ import annotations
@@ -408,80 +408,16 @@ class TestSharedTraceStore:
             assert np.array_equal(served[code].values, trace.values)
             assert served[code].tz_offset_hours == trace.tz_offset_hours
 
-    def test_tables_round_trip_byte_equal(self, tmp_path):
-        from repro.intensity import table_cache_info, trace_cache_clear
-        from repro.session import resolve_backend
-
-        def tables(service):
-            return (
-                np.asarray(service.window_score_table("ESO", 24)),
-                np.asarray(service.truth_window_table("ESO", 24)),
-            )
-
-        reference = tables(
-            resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
-        )
-        # Each attached arm starts from an empty process-wide memo, or
-        # the memo would serve the tables and the store never see them.
-        trace_cache_clear()
-        with SharedTraceStore(tmp_path / "store"):
-            first = tables(
-                resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
-            )
-        assert table_cache_info().builds == 2
-        # Second attach reads the truth table from the mmap file the
-        # first wrote; score tables never go through the store, so that
-        # one is built again locally.
-        trace_cache_clear()
-        with SharedTraceStore(tmp_path / "store"):
-            second = tables(
-                resolve_backend("intensity", "table3")(seed=7, forecast_error=0.1)
-            )
-        assert table_cache_info().builds == 1
-        for ref, a, b in zip(reference, first, second):
-            assert np.array_equal(a, ref)
-            assert np.array_equal(b, ref)
-        stored = list((tmp_path / "store" / "tables").iterdir())
-        assert len(stored) == 1 and stored[0].name.startswith("truth-")
-        assert stored[0].suffix == ".npy"
-
-    def test_store_is_asked_once_per_table_identity(self, tmp_path, monkeypatch):
-        from repro.intensity import trace_cache_clear
-        from repro.intensity.api import CarbonIntensityService, table_key
-
-        store = SharedTraceStore(tmp_path / "store")
-        asked = []
-        provide = store.provide_table
-
-        def counting(kind, identity, region, window, build):
-            asked.append(table_key(kind, identity, region, window))
-            return provide(kind, identity, region, window, build)
-
-        monkeypatch.setattr(store, "provide_table", counting)
-        trace_cache_clear()
-        with store:
-            for error in (0.1, 0.1, 0.2):
-                service = CarbonIntensityService(seed=7, forecast_error=error)
-                for _ in range(2):
-                    service.window_score_table("ESO", 24)
-                    service.window_score_table("CISO", 6)
-                    service.truth_window_table("ESO", 24)
-        # One shared truth table, asked for once; no score table request
-        # reaches the store.
-        assert [key[0] for key in asked] == ["truth"]
-
     def test_detach_restores_previous_providers(self, tmp_path):
-        from repro.intensity import api, generator
+        from repro.intensity import generator
 
         assert generator.trace_provider() is None
-        assert api.table_provider() is None
         with SharedTraceStore(tmp_path / "a"):
             inner = SharedTraceStore(tmp_path / "b")
             inner.attach()
             inner.detach()
             assert generator.trace_provider() is not None
         assert generator.trace_provider() is None
-        assert api.table_provider() is None
 
     def test_corrupt_store_files_regenerate(self, tmp_path):
         from repro.intensity.generator import generate_all_traces
