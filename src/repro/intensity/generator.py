@@ -22,6 +22,7 @@ independent across regions.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
@@ -126,6 +127,25 @@ def ar1_noise(
     return np.array(out)
 
 
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a 1-D array, bit for bit.
+
+    The same order statistics from one ``np.partition``, averaged the
+    way ``np.mean`` averages one or two of them: summed onto the
+    reduction's ``+0.0`` identity (which turns a ``-0.0`` sum into
+    ``+0.0``), then divided by the count.  ``np.median`` itself imports
+    ``numpy.ma`` (~11 ms) for its NaN check on first use in a process.
+    """
+    n = values.shape[0]
+    h = n // 2
+    part = np.partition(values, [h - 1, h, n - 1] if n % 2 == 0 else [h, n - 1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    if n % 2:
+        return float(part[h] + 0.0)
+    return float((part[h - 1] + part[h] + 0.0) / 2.0)
+
+
 def generate_trace(
     region: RegionSpec | str,
     *,
@@ -176,7 +196,7 @@ def generate_trace(
     # Rescale so the annual median hits the calibrated target exactly,
     # then clip at the physical floor (the clip moves the median by <1%
     # for every calibrated profile; tests assert the 5% envelope).
-    scale = profile.median_g_per_kwh / float(np.median(raw))
+    scale = profile.median_g_per_kwh / _median(raw)
     values = np.maximum(raw * scale, profile.floor_g_per_kwh)
     return IntensityTrace(
         region_code=spec.code,
@@ -229,10 +249,17 @@ def trace_cache_info():
 
 
 def trace_cache_clear() -> None:
-    """Drop every memoized trace set and every window table built on
-    them (the process-wide table memo of :mod:`repro.intensity.api`),
-    so the next run starts cold (tests, benchmarks and ablations)."""
+    """Drop every memoized trace set, every window table built on them
+    (the process-wide table memo of :mod:`repro.intensity.api`) and
+    every live section value delta runs kept
+    (:func:`repro.session.session.live_section_info`), so the next run
+    starts cold (tests, benchmarks and ablations)."""
     from repro.intensity import api
 
     _cached_traces.cache_clear()
     api._TABLES.clear()
+    # Looked up, not imported: the intensity layer loads no session
+    # code, and a process that never imported it holds no live sections.
+    session = sys.modules.get("repro.session.session")
+    if session is not None:
+        session._LIVE_SECTIONS.clear()

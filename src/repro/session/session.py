@@ -17,11 +17,19 @@ built on those traces are shared the same way, through the process-wide
 table memo in :mod:`repro.intensity.api`: each table identity (trace
 content, seed, forecast error, region, window) is built once per
 process, whichever session asks first.
+
+Delta runs (``run(reuse=cache)``) keep one more process-wide memo: the
+live values of the sections the carbon rollup reads unserialized
+(:func:`live_section_info`), so a sweep computes each distinct
+scheduling and upgrade section once per process.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import threading
+from collections import OrderedDict, namedtuple
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.config import default_config, get_config
@@ -50,7 +58,7 @@ from repro.session.types import SystemDeployment
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.intensity.api import CarbonIntensityService
 
-__all__ = ["Session", "create_workload_source", "run_scenario"]
+__all__ = ["Session", "create_workload_source", "live_section_info", "run_scenario"]
 
 #: The module each optional section's runner executes.  ``build`` imports
 #: those of the sections a scenario enables, so ``run`` imports nothing.
@@ -60,6 +68,102 @@ _SECTION_MODULES = {
     "cluster": "repro.cluster.simulator",
     "upgrade": "repro.upgrade.advisor",
 }
+
+#: Entry cap of the live-section memo, the size of the trace-set memo.
+#: A canonical-size scheduling section (4 policies x 2325 jobs) holds
+#: about 0.43 MB, so a full memo stays under about 28 MB.
+_LIVE_SECTION_SLOTS = 64
+
+LiveSectionInfo = namedtuple("LiveSectionInfo", "hits misses entries")
+
+
+class _LiveSections:
+    """Least-recently-used live section values, at most
+    :data:`_LIVE_SECTION_SLOTS` of them.
+
+    Keys are ``(section name, section fingerprint)``, the key the sweep
+    cache's section tier stores payloads under; values are what the
+    section runner returned (see :meth:`Session._run_delta`).
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
+        # Sessions may run on several threads; a lookup and its LRU
+        # bump must not interleave with another thread's eviction.
+        self._lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def get(self, key: Tuple[str, str]):
+        """The value under ``key``, or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        return value
+
+    def put(self, key: Tuple[str, str], value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > _LIVE_SECTION_SLOTS:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = 0
+
+    def info(self) -> LiveSectionInfo:
+        with self._lock:
+            return LiveSectionInfo(self.hits, self.misses, len(self._entries))
+
+
+_LIVE_SECTIONS = _LiveSections()
+
+
+def live_section_info() -> LiveSectionInfo:
+    """Counters of the process-wide live-section memo.
+
+    ``hits`` count the section runs a delta run served from the memo,
+    ``misses`` those it had to compute; ``entries`` is what the memo
+    holds now.  Plain ``Session.run()`` neither reads nor fills it.
+    :func:`repro.intensity.generator.trace_cache_clear` and
+    ``register_backend(..., replace=True)`` empty the memo and reset the
+    counters.
+    """
+    return _LIVE_SECTIONS.info()
+
+
+def _detached(name: str, value):
+    """``value`` as the memo may keep or serve it: no two results share
+    a mutable object with each other or with the memo.
+
+    Only a scheduling section reaches a result with live objects
+    (through ``evaluations``).  Its copy holds its own per-job columns
+    and fresh ledgers over the same charge batches, so writing into one
+    result's columns or appending to its ledgers changes no other.  The
+    upgrade decision and the cluster simulation never reach a result
+    (the rollup merges their ledgers into a fresh one).
+    """
+    if name != "scheduling":
+        return value
+    from repro.accounting import CarbonLedger
+
+    evaluations = {}
+    for policy, evaluation in value.evaluations.items():
+        ledger = CarbonLedger()
+        ledger.merge(evaluation.ledger)
+        evaluations[policy] = dataclasses.replace(
+            evaluation,
+            energy_kwh=evaluation.energy_kwh.copy(),
+            carbon_g=evaluation.carbon_g.copy(),
+            delay_h=evaluation.delay_h.copy(),
+            ledger=ledger,
+        )
+    return dataclasses.replace(value, evaluations=evaluations)
 
 
 def create_workload_source(
@@ -804,8 +908,12 @@ class Session:
                 by_source[f"upgrade:{policy}"] = grams
             if primary is None:
                 # The recommendation's own account: the upgrade
-                # alternative (embodied tax + new-node operation).
-                primary = upgrade_decision.ledger
+                # alternative (embodied tax + new-node operation),
+                # merged into a fresh ledger like the other primaries,
+                # so the result never holds the decision's own ledger
+                # (a delta run may serve that decision again).
+                primary = CarbonLedger()
+                primary.merge(upgrade_decision.ledger)
                 operational = sum(
                     e.carbon_g
                     for e in primary
@@ -871,11 +979,19 @@ class Session:
         ``fresh_sections`` stays ``None`` when none were.
 
         Sections the rollup needs *live* — their non-serialized ledgers
-        feed ``_run_carbon`` — are forced to run whenever the rollup
+        feed ``_run_carbon`` — are forced live whenever the rollup
         itself is stale: scheduling (the primary account's evaluations
         and per-job embodied proration) and upgrade (its by-policy
         ledger rows).  Everything else rebuilds from its ``to_dict``
         payload, which is all the rollup reads from it.
+
+        Those live sections come from the process-wide memo
+        (:func:`live_section_info`) when this process already computed
+        them under the same section fingerprint; their runner executes
+        only on a miss, and its value is kept once it returns.  A memo
+        hit the cache's tiers lacked still counts as fresh (it lands in
+        ``fresh_sections`` for write-back); the cache's hit and miss
+        counters never see the memo.
         """
         try:
             fingerprint = self.fingerprint()
@@ -894,16 +1010,31 @@ class Session:
                 if hit:
                     cached[name] = payload
         live = {name for name in RESULT_SECTIONS if name not in cached}
+        # The sections whose live values the rollup reads.
+        rollup_live = set()
+        if s._workload is not None:
+            rollup_live.add("scheduling")
+        if s._upgrade is not None:
+            rollup_live.add("upgrade")
+        if s._cluster_nodes is not None and s._workload is None:
+            # Defensive: validation makes a cluster imply a workload
+            # (and thus a scheduling primary), but a cluster-primary
+            # rollup would need the live simulation's ledger.
+            rollup_live.add("cluster")
         if "carbon" in live:
-            if s._workload is not None:
-                live.add("scheduling")
-            if s._upgrade is not None:
-                live.add("upgrade")
-            if s._cluster_nodes is not None and s._workload is None:
-                # Defensive: validation makes a cluster imply a workload
-                # (and thus a scheduling primary), but a cluster-primary
-                # rollup would need the live simulation's ledger.
-                live.add("cluster")
+            live |= rollup_live
+
+        def run_live(name: str, runner, *args):
+            if fps is None or name not in rollup_live:
+                return runner(*args)
+            key = (name, fps[name])
+            value = _LIVE_SECTIONS.get(key)
+            if value is not None:
+                return _detached(name, value)
+            value = runner(*args)
+            _LIVE_SECTIONS.put(key, _detached(name, value))
+            return value
+
         needs_jobs = s._workload is not None and bool(
             {"scheduling", "cluster"} & live
         )
@@ -924,17 +1055,17 @@ class Session:
             else load_section("training", cached["training"])
         )
         scheduling = (
-            self._run_scheduling(jobs)
+            run_live("scheduling", self._run_scheduling, jobs)
             if "scheduling" in live
             else load_section("scheduling", cached["scheduling"])
         )
         if "cluster" in live:
-            cluster, cluster_sim = self._run_cluster(jobs)
+            cluster, cluster_sim = run_live("cluster", self._run_cluster, jobs)
         else:
             cluster = load_section("cluster", cached["cluster"])
             cluster_sim = None
         if "upgrade" in live:
-            upgrade, upgrade_decision = self._run_upgrade()
+            upgrade, upgrade_decision = run_live("upgrade", self._run_upgrade)
         else:
             upgrade = load_section("upgrade", cached["upgrade"])
             upgrade_decision = None

@@ -234,6 +234,62 @@ def test_sweep_pass_imports_nothing_over_built_cell_kinds(tmp_path):
     assert added == []
 
 
+def test_cold_commands_never_import_numpy_ma(tmp_path):
+    """numpy 2.4's np.median and np.unique import numpy.ma (~11 ms) on
+    first use; none of the cold paths calls them."""
+    loaded = _modules_after(
+        f"""
+        import contextlib
+        import io
+
+        from repro.cli import main
+        from repro.session import Scenario
+        from repro.sweep import SweepService
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["audit", "--system", "Frontier"]) == 0
+            assert main(["scenario", "--system", "frontier", "--region", "ESO"]) == 0
+
+        (
+            Scenario()
+            .system("frontier")
+            .node("A100")
+            .region("ESO")
+            .workload("synthetic", seed=7)
+            .policies(["carbon-oblivious", "temporal-shifting", "geographic",
+                       "temporal+geographic"])
+            .cluster(16)
+            .training("BERT", n_gpus=4)
+            .upgrade("V100", "A100")
+            .build()
+            .run()
+        )
+
+        def grid(simulator):
+            return [
+                Scenario()
+                .system(system)
+                .node("A100")
+                .region("ESO")
+                .workload("synthetic", seed=7, horizon_h=24.0, total_gpus=8)
+                .policy("geographic")
+                .cluster(2, simulator=simulator)
+                .training("BERT", n_gpus=4)
+                .upgrade("V100", "A100")
+                for system in ("frontier", "lumi")
+            ]
+
+        cache = {str(tmp_path / "cache")!r}
+        SweepService(cache_dir=cache).run(grid("fcfs"))
+        SweepService(cache_dir=cache).run(grid("fcfs-columnar"))
+        """
+    )
+    assert "numpy" in loaded
+    assert sorted(
+        name for name in loaded if name == "numpy.ma" or name.startswith("numpy.ma.")
+    ) == []
+
+
 def test_every_package_export_resolves():
     out = _run(
         """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.cli import main
 from repro.core.errors import TraceError
 from repro.intensity.generator import (
     DEFAULT_SEED,
+    _median,
     ar1_noise,
     generate_all_traces,
     generate_trace,
@@ -194,6 +196,34 @@ class TestGenerateTrace:
         assert capsys.readouterr().err.startswith(
             "scenario error: trace seed must be in [0, 2**64)"
         )
+
+
+class TestMedian:
+    """The trace calibration's median: ``np.median`` without its
+    ``numpy.ma`` import, bit for bit."""
+
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, width=64), min_size=1, max_size=64
+        )
+    )
+    @example(values=[3.0, 1.0])
+    @example(values=[3.0, 1.0, 2.0])
+    @example(values=[-0.0, 0.0, -0.0, 0.0])
+    @example(values=[0.0, -0.0, 0.0])
+    @example(values=[-0.0, -0.0])
+    @example(values=[-0.0])
+    @settings(deadline=None, max_examples=300)
+    def test_equals_np_median_bit_for_bit(self, values):
+        data = np.asarray(values, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, overflow
+            expected = float(np.median(data))
+            got = _median(data)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    def test_nan_input_gives_nan(self):
+        data = np.array([1.0, float("nan"), 2.0, 3.0])
+        assert math.isnan(_median(data)) and math.isnan(float(np.median(data)))
 
 
 class TestGenerateAll:

@@ -119,6 +119,14 @@ class TestJobBatch:
         with pytest.raises(SimulationError):
             JobBatch.from_jobs([make_job(job_id=1), make_job(job_id=1)])
 
+    def test_duplicate_ids_found_anywhere_in_the_batch(self):
+        jobs = [make_job(job_id=i) for i in (5, 3, 9, 1)]
+        assert JobBatch.from_jobs(jobs).job_ids.tolist() == [5, 3, 9, 1]
+        with pytest.raises(
+            SimulationError, match="^job batch contains duplicate job_ids$"
+        ):
+            JobBatch.from_jobs(jobs + [make_job(job_id=3)])
+
     def test_region_code_without_table_rejected(self):
         base = JobBatch.from_jobs([make_job()])
         with pytest.raises(SimulationError, match="region codes"):
