@@ -36,6 +36,8 @@ your own without touching core.
 
 Model-wide constants are configured with :class:`ModelConfig` /
 :func:`use_config`; estimation primitives live in :mod:`repro.core`.
+:func:`memo_info` reports the counters of every process-wide memo, and
+:func:`memo_clear` empties them all so the next run starts cold.
 See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 per-figure/table regeneration harness.
 """
@@ -55,5 +57,7 @@ __getattr__, __dir__, _exports = lazy_exports(__name__, {
         "ModelConfig", "default_config", "get_config", "set_config", "use_config",
     ),
     "repro.core.errors": ("ReproError",),
+    # process-wide memos
+    "repro._memo": ("memo_info", "memo_clear"),
 })
 __all__ = ["__version__", *_exports]

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro._memo import Memo
 from repro.core.errors import TraceError
 from repro.intensity.generator import DEFAULT_SEED, generate_all_traces
 from repro.intensity.trace import HOURS_PER_STUDY_YEAR, IntensityTrace
@@ -56,11 +57,6 @@ _SCORE_CHUNK_HOURS = 512
 #: one by one grows it O(log n) times.
 _SCORE_ROW_BLOCK = 64
 
-#: Byte budget of the process-wide window-table memo: about 950
-#: year-long (8760-hour float64) tables.  Past it, the least recently
-#: used tables are dropped and rebuilt on their next request.
-_TABLE_MEMO_BYTES = 64 * 1024 * 1024
-
 
 def table_key(kind: str, identity: Mapping, region: str, window: int) -> tuple:
     """What one window table's bytes depend on: its memo key.
@@ -83,67 +79,16 @@ def table_key(kind: str, identity: Mapping, region: str, window: int) -> tuple:
 
 TableCacheInfo = namedtuple("TableCacheInfo", "hits misses builds entries bytes")
 
-
-class _TableMemo:
-    """Least-recently-used window tables under :data:`_TABLE_MEMO_BYTES`.
-
-    An entry is ``(table, stream)``: the rows built so far and, for a
-    score table that can still grow, the noise-stream position after
-    its last row (``None`` once the table is whole).  Growth replaces
-    the entry in one assignment, so rows and stream position commit
-    together, and eviction drops both.  A lookup is a hit when the
-    entry holds the rows asked for.  ``builds`` counts table identities
-    computed in this process; growing a table is not a build.
-    """
-
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[tuple, Tuple[np.ndarray, Optional[dict]]]" = (
-            OrderedDict()
-        )
-        self._bytes = 0
-        self.hits = self.misses = self.builds = 0
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def get(self, key: tuple, rows: int = 0):
-        """The entry under ``key`` (or ``None``); a hit if it holds ``rows``."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        if entry is not None and entry[0].shape[0] >= rows:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return entry
-
-    def put(
-        self, key: tuple, table: np.ndarray, stream: Optional[dict] = None
-    ) -> None:
-        previous = self._entries.get(key)
-        self._entries[key] = (table, stream)
-        self._entries.move_to_end(key)
-        self._bytes += table.nbytes
-        if previous is not None:
-            self._bytes -= previous[0].nbytes
-        # A unit-deadline signal can land between a pop and its byte
-        # update, leaving the count high: never pop an empty memo.
-        while self._bytes > _TABLE_MEMO_BYTES and self._entries:
-            _key, (evicted, _stream) = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-        self.hits = self.misses = self.builds = 0
-
-    def info(self) -> TableCacheInfo:
-        return TableCacheInfo(
-            self.hits, self.misses, self.builds, len(self._entries), self._bytes
-        )
-
-
-_TABLES = _TableMemo()
+#: Window tables by :func:`table_key`, least recently used first out past
+#: a 64 MiB budget (about 950 year-long float64 tables).  An entry is
+#: ``(table, stream)``: the rows built so far and, for a score table
+#: that can still grow, the noise-stream position after its last row
+#: (``None`` once the table is whole).  Growth replaces the entry in one
+#: ``put``, so rows and stream position commit together, and eviction
+#: drops both.
+_TABLES = Memo(
+    "intensity.tables", 64 * 1024 * 1024, weigh=lambda entry: entry[0].nbytes
+)
 
 
 def _window(window_hours: int) -> int:
@@ -174,13 +119,16 @@ def table_cache_info() -> TableCacheInfo:
     ``hits`` count lookups served from the rows already held,
     ``misses`` the others (no table yet, or a score table that had to
     grow).  ``builds`` counts the table identities this process
-    computed; growing a score table is not a build.  ``entries``/``bytes``
+    computed; growing a score table is not a build.  Each computed
+    identity enters the memo once and leaves it only by eviction, so
+    that is the entries held plus the evictions.  ``entries``/``bytes``
     are what the memo holds now, partial score tables at the rows built
-    so far.
-    :func:`repro.intensity.generator.trace_cache_clear` empties the memo
-    and resets the counters.
+    so far.  :func:`repro.memo_clear` (and so
+    :func:`repro.intensity.generator.trace_cache_clear`) empties the
+    memo and resets the counters.
     """
-    return _TABLES.info()
+    hits, misses, evictions, entries, size = _TABLES.info()
+    return TableCacheInfo(hits, misses, entries + evictions, entries, size)
 
 
 class CarbonIntensityService:
@@ -330,7 +278,7 @@ class CarbonIntensityService:
         if want < 1:
             raise TraceError(f"rows must be >= 1, got {rows}")
         key = table_key("score", self._table_identity(region), region, window)
-        entry = _TABLES.get(key, want)
+        entry = _TABLES.get(key, lambda held: held[0].shape[0] >= want)
         if entry is None:
             held, stream = None, None
         elif entry[0].shape[0] >= want:
@@ -354,11 +302,9 @@ class CarbonIntensityService:
                 table = np.concatenate([held, table])
             stream = rng.bit_generator.state if stop < n else None
         table.setflags(write=False)
-        if held is None:
-            _TABLES.builds += 1
         # Rows and stream position commit together, only once the rows
         # exist: an interrupted growth leaves the entry as it was.
-        _TABLES.put(key, table, stream)
+        _TABLES.put(key, (table, stream))
         return table
 
     def _score_stream(self, region: str, window: int) -> np.random.Generator:
@@ -489,10 +435,9 @@ class CarbonIntensityService:
         entry = _TABLES.get(key)
         if entry is not None:
             return entry[0]
-        _TABLES.builds += 1
         table = self._build_truth_table(region, window)
         table.setflags(write=False)
-        _TABLES.put(key, table)
+        _TABLES.put(key, (table, None))
         return table
 
     def _build_truth_table(self, region: str, window: int) -> np.ndarray:

@@ -22,13 +22,12 @@ independent across regions.
 
 from __future__ import annotations
 
-import sys
 import zlib
-from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro._memo import Memo, memo_clear
 from repro.core.errors import TraceError
 from repro.core.units import HOURS_PER_DAY
 from repro.intensity.regions import REGIONS, RegionSpec, get_region
@@ -205,21 +204,25 @@ def generate_trace(
     )
 
 
-@lru_cache(maxsize=64)
+#: Trace sets by ``(regions, n_hours, seed)``: 64 of them.
+_TRACE_SETS = Memo("intensity.traces", 64)
+
+
 def _cached_traces(
     codes: Tuple[str, ...], n_hours: int, seed: int
 ) -> Tuple[IntensityTrace, ...]:
-    """Memoized trace set for one (regions, n_hours, seed) signature.
-
-    Every :class:`~repro.intensity.api.CarbonIntensityService` (and each
-    batch :meth:`~repro.session.Session.run_many` sweep) used to
-    regenerate the full Table 3 set from scratch; the LRU makes repeat
-    construction O(dict-copy).  Traces are immutable records sharing one
-    ndarray, so handing the same objects to every caller is safe.
+    """The trace set of one ``(regions, n_hours, seed)`` signature, from
+    the memo.  Traces are immutable records sharing one ndarray, so
+    handing the same objects to every caller is safe.
     """
-    return tuple(
-        generate_trace(code, n_hours=n_hours, seed=seed) for code in codes
-    )
+    key = (codes, n_hours, seed)
+    traces = _TRACE_SETS.get(key)
+    if traces is None:
+        traces = tuple(
+            generate_trace(code, n_hours=n_hours, seed=seed) for code in codes
+        )
+        _TRACE_SETS.put(key, traces)
+    return traces
 
 
 def generate_all_traces(
@@ -230,10 +233,11 @@ def generate_all_traces(
 ) -> Dict[str, IntensityTrace]:
     """Generate traces for several regions (default: all of Table 3).
 
-    Results are memoized module-wide on ``(regions, n_hours, seed)``;
+    Results are memoized process-wide on ``(regions, n_hours, seed)``;
     the returned dict is a fresh copy each call, the traces themselves
-    are shared.  Use :func:`trace_cache_info` / :func:`trace_cache_clear`
-    to observe or reset the cache (benchmarks and tests do).
+    are shared.  :func:`trace_cache_info` reads the memo's counters and
+    :func:`trace_cache_clear` empties it, with every other process-wide
+    memo (benchmarks and tests do).
     """
     codes = tuple(regions) if regions is not None else tuple(REGIONS)
     if _trace_provider is not None:
@@ -244,22 +248,13 @@ def generate_all_traces(
 
 
 def trace_cache_info():
-    """``functools.lru_cache`` statistics of the memoized trace sets."""
-    return _cached_traces.cache_info()
+    """Counters of the trace-set memo (a :class:`repro._memo.MemoInfo`)."""
+    return _TRACE_SETS.info()
 
 
 def trace_cache_clear() -> None:
-    """Drop every memoized trace set, every window table built on them
-    (the process-wide table memo of :mod:`repro.intensity.api`) and
-    every live section value delta runs kept
-    (:func:`repro.session.session.live_section_info`), so the next run
-    starts cold (tests, benchmarks and ablations)."""
-    from repro.intensity import api
-
-    _cached_traces.cache_clear()
-    api._TABLES.clear()
-    # Looked up, not imported: the intensity layer loads no session
-    # code, and a process that never imported it holds no live sections.
-    session = sys.modules.get("repro.session.session")
-    if session is not None:
-        session._LIVE_SECTIONS.clear()
+    """Empty every process-wide memo (:func:`repro.memo_clear`): the
+    trace sets, the window tables built on them, the live sections delta
+    runs kept, the workload batches and the pooled workers' caches, so
+    the next run starts cold (tests, benchmarks and ablations)."""
+    memo_clear()

@@ -32,10 +32,10 @@ reachable as ``"carbon_aware"``).
 from __future__ import annotations
 
 import importlib
-import sys
 import threading
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
+from repro._memo import memo_clear
 from repro.core.errors import SessionError, UnknownBackendError
 
 __all__ = [
@@ -145,7 +145,10 @@ class BackendRegistry:
             for norm in norms:
                 table[norm] = factory
         if replace:
-            _drop_live_sections()
+            # A replaced key names different code, so the live sections
+            # of delta runs computed under it are stale.  Cleared by
+            # name: the registry loads no session code.
+            memo_clear("session.live_sections")
 
     def add_row(
         self, kind: str, key: str, target: str, *, aliases: Iterable[str] = ()
@@ -216,15 +219,6 @@ class BackendRegistry:
         kind, key = kind_key
         ensure_default_backends()
         return _norm(key) in self._table(kind)
-
-
-def _drop_live_sections() -> None:
-    """Empty the delta path's live-section memo: a replaced key names
-    different code, so values computed under it are stale.  Looked up,
-    not imported: the registry loads no session code."""
-    session = sys.modules.get("repro.session.session")
-    if session is not None:
-        session._LIVE_SECTIONS.clear()
 
 
 #: The process-wide registry the facade consults.

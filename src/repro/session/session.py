@@ -11,27 +11,30 @@ Batch evaluation (:meth:`Session.run_many`) sweeps N scenarios while
 constructing the regional intensity traces **once per unique seed**: the
 trace sets behind every
 :class:`~repro.intensity.api.CarbonIntensityService` come from the
-module-level memo in :mod:`repro.intensity.generator`, so a 5-region ×
-3-policy sweep pays for one generation, not fifteen.  The window tables
-built on those traces are shared the same way, through the process-wide
-table memo in :mod:`repro.intensity.api`: each table identity (trace
-content, seed, forecast error, region, window) is built once per
-process, whichever session asks first.
+process-wide trace-set memo in :mod:`repro.intensity.generator`, so a
+5-region × 3-policy sweep pays for one generation, not fifteen.  The
+window tables built on those traces are shared the same way, through
+the process-wide table memo in :mod:`repro.intensity.api`: each table
+identity (trace content, seed, forecast error, region, window) is built
+once per process, whichever session asks first.  Delta runs
+(``run(reuse=cache)``) also keep the live values of the sections the
+carbon rollup reads unserialized (:func:`live_section_info`), so a
+sweep computes each distinct scheduling and upgrade section once per
+process.
 
-Delta runs (``run(reuse=cache)``) keep one more process-wide memo: the
-live values of the sections the carbon rollup reads unserialized
-(:func:`live_section_info`), so a sweep computes each distinct
-scheduling and upgrade section once per process.
+Each of these, like the workload layer's batch memos, is a bounded
+:class:`repro._memo.Memo`: :func:`repro.memo_info` reports their
+counters and :func:`repro.memo_clear` empties them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
-import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro._memo import Memo
 from repro.core.config import default_config, get_config
 from repro.core.errors import SessionError, SweepError
 from repro.session.fingerprint import (
@@ -69,59 +72,15 @@ _SECTION_MODULES = {
     "upgrade": "repro.upgrade.advisor",
 }
 
-#: Entry cap of the live-section memo, the size of the trace-set memo.
-#: A canonical-size scheduling section (4 policies x 2325 jobs) holds
-#: about 0.43 MB, so a full memo stays under about 28 MB.
-_LIVE_SECTION_SLOTS = 64
-
 LiveSectionInfo = namedtuple("LiveSectionInfo", "hits misses entries")
 
-
-class _LiveSections:
-    """Least-recently-used live section values, at most
-    :data:`_LIVE_SECTION_SLOTS` of them.
-
-    Keys are ``(section name, section fingerprint)``, the key the sweep
-    cache's section tier stores payloads under; values are what the
-    section runner returned (see :meth:`Session._run_delta`).
-    """
-
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-        # Sessions may run on several threads; a lookup and its LRU
-        # bump must not interleave with another thread's eviction.
-        self._lock = threading.Lock()
-        self.hits = self.misses = 0
-
-    def get(self, key: Tuple[str, str]):
-        """The value under ``key``, or ``None``."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        return value
-
-    def put(self, key: Tuple[str, str], value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > _LIVE_SECTION_SLOTS:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = 0
-
-    def info(self) -> LiveSectionInfo:
-        with self._lock:
-            return LiveSectionInfo(self.hits, self.misses, len(self._entries))
-
-
-_LIVE_SECTIONS = _LiveSections()
+#: Live section values by ``(section name, section fingerprint)``, the
+#: key the sweep cache's section tier stores payloads under; values are
+#: what the section runner returned (see :meth:`Session._run_delta`).
+#: 64 entries, the trace-set memo's cap: a canonical-size scheduling
+#: section (4 policies x 2325 jobs) holds about 0.43 MB, so a full memo
+#: stays under about 28 MB.
+_LIVE_SECTIONS = Memo("session.live_sections", 64)
 
 
 def live_section_info() -> LiveSectionInfo:
@@ -130,11 +89,13 @@ def live_section_info() -> LiveSectionInfo:
     ``hits`` count the section runs a delta run served from the memo,
     ``misses`` those it had to compute; ``entries`` is what the memo
     holds now.  Plain ``Session.run()`` neither reads nor fills it.
-    :func:`repro.intensity.generator.trace_cache_clear` and
+    :func:`repro.memo_clear` (and so
+    :func:`repro.intensity.generator.trace_cache_clear`) and
     ``register_backend(..., replace=True)`` empty the memo and reset the
     counters.
     """
-    return _LIVE_SECTIONS.info()
+    info = _LIVE_SECTIONS.info()
+    return LiveSectionInfo(info.hits, info.misses, info.entries)
 
 
 def _detached(name: str, value):
@@ -1130,7 +1091,7 @@ class Session:
     ) -> List[ScenarioResult]:
         """Evaluate many scenarios through a pluggable sweep executor.
 
-        All sessions draw their trace sets from the module-level memo in
+        All sessions draw their trace sets from the process-wide memo in
         :mod:`repro.intensity.generator`, so sweeping N regions × M
         policies generates each unique seed's traces exactly once (the
         ``process`` executor warms the same memo once per worker).  Their

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 # store: import both with the service, not inside a timed pass.
 import repro.session.executors  # noqa: F401
 import repro.sweep.store  # noqa: F401
+from repro._memo import Memo
 from repro.core.errors import ResilienceError, SweepError
 from repro.resilience.journal import SweepJournal
 from repro.resilience.policy import CellFailure, RetryPolicy
@@ -193,9 +194,9 @@ def _coerce_injector(value):
     )
 
 
-#: Per-process readonly caches pooled delta workers open, memoized by
-#: directory so a worker reuses one memory tier across its units.
-_WORKER_CACHES: Dict[str, ResultCache] = {}
+#: Readonly caches a pooled delta worker opens, by directory, so it
+#: reuses one memory tier across its units (one directory per pass).
+_WORKER_CACHES = Memo("sweep.worker_caches", 8)
 
 
 def _worker_cache(cache_dir: pathlib.Path) -> ResultCache:
@@ -203,7 +204,7 @@ def _worker_cache(cache_dir: pathlib.Path) -> ResultCache:
     cache = _WORKER_CACHES.get(key)
     if cache is None:
         cache = ResultCache(cache_dir, readonly=True)
-        _WORKER_CACHES[key] = cache
+        _WORKER_CACHES.put(key, cache)
     return cache
 
 

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Union, runtime_chec
 
 import numpy as np
 
+from repro._memo import Memo
 from repro.core.errors import SimulationError
 from repro.cluster.job import Job, JobBatch, _adopt
 from repro.session.backends import BUILTIN_BACKENDS
@@ -277,14 +278,12 @@ def _assemble(
     )
 
 
-#: Generated-batch memo shared across synthetic-family instances.  A
-#: sweep grid builds one source per cell, but cells sharing (generator
-#: knobs, seed) draw the same batch — the repr keys the memo because it
-#: already spells every knob (params + family extras).  Batches are
-#: immutable, so sharing is safe; insertion-ordered with the oldest
-#: entry evicted past the cap, like ``_TRACE_MEMO``.
-_BATCH_MEMO: Dict[tuple, JobBatch] = {}
-_BATCH_MEMO_SLOTS = 32
+#: Generated-batch memo shared across synthetic-family instances, 32
+#: batches.  A sweep grid builds one source per cell, but cells sharing
+#: (generator knobs, seed) draw the same batch — the repr keys the memo
+#: because it already spells every knob (params + family extras).
+#: Batches are immutable, so sharing is safe.
+_BATCH_MEMO = Memo("workloads.batches", 32)
 
 
 class _SyntheticFamily:
@@ -325,9 +324,7 @@ class _SyntheticFamily:
         batch = _BATCH_MEMO.get(key)
         if batch is None:
             batch = self._draw(seed=int(seed))
-            if len(_BATCH_MEMO) >= _BATCH_MEMO_SLOTS:
-                _BATCH_MEMO.pop(next(iter(_BATCH_MEMO)))  # drop the oldest
-            _BATCH_MEMO[key] = batch
+            _BATCH_MEMO.put(key, batch)
         return batch
 
 
@@ -492,12 +489,10 @@ class BurstySource(_SyntheticFamily):
         return _assemble(self.params, submits=submits, rng=rng, zoo=self.models)
 
 
-#: Parsed-trace memo shared across TraceReplaySource instances (region/
-#: policy sweeps build one source per scenario; the batch is immutable,
-#: so sharing is safe).  Small and insertion-ordered: oldest entry
-#: evicted past the cap.
-_TRACE_MEMO: Dict[tuple, JobBatch] = {}
-_TRACE_MEMO_SLOTS = 8
+#: Parsed-trace memo shared across TraceReplaySource instances, 8
+#: batches (region/policy sweeps build one source per scenario; the
+#: batch is immutable, so sharing is safe).
+_TRACE_MEMO = Memo("workloads.traces", 8)
 
 
 class TraceReplaySource:
@@ -634,9 +629,7 @@ class TraceReplaySource:
                 procs_per_gpu=self.procs_per_gpu,
                 max_gpus=self.max_gpus,
             )
-            if len(_TRACE_MEMO) >= _TRACE_MEMO_SLOTS:
-                _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))  # drop the oldest
-            _TRACE_MEMO[key] = raw
+            _TRACE_MEMO.put(key, raw)
         batch = raw
         if self._horizon_h is not None:
             batch = batch.clipped(

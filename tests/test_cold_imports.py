@@ -170,6 +170,14 @@ def test_listing_backends_imports_no_layer():
     assert "numpy" not in loaded
 
 
+def test_memo_registry_loads_no_layer():
+    loaded = _modules_after("import repro._memo")
+    assert "numpy" not in loaded
+    assert sorted(
+        name for name in loaded if name == "repro" or name.startswith("repro.")
+    ) == ["repro", "repro._lazy", "repro._memo"]
+
+
 def test_canonical_run_imports_nothing_after_build():
     added = _repro_added(
         """

@@ -405,11 +405,6 @@ class TestMemorySlotKnobs:
         with pytest.raises(SweepError, match=">= 0"):
             default_memory_slots()
 
-    def test_mem_entries_alias(self):
-        assert ResultCache(None, mem_entries=5).memory_slots == 5
-        with pytest.raises(SweepError, match="aliases"):
-            ResultCache(None, memory_slots=1, mem_entries=2)
-
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_HPC_CACHE_MEM", "3")
         assert ResultCache(None, memory_slots=9).memory_slots == 9

@@ -287,7 +287,7 @@ class TestTableMemo:
         trace_cache_clear()
         service = CarbonIntensityService(random_traces(12), forecast_error=0.1)
         table_bytes = 240 * 8
-        monkeypatch.setattr(api, "_TABLE_MEMO_BYTES", 3 * table_bytes)
+        monkeypatch.setattr(api._TABLES, "capacity", 3 * table_bytes)
         first = {w: service.window_score_table("A", w).copy() for w in (1, 2, 3)}
         service.window_score_table("A", 1)  # window 2 is now least recent
         service.window_score_table("A", 4)  # over budget: drops window 2

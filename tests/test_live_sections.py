@@ -177,7 +177,7 @@ class TestInvalidationAndScope:
 
     def test_least_recently_used_entry_goes_first(self, monkeypatch):
         trace_cache_clear()
-        monkeypatch.setattr(session_module, "_LIVE_SECTION_SLOTS", 2)
+        monkeypatch.setattr(session_module._LIVE_SECTIONS, "capacity", 2)
         calls = _count_runners(monkeypatch)
 
         def run(seed: int) -> None:
@@ -198,7 +198,7 @@ class TestInvalidationAndScope:
         """Threads sharing the memo lose no count and never trip over
         each other's evictions."""
         trace_cache_clear()
-        monkeypatch.setattr(session_module, "_LIVE_SECTION_SLOTS", 4)
+        monkeypatch.setattr(session_module._LIVE_SECTIONS, "capacity", 4)
         memo = session_module._LIVE_SECTIONS
         errors = []
 

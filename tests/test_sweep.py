@@ -356,10 +356,10 @@ class TestResultCache:
         result = _cell(*_MATRIX[0]).run()
         boom = OSError("disk full")
 
-        def exploding_dump(*args, **kwargs):
+        def exploding_dumps(*args, **kwargs):
             raise boom
 
-        monkeypatch.setattr(json, "dump", exploding_dump)
+        monkeypatch.setattr(json, "dumps", exploding_dumps)
         with pytest.raises(
             SweepError, match="cannot write cache entry"
         ) as err:
@@ -379,7 +379,7 @@ class TestResultCache:
         result = _cell(*_MATRIX[0]).run()
         boom = OSError("disk full")
         monkeypatch.setattr(
-            json, "dump", lambda *a, **k: (_ for _ in ()).throw(boom)
+            json, "dumps", lambda *a, **k: (_ for _ in ()).throw(boom)
         )
         monkeypatch.setattr(
             os_module,
