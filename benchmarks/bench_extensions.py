@@ -1,34 +1,24 @@
 """Benchmarks for the extension subsystems (paper Sec. 6 / limitations
-made executable): interconnect, replacements, seasonal PUE, forecasting,
-multi-node scaling, capacity-aware scheduling, and the center audit."""
+made executable): interconnect, replacements, seasonal PUE, the center
+audit, sensitivity, physical transfers and the paper's takeaways."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.audit import CenterAuditor
 from repro.analysis.render import format_table
 from repro.analysis.sensitivity import tornado
-from repro.cluster import Cluster, WorkloadParams, generate_workload
+from repro.cluster import WorkloadParams, generate_workload
 from repro.hardware.network import (
     estimate_fat_tree_interconnect,
     system_share_with_interconnect,
 )
-from repro.hardware.node import a100_node, v100_node
 from repro.hardware.replacement import ReplacementModel
 from repro.hardware.systems import frontier, perlmutter
 from repro.intensity.api import CarbonIntensityService
-from repro.intensity.forecast import (
-    BlendedForecaster,
-    ClimatologyForecaster,
-    PersistenceForecaster,
-    evaluate_forecaster,
-)
 from repro.intensity.generator import generate_trace
 from repro.power.pue import SeasonalPUE, operational_carbon_seasonal
-from repro.scheduler.capacity import temporal_shifting_with_capacity
-from repro.workloads.distributed import scaling_sweep
 
 
 def test_interconnect_share(benchmark):
@@ -86,75 +76,6 @@ def test_seasonal_pue_error(benchmark):
     )
 
 
-def test_forecaster_comparison(benchmark):
-    """Day-ahead forecast quality per model (feeds the scheduler)."""
-    trace = generate_trace("KN")
-
-    def compute():
-        rows = {}
-        for forecaster in (
-            PersistenceForecaster(trace),
-            ClimatologyForecaster(trace),
-            BlendedForecaster(trace),
-        ):
-            result = evaluate_forecaster(
-                forecaster, trace, horizon=24, stride=24 * 7
-            )
-            rows[forecaster.name] = float(result["mape"].mean())
-        return rows
-
-    rows = benchmark(compute)
-    assert rows["climatology"] < rows["persistence"]
-    print("\nDay-ahead MAPE on the Kansai trace:")
-    print(format_table(["Forecaster", "MAPE"], [(k, f"{v:.1f}%") for k, v in rows.items()]))
-
-
-def test_distributed_scaling(benchmark):
-    """RQ3 at scale: carbon per achieved performance across nodes."""
-    runs = benchmark(scaling_sweep, "BERT", "A100", (1, 2, 4, 8, 16, 32))
-    node_embodied = a100_node().embodied().total_g
-    rows = []
-    base = runs[0].throughput_sps
-    for run in runs:
-        perf_rel = run.throughput_sps / base
-        carbon_rel = run.n_nodes
-        rows.append(
-            (run.n_nodes, f"{perf_rel:.2f}x", f"{carbon_rel:.0f}x",
-             f"{perf_rel / carbon_rel:.2f}")
-        )
-    efficiencies = [run.parallel_efficiency for run in runs]
-    assert efficiencies == sorted(efficiencies, reverse=True)
-    print(
-        f"\nBERT on A100 nodes (node embodied {node_embodied/1000:.1f} kg): "
-        "performance vs embodied carbon at scale"
-    )
-    print(format_table(["Nodes", "Performance", "Embodied", "Perf/Embodied"], rows))
-
-
-def test_capacity_aware_shifting(benchmark):
-    """Realizable temporal-shifting savings under queueing."""
-    service = CarbonIntensityService(forecast_error=0.0)
-    params = WorkloadParams(
-        horizon_h=24 * 14, total_gpus=16, home_region="ESO",
-        target_usage=0.5, slack_fraction=3.0,
-    )
-    jobs = generate_workload(params, seed=8)
-    cluster = Cluster(v100_node(), n_nodes=4)
-    outcomes = benchmark(
-        temporal_shifting_with_capacity,
-        jobs, cluster, service, "ESO", horizon_h=24 * 16,
-    )
-    base = outcomes["carbon-oblivious"]
-    shifted = outcomes["temporal-shifting"]
-    assert shifted.carbon_g < base.carbon_g
-    savings = 1.0 - shifted.carbon_g / base.carbon_g
-    print(
-        f"\nCapacity-aware shifting: {savings:+.1%} carbon at the cost of "
-        f"{shifted.proposed_delay_h:.1f} h proposed delay and "
-        f"{shifted.realized_wait_h - base.realized_wait_h:+.1f} h extra queueing"
-    )
-
-
 def test_center_audit(benchmark):
     """The full Perlmutter-class audit as one call."""
     auditor = CenterAuditor(intensity=generate_trace("CISO"), n_nodes=4608)
@@ -181,25 +102,6 @@ def test_sensitivity_tornado(benchmark):
             ],
         )
     )
-
-
-def test_fleet_rollout_comparison(benchmark):
-    """Phased fleet replacement: big-bang vs linear rollouts vs keeping."""
-    from repro.upgrade.fleet import FleetUpgradePlan, compare_rollouts
-
-    plan = FleetUpgradePlan(
-        old="V100", new="A100", n_nodes=128, usage=0.40,
-        intensity=400.0, horizon_years=5.0,
-    )
-    results = benchmark(compare_rollouts, plan, linear_quarters=(4, 8, 16))
-    assert results["big-bang"].total_g < results["keep"].total_g
-    rows = [
-        (name, f"{r.embodied_g/1e6:.1f} t", f"{r.operational_g/1e6:.1f} t",
-         f"{r.total_g/1e6:.1f} t")
-        for name, r in results.items()
-    ]
-    print("\n128-node V100->A100 fleet, 5 years at 400 gCO2/kWh:")
-    print(format_table(["Schedule", "Embodied", "Operational", "Total"], rows))
 
 
 def test_physical_transfer_geographic_policy(benchmark):
@@ -249,44 +151,3 @@ def test_paper_takeaways(benchmark):
     rows = [(r.number, r.title, "yes" if r.holds else "NO") for r in results]
     print("\nThe paper's observations and insights, re-derived:")
     print(format_table(["#", "Takeaway", "Holds"], rows))
-
-
-def test_decarbonization_stretches_amortization(benchmark):
-    """Insight 8 forward-looking: on a grid decarbonizing 8%/yr, the
-    upgrade's embodied carbon takes longer to amortize than the
-    constant-intensity Fig. 8 answer."""
-    from repro.intensity.mix import (
-        DecarbonizationScenario,
-        upgrade_breakeven_with_decarbonization,
-    )
-    from repro.upgrade.scenario import UpgradeScenario
-    from repro.workloads.models import Suite
-
-    def compute():
-        rows = []
-        for start in (400.0, 200.0, 100.0):
-            const = UpgradeScenario.from_generations(
-                "V100", "A100", Suite.NLP, intensity=start
-            ).breakeven_years(horizon_years=50.0)
-            declining = upgrade_breakeven_with_decarbonization(
-                "V100", "A100", Suite.NLP,
-                DecarbonizationScenario(start, annual_decline=0.08),
-                horizon_years=50.0,
-            )
-            rows.append((start, const, declining))
-        return rows
-
-    rows = benchmark(compute)
-    for _start, const, declining in rows:
-        assert declining is None or declining >= const
-    print("\nV100->A100 NLP breakeven: constant grid vs 8%/yr decarbonizing grid")
-    print(
-        format_table(
-            ["Start gCO2/kWh", "Constant", "Decarbonizing"],
-            [
-                (f"{s:.0f}", f"{c:.2f} yr",
-                 "never" if d is None else f"{d:.2f} yr")
-                for s, c, d in rows
-            ],
-        )
-    )

@@ -11,69 +11,51 @@ metrics:
 2. operational carbon per year,
 3. total (embodied + operational) carbon over a 5-year life.
 
+The ranking itself is :func:`repro.analysis.ranking.rank_deployments`.
+
 Run:  python examples/green500_reranking.py
 """
 
+from repro.analysis.ranking import Deployment, rank_deployments
 from repro.analysis.render import format_table
 from repro.core import format_co2
-from repro.core.units import HOURS_PER_YEAR
 from repro.hardware import a100_node, v100_node
 from repro.intensity import generate_all_traces
-from repro.power import NodePowerModel
 
 FLEET_NODES = 200
 USAGE = 0.4
 YEARS = 5.0
 
 
-def fleet_metrics(name, node, intensity_trace):
-    power = NodePowerModel(node)
-    gpu = node.gpu_spec()
-    peak_tflops = node.gpu_count * gpu.fp64_tflops
-    busy_w = power.busy_power_w()
-    gflops_per_w = peak_tflops * 1000.0 / busy_w
-
-    avg_node_w = USAGE * busy_w + (1.0 - USAGE) * power.power_w(0.0, 0.0)
-    fleet_kwh_per_year = FLEET_NODES * avg_node_w / 1000.0 * HOURS_PER_YEAR
-    mean_intensity = (
-        intensity_trace if isinstance(intensity_trace, float)
-        else intensity_trace.mean()
-    )
-    operational_per_year = fleet_kwh_per_year * mean_intensity * 1.2  # PUE
-    embodied = FLEET_NODES * node.embodied().total_g
-    total_5y = embodied + YEARS * operational_per_year
-    return {
-        "name": name,
-        "gflops_per_w": gflops_per_w,
-        "op_per_year": operational_per_year,
-        "embodied": embodied,
-        "total_5y": total_5y,
-    }
-
-
 def main() -> None:
     traces = generate_all_traces()
     fleets = [
-        fleet_metrics("A100 fleet @ MISO", a100_node(), traces["MISO"]),
-        fleet_metrics("A100 fleet @ ESO", a100_node(), traces["ESO"]),
-        fleet_metrics("A100 fleet @ hydro", a100_node(), 20.0),
-        fleet_metrics("V100 fleet @ hydro", v100_node(), 20.0),
+        Deployment(name, node, FLEET_NODES, intensity, usage=USAGE)
+        for name, node, intensity in (
+            ("A100 fleet @ MISO", a100_node(), traces["MISO"]),
+            ("A100 fleet @ ESO", a100_node(), traces["ESO"]),
+            ("A100 fleet @ hydro", a100_node(), 20.0),
+            ("V100 fleet @ hydro", v100_node(), 20.0),
+        )
     ]
+    rankings = rank_deployments(fleets, service_years=YEARS)
 
-    print(f"Fleets of {FLEET_NODES} nodes, {USAGE:.0%} duty cycle, PUE 1.2\n")
-    for metric, key, reverse in (
-        ("GFLOPS/W (Green500-style)", "gflops_per_w", True),
-        ("operational carbon / year", "op_per_year", False),
-        ("total 5-year carbon (Eq. 1)", "total_5y", False),
+    print(
+        f"Fleets of {FLEET_NODES} nodes, {USAGE:.0%} duty cycle, "
+        f"PUE {fleets[0].effective_pue():g}\n"
+    )
+    for metric, key, value in (
+        ("GFLOPS/W (Green500-style)", "efficiency",
+         lambda m: f"{m.gflops_per_w:.1f}"),
+        ("operational carbon / year", "operational",
+         lambda m: format_co2(m.operational_g_per_year)),
+        ("total 5-year carbon (Eq. 1)", "total",
+         lambda m: format_co2(m.total_g_over_life)),
     ):
-        ranked = sorted(fleets, key=lambda f: f[key], reverse=reverse)
-        rows = []
-        for rank, fleet in enumerate(ranked, start=1):
-            if key == "gflops_per_w":
-                value = f"{fleet[key]:.1f}"
-            else:
-                value = format_co2(fleet[key])
-            rows.append((rank, fleet["name"], value))
+        rows = [
+            (rank, m.name, value(m))
+            for rank, m in enumerate(rankings[key], start=1)
+        ]
         print(f"Ranking by {metric}:")
         print(format_table(["#", "Fleet", metric], rows))
         print()

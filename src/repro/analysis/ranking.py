@@ -17,7 +17,9 @@ on fossil energy) become directly testable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.config import effective_pue as resolve_pue
@@ -43,14 +45,33 @@ class Deployment:
     pue: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ExperimentError(f"{self.name}: fleet must have >= 1 node")
+        # NaN slips past every </<= comparison: each range check below is
+        # written so that NaN (and infinity) fails it.
+        n_nodes = self.n_nodes
+        if (
+            isinstance(n_nodes, bool)
+            or not isinstance(n_nodes, Real)
+            or not 1 <= n_nodes < math.inf
+            or n_nodes != int(n_nodes)
+        ):
+            raise ExperimentError(
+                f"{self.name}: fleet needs a whole number of nodes >= 1, "
+                f"got {n_nodes!r}"
+            )
+        object.__setattr__(self, "n_nodes", int(n_nodes))
         if not (0.0 < self.usage <= 1.0):
             raise ExperimentError(f"{self.name}: usage must be in (0, 1]")
-        if self.pue is not None and self.pue < 1.0:
-            raise ExperimentError(f"{self.name}: PUE must be >= 1.0")
-        if isinstance(self.intensity, (int, float)) and float(self.intensity) < 0.0:
-            raise ExperimentError(f"{self.name}: intensity must be non-negative")
+        if self.pue is not None and not 1.0 <= self.pue < math.inf:
+            raise ExperimentError(
+                f"{self.name}: PUE must be finite and >= 1.0, got {self.pue!r}"
+            )
+        if isinstance(self.intensity, (int, float)) and not (
+            0.0 <= float(self.intensity) < math.inf
+        ):
+            raise ExperimentError(
+                f"{self.name}: intensity must be finite and non-negative, "
+                f"got {self.intensity!r}"
+            )
 
     def effective_pue(self) -> float:
         return resolve_pue(self.pue)
@@ -75,8 +96,11 @@ def evaluate_deployment(
     deployment: Deployment, *, service_years: float = 5.0
 ) -> DeploymentMetrics:
     """Compute all three metrics for one deployment."""
-    if service_years <= 0.0:
-        raise ExperimentError("service life must be positive")
+    if not 0.0 < service_years < math.inf:
+        raise ExperimentError(
+            f"{deployment.name}: service life must be positive and finite, "
+            f"got {service_years!r}"
+        )
     node = deployment.node
     power = NodePowerModel(node)
     gpu = node.gpu_spec()

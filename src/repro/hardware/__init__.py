@@ -35,5 +35,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.hardware.replacement": (
         "ReplacementModel", "DEFAULT_ANNUAL_REPLACEMENT_RATES",
     ),
-    "repro.hardware.builder": ("SystemBuilder",),
 })

@@ -19,12 +19,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "pairwise_advantage", "JST_OFFSET_HOURS",
     ),
     "repro.intensity.api": ("CarbonIntensityService", "table_cache_info"),
-    "repro.intensity.forecast": (
-        "PersistenceForecaster", "ClimatologyForecaster", "BlendedForecaster",
-        "evaluate_forecaster",
-    ),
-    "repro.intensity.mix": (
-        "GridMix", "SOURCE_INTENSITY_G_PER_KWH", "DecarbonizationScenario",
-        "upgrade_breakeven_with_decarbonization",
-    ),
 })

@@ -4,8 +4,8 @@ The paper uses the carbontracker tool to measure a training run's
 operational carbon: sample device power during the run, integrate to
 energy, multiply by PUE and the grid's carbon intensity (Eq. 6).
 :class:`CarbonTracker` reproduces that workflow against the simulated
-meters, including carbontracker's signature feature: measure the first
-epoch, then *predict* the footprint of the full run.
+node power model, including carbontracker's signature feature: measure
+the first epoch, then *predict* the footprint of the full run.
 
 ``pue`` accepts the same spellings as every charge path (a float, an
 hourly array, or a profile model such as

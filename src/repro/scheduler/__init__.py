@@ -29,7 +29,7 @@ or the job's home alone) and candidate starts (the slack grid, or the
 submit time alone).  ``tests/oracles.py`` keeps one scalar scan per
 policy as the parity oracle.
 
-Evaluation and capacity replay drive policies through
+Evaluation drives policies through
 :func:`repro.scheduler.policies.place_jobs`, which prefers ``place_all``
 and falls back to per-job ``place`` for minimal third-party policies —
 implementing ``place`` alone keeps a custom policy fully functional.
@@ -53,10 +53,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.scheduler.budget": (
         "BudgetAccount", "CarbonBudgetLedger", "priority_order",
-    ),
-    "repro.scheduler.capacity": (
-        "CapacityAwareOutcome", "simulate_with_policy",
-        "temporal_shifting_with_capacity",
     ),
     "repro.scheduler.transfer": (
         "TransferModel", "DATASET_GB", "dataset_size_gb",

@@ -213,25 +213,31 @@ class _DeltaItem:
 
     Executors treat it like a Session (it exposes ``run()`` and a
     ``_scenario`` for seed warming).  In-process engines read sections
-    from the service's live cache; pooled items drop the live cache on
-    pickling and reopen the directory readonly in the worker.  Either
-    way fresh sections ride home on ``result.fresh_sections``, and the
-    service writes them back as the unit settles, so later cells in the
-    same serial pass reuse them.
+    from the service's live cache and run the session the planner
+    already built, so a computed cell builds and hashes once; pooled
+    items drop both on pickling, build from the pickled item and reopen
+    the directory readonly in the worker.  Either way fresh sections
+    ride home on ``result.fresh_sections``, and the service writes them
+    back as the unit settles, so later cells in the same serial pass
+    reuse them.
     """
 
     def __init__(
         self,
         item: Union[Scenario, Session],
         cache: ResultCache,
+        session: Optional[Session],
     ) -> None:
         self._item = item
         self._cache: Optional[ResultCache] = cache
         self._cache_dir = cache.cache_dir
+        self._session = session
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        state["_cache"] = None  # live caches never cross process bounds
+        # Live caches and sessions never cross process bounds.
+        state["_cache"] = None
+        state["_session"] = None
         return state
 
     @property
@@ -240,11 +246,15 @@ class _DeltaItem:
         return item if isinstance(item, Scenario) else item._scenario
 
     def run(self) -> ScenarioResult:
-        session = (
-            self._item.build()
-            if isinstance(self._item, Scenario)
-            else self._item
-        )
+        # The first attempt takes the planned session; a retry builds
+        # afresh, so no attempt runs a session a failed one left behind.
+        session, self._session = self._session, None
+        if session is None:
+            session = (
+                self._item.build()
+                if isinstance(self._item, Scenario)
+                else self._item
+            )
         reuse = self._cache
         if reuse is None and self._cache_dir is not None:
             reuse = _worker_cache(self._cache_dir)
@@ -559,7 +569,7 @@ class SweepService:
             key, opts = self._resolve_executor(items, executor, max_workers)
             units = [
                 ResilientUnit(
-                    item=_DeltaItem(unit.item, self._cache)
+                    item=_DeltaItem(unit.item, self._cache, unit.session)
                     if use_delta
                     else unit.item,
                     index=unit.indices[0],

@@ -9,7 +9,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "intensity_scaling_check", "attribution_sweep",
     ),
     "repro.upgrade.advisor": ("UpgradeAdvisor", "UpgradeDecision", "Verdict"),
-    "repro.upgrade.fleet": (
-        "FleetUpgradePlan", "RolloutResult", "compare_rollouts", "best_rollout",
-    ),
 })

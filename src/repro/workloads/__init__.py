@@ -26,10 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.workloads.runner": (
         "TrainingResult", "simulate_training_run", "simulate_suite",
     ),
-    "repro.workloads.distributed": (
-        "FabricSpec", "SLINGSHOT_200G", "DistributedRun",
-        "distributed_throughput", "scaling_sweep",
-    ),
     "repro.workloads.energy": ("ModelCard", "model_card", "model_card_table"),
     "repro.workloads.sources": (
         "WorkloadParams", "generate_workload", "JobSource", "SyntheticSource",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,36 @@ def pytest_addoption(parser):
     )
 
 
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
 @pytest.fixture()
 def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
+
+
+@pytest.fixture()
+def golden_file(update_golden):
+    """``golden_file(name, text)``: assert that ``text`` equals the
+    committed ``tests/golden/<name>`` byte for byte, or rewrite that file
+    under ``--update-golden``."""
+
+    def check(name: str, text: str) -> None:
+        path = GOLDEN_DIR / name
+        data = text.encode("utf-8")
+        if update_golden:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        assert path.exists(), (
+            f"missing golden file tests/golden/{name}; generate it with "
+            "--update-golden"
+        )
+        assert data == path.read_bytes(), (
+            f"output drifted from tests/golden/{name}; if the change is "
+            "intentional, re-bless with --update-golden"
+        )
+
+    return check
 
 
 @pytest.fixture()

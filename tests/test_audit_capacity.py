@@ -1,23 +1,14 @@
-"""Whole-center audit and capacity-aware scheduling."""
+"""Whole-center audit."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.audit import CenterAuditor
-from repro.cluster import Cluster, WorkloadParams, generate_workload
-from repro.core.errors import ExperimentError, SchedulingError
+from repro.core.errors import ExperimentError
 from repro.core.lifecycle import LifecyclePhases, TransportMode
-from repro.hardware.node import v100_node
 from repro.hardware.replacement import ReplacementModel
 from repro.hardware.systems import perlmutter
-from repro.intensity.api import CarbonIntensityService
-from repro.scheduler.capacity import (
-    simulate_with_policy,
-    temporal_shifting_with_capacity,
-)
-from repro.scheduler.policies import CarbonObliviousPolicy, TemporalShiftingPolicy
-from repro.cluster.job import Placement
 
 
 class TestCenterAuditor:
@@ -89,77 +80,3 @@ class TestCenterAuditor:
             CenterAuditor(intensity=100.0, gpu_usage=0.0)
         with pytest.raises(ExperimentError):
             CenterAuditor(intensity=100.0).audit(perlmutter(), service_years=0.0)
-
-
-class TestCapacityAwareScheduling:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        service = CarbonIntensityService(forecast_error=0.0)
-        params = WorkloadParams(
-            horizon_h=24 * 14, total_gpus=16, home_region="ESO",
-            target_usage=0.5, slack_fraction=3.0,
-        )
-        jobs = generate_workload(params, seed=8)
-        cluster = Cluster(v100_node(), n_nodes=4)
-        return service, jobs, cluster
-
-    def test_shifting_still_saves_under_capacity(self, setup):
-        service, jobs, cluster = setup
-        outcomes = temporal_shifting_with_capacity(
-            jobs, cluster, service, "ESO", horizon_h=24 * 16
-        )
-        base = outcomes["carbon-oblivious"]
-        shifted = outcomes["temporal-shifting"]
-        assert shifted.carbon_g < base.carbon_g
-
-    def test_shifting_costs_waiting(self, setup):
-        service, jobs, cluster = setup
-        outcomes = temporal_shifting_with_capacity(
-            jobs, cluster, service, "ESO", horizon_h=24 * 16
-        )
-        base = outcomes["carbon-oblivious"]
-        shifted = outcomes["temporal-shifting"]
-        total_shifted_latency = shifted.realized_wait_h + shifted.proposed_delay_h
-        assert total_shifted_latency > base.realized_wait_h
-
-    def test_all_jobs_simulated(self, setup):
-        service, jobs, cluster = setup
-        outcome = simulate_with_policy(
-            jobs,
-            TemporalShiftingPolicy(service, "ESO"),
-            cluster,
-            service.trace("ESO"),
-            horizon_h=24 * 16,
-        )
-        assert outcome.simulation.n_jobs == len(jobs)
-
-    def test_oblivious_proposes_zero_delay(self, setup):
-        service, jobs, cluster = setup
-        outcome = simulate_with_policy(
-            jobs,
-            CarbonObliviousPolicy(service, "ESO"),
-            cluster,
-            service.trace("ESO"),
-            horizon_h=24 * 16,
-        )
-        assert outcome.proposed_delay_h == 0.0
-
-    def test_slack_violation_rejected(self, setup):
-        service, jobs, cluster = setup
-
-        class RudePolicy:
-            name = "rude"
-
-            def place(self, job):
-                return Placement(
-                    job_id=job.job_id,
-                    region="ESO",
-                    start_h=job.latest_start_h + 100.0,
-                    duration_h=job.duration_h,
-                )
-
-        with pytest.raises(SchedulingError):
-            simulate_with_policy(
-                jobs[:3], RudePolicy(), cluster, service.trace("ESO"),
-                horizon_h=24 * 16,
-            )

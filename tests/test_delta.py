@@ -462,6 +462,33 @@ class TestServiceDelta:
             line.startswith("sections:") for line in report.summary_lines()
         )
 
+    def test_each_computed_cell_builds_once(self, tmp_path, monkeypatch):
+        # Planning builds every cell, and a computed cell runs the
+        # planned session: each pass builds each of the two cells once.
+        calls = {"build": 0}
+        original = Scenario.build
+
+        def counting(self):
+            calls["build"] += 1
+            return original(self)
+
+        monkeypatch.setattr(Scenario, "build", counting)
+        service = SweepService(cache_dir=tmp_path / "c")
+        passes = []
+        for simulator in ("fcfs", "fcfs", "fcfs-columnar"):  # cold, warm, delta
+            cells = [
+                _scenario(system=system, simulator=simulator)
+                for system in ("frontier", "lumi")
+            ]
+            calls["build"] = 0
+            report = service.run(cells)
+            passes.append((report.n_ran, calls["build"]))
+        assert passes == [(2, 2), (0, 2), (2, 2)]
+        truth = SweepService(cache=False).run(cells)
+        assert [_canon(r) for r in report.results] == [
+            _canon(r) for r in truth.results
+        ]
+
     def test_plan_predicts_section_hits(self, tmp_path):
         service = SweepService(cache_dir=tmp_path / "c")
         cold = service.plan(_grid(["text"]))

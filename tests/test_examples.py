@@ -1,4 +1,6 @@
-"""Every shipped example must run cleanly and produce its key output."""
+"""Every shipped example must run cleanly and print exactly its golden
+stdout (``tests/golden/examples/<name>.txt``; re-bless with
+``pytest tests/test_examples.py --update-golden``)."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ _EXPECTED = {
 
 
 @pytest.mark.parametrize("script", sorted(_EXPECTED))
-def test_example_runs(script):
+def test_example_runs(script, golden_file):
     path = EXAMPLES_DIR / script
     assert path.exists(), f"missing example {script}"
     proc = subprocess.run(
@@ -33,6 +35,7 @@ def test_example_runs(script):
     assert proc.returncode == 0, proc.stderr
     for token in _EXPECTED[script]:
         assert token in proc.stdout, f"{script}: missing {token!r}"
+    golden_file(f"examples/{path.stem}.txt", proc.stdout)
 
 
 def test_examples_directory_complete():

@@ -67,19 +67,10 @@ def _serialize(result) -> str:
     _MATRIX,
     ids=[_fixture_id(s, p) for s, _r, p in _MATRIX],
 )
-def test_scenario_matches_golden(system, region, policy, update_golden):
-    path = GOLDEN_DIR / f"scenario-{_fixture_id(system, policy)}.json"
-    payload = _serialize(_build(system, region, policy).run())
-    if update_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(payload, encoding="utf-8")
-    assert path.exists(), (
-        f"missing golden fixture {path.name}; generate it with "
-        "pytest tests/test_golden_fixtures.py --update-golden"
-    )
-    assert payload == path.read_text(encoding="utf-8"), (
-        f"serialized ScenarioResult drifted from {path.name}; if the change "
-        "is intentional, re-bless with --update-golden"
+def test_scenario_matches_golden(system, region, policy, golden_file):
+    golden_file(
+        f"scenario-{_fixture_id(system, policy)}.json",
+        _serialize(_build(system, region, policy).run()),
     )
 
 
@@ -100,19 +91,9 @@ def _build_cluster() -> Scenario:
     )
 
 
-def test_cluster_scenario_matches_golden(update_golden):
-    path = GOLDEN_DIR / "scenario-cluster-fcfs_columnar.json"
-    payload = _serialize(_build_cluster().run())
-    if update_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(payload, encoding="utf-8")
-    assert path.exists(), (
-        f"missing golden fixture {path.name}; generate it with "
-        "pytest tests/test_golden_fixtures.py --update-golden"
-    )
-    assert payload == path.read_text(encoding="utf-8"), (
-        f"serialized ScenarioResult drifted from {path.name}; if the change "
-        "is intentional, re-bless with --update-golden"
+def test_cluster_scenario_matches_golden(golden_file):
+    golden_file(
+        "scenario-cluster-fcfs_columnar.json", _serialize(_build_cluster().run())
     )
 
 
@@ -152,20 +133,11 @@ def _build_cluster_carbon_aware() -> Scenario:
     )
 
 
-def test_cluster_carbon_aware_matches_golden(update_golden):
+def test_cluster_carbon_aware_matches_golden(golden_file):
     """Byte-for-byte pin of the serialized carbon-aware cluster section."""
-    path = GOLDEN_DIR / "scenario-cluster-carbon_aware.json"
-    payload = _serialize(_build_cluster_carbon_aware().run())
-    if update_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(payload, encoding="utf-8")
-    assert path.exists(), (
-        f"missing golden fixture {path.name}; generate it with "
-        "pytest tests/test_golden_fixtures.py --update-golden"
-    )
-    assert payload == path.read_text(encoding="utf-8"), (
-        f"serialized ScenarioResult drifted from {path.name}; if the change "
-        "is intentional, re-bless with --update-golden"
+    golden_file(
+        "scenario-cluster-carbon_aware.json",
+        _serialize(_build_cluster_carbon_aware().run()),
     )
 
 

@@ -1,16 +1,14 @@
-"""Device power models and meter substitutes."""
+"""Device power models."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import PowerModelError
-from repro.hardware.catalog import DRAM_64GB, GPU_A100, GPU_V100, HDD_16TB
+from repro.hardware.catalog import DRAM_64GB, GPU_A100, HDD_16TB
 from repro.power.devices import DevicePowerModel, power_model_for
-from repro.power.meters import MeterLog, NvmlGpuMeter, PowerSample, RaplCpuMeter
 
 
 class TestDevicePowerModel:
@@ -54,98 +52,3 @@ class TestDevicePowerModel:
         assert dram.idle_w == DRAM_64GB.idle_w
         hdd = power_model_for(HDD_16TB)
         assert hdd.max_w == HDD_16TB.active_w
-
-
-class TestMeterLog:
-    def test_energy_constant_power(self):
-        log = MeterLog("gpu")
-        for k in range(11):
-            log.append(PowerSample(k * 0.1, 1000.0))
-        assert log.energy().kwh == pytest.approx(1.0)
-
-    def test_energy_trapezoid(self):
-        log = MeterLog("gpu")
-        log.append(PowerSample(0.0, 0.0))
-        log.append(PowerSample(1.0, 1000.0))
-        assert log.energy().kwh == pytest.approx(0.5)
-
-    def test_single_sample_zero_energy(self):
-        log = MeterLog("gpu")
-        log.append(PowerSample(0.0, 100.0))
-        assert log.energy().kwh == 0.0
-
-    def test_out_of_order_rejected(self):
-        log = MeterLog("gpu")
-        log.append(PowerSample(1.0, 10.0))
-        with pytest.raises(PowerModelError):
-            log.append(PowerSample(0.5, 10.0))
-
-    def test_average_power(self):
-        log = MeterLog("gpu")
-        log.append(PowerSample(0.0, 100.0))
-        log.append(PowerSample(2.0, 100.0))
-        assert log.average_power_w() == pytest.approx(100.0)
-
-    def test_average_needs_two_samples(self):
-        log = MeterLog("gpu")
-        log.append(PowerSample(0.0, 100.0))
-        with pytest.raises(PowerModelError):
-            log.average_power_w()
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(PowerModelError):
-            PowerSample(0.0, -1.0)
-
-
-class TestNvmlGpuMeter:
-    def test_noiseless_reads_exact(self):
-        model = power_model_for(GPU_V100)
-        meter = NvmlGpuMeter(model, noise_fraction=0.0)
-        assert meter.read_w(0.5) == pytest.approx(model.power_w(0.5))
-
-    def test_noise_clipped_to_tdp(self):
-        model = power_model_for(GPU_V100)
-        meter = NvmlGpuMeter(model, noise_fraction=0.5, seed=1)
-        reads = [meter.read_w(1.0) for _ in range(200)]
-        assert max(reads) <= model.max_w
-        assert min(reads) >= 0.0
-
-    def test_sample_profile_integrates(self):
-        model = DevicePowerModel("g", 0.0, 1000.0)
-        meter = NvmlGpuMeter(model, noise_fraction=0.0)
-        log = meter.sample_profile([1.0] * 11, step_h=0.1)
-        assert log.energy().kwh == pytest.approx(1.0)
-
-    def test_deterministic_per_seed(self):
-        model = power_model_for(GPU_V100)
-        a = NvmlGpuMeter(model, seed=7).read_w(0.5)
-        b = NvmlGpuMeter(model, seed=7).read_w(0.5)
-        assert a == b
-
-
-class TestRaplCpuMeter:
-    def make_meter(self, **kw):
-        model = DevicePowerModel("cpu", 30.0, 150.0)
-        return RaplCpuMeter(model, dram_w=10.0, **kw)
-
-    def test_counter_monotone_without_wrap(self):
-        meter = self.make_meter(seed=1)
-        r1 = meter.read_joules(0.5, 0.1)
-        r2 = meter.read_joules(0.5, 0.1)
-        assert r2 > r1
-
-    def test_energy_between(self):
-        meter = self.make_meter(seed=2)
-        r1 = meter.read_joules(1.0, 1.0)
-        r2 = meter.read_joules(1.0, 1.0)
-        energy = meter.energy_between(r1, r2)
-        # ~160 W for 1 h = 0.16 kWh, within meter noise.
-        assert energy.kwh == pytest.approx(0.16, rel=0.05)
-
-    def test_wrap_handled(self):
-        meter = self.make_meter(wrap_joules=1000.0, seed=3)
-        assert meter.energy_between(900.0, 100.0).joules == pytest.approx(200.0)
-
-    def test_negative_elapsed_rejected(self):
-        with pytest.raises(PowerModelError):
-            self.make_meter().read_joules(0.5, -1.0)

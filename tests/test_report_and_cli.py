@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 
-from repro.analysis.report import generate_report, run_all_checks
+from repro.analysis.report import run_all_checks
 from repro.cli import main
 
 
@@ -30,7 +33,15 @@ class TestChecks:
 class TestReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return generate_report()
+        """What ``repro-hpc report`` prints."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["report"]) == 0
+        return out.getvalue()
+
+    def test_matches_golden(self, report, golden_file):
+        # Re-bless: pytest tests/test_report_and_cli.py --update-golden
+        golden_file("EXPERIMENTS.md", report)
 
     def test_contains_all_artifacts(self, report):
         for token in (

@@ -8,12 +8,10 @@ import pytest
 from repro.accounting import VectorizedChargingEngine
 from repro.core.errors import SchedulingError
 from repro.cluster.job import Job, JobBatch, Placement
-from repro.cluster.simulator import Cluster
 from repro.workloads.sources import WorkloadParams, generate_workload
 from repro.hardware.node import v100_node
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.trace import IntensityTrace
-from repro.scheduler.capacity import simulate_with_policy
 from repro.scheduler.evaluation import compare_policies, evaluate_policy
 from repro.scheduler.policies import (
     CarbonObliviousPolicy,
@@ -287,20 +285,14 @@ class TestEvaluation:
         ],
     )
     def test_first_offending_job_reported(self, starts, message):
-        """Evaluation and capacity replay name the first offending job in
-        input order, with the seed evaluator's message."""
+        """Evaluation names the first offending job in input order, with
+        the seed evaluator's message."""
         service = make_service()
         jobs = [make_job(job_id=i, submit=10.0 * i + 5.0, slack=2.0) for i in range(3)]
         policy = ProposalPolicy(starts, name="bad")
         with pytest.raises(SchedulingError) as evaluated:
             evaluate_policy(jobs, policy, service, v100_node())
         assert str(evaluated.value) == message
-        with pytest.raises(SchedulingError) as replayed:
-            simulate_with_policy(
-                jobs, policy, Cluster(v100_node(), n_nodes=2),
-                service.trace("A"), horizon_h=48.0,
-            )
-        assert str(replayed.value) == message
 
 
 class TestRejectedBeforeCharging:
@@ -328,15 +320,6 @@ class TestRejectedBeforeCharging:
                 accounting=engine,
             )
         assert engine.calls == 0
-
-    def test_nan_start_rejected_by_capacity_replay(self, case):
-        service, jobs = case
-        with pytest.raises(SchedulingError, match="job 1 at non-finite start"):
-            simulate_with_policy(
-                jobs, ProposalPolicy({1: float("nan")}),
-                Cluster(v100_node(), n_nodes=2), service.trace("ESO"),
-                horizon_h=48.0,
-            )
 
     def test_batch_of_other_jobs_rejected(self, case):
         service, jobs = case

@@ -487,32 +487,6 @@ class TestConfigPlumbing:
             scaled = evaluate_deployment(deployment).operational_g_per_year
         assert scaled == pytest.approx(base * 1.8 / 1.2)
 
-    def test_pue_reaches_fleet_rollouts(self):
-        from repro.core import use_config
-        from repro.upgrade.fleet import FleetUpgradePlan
-
-        plan = FleetUpgradePlan("P100", "A100", n_nodes=8)
-        base = plan.big_bang().operational_g
-        with use_config(default_config().with_overrides(pue=1.8)):
-            scaled = plan.big_bang().operational_g
-        assert scaled == pytest.approx(base * 1.8 / 1.2)
-
-    def test_pue_reaches_decarbonization_breakeven(self):
-        from repro.core import use_config
-        from repro.intensity.mix import (
-            DecarbonizationScenario,
-            upgrade_breakeven_with_decarbonization,
-        )
-
-        scenario = DecarbonizationScenario(start_intensity_g_per_kwh=500.0)
-        base = upgrade_breakeven_with_decarbonization("P100", "A100", "NLP", scenario)
-        with use_config(default_config().with_overrides(pue=2.0)):
-            faster = upgrade_breakeven_with_decarbonization(
-                "P100", "A100", "NLP", scenario
-            )
-        # A higher PUE saves more energy per hour, so amortization is faster.
-        assert faster < base
-
     def test_explicit_config_knob_on_scenario(self):
         config = default_config().with_overrides(pue=1.8)
         base = Scenario().system("lumi").region("ESO").run().audit

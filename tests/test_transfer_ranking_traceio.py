@@ -120,6 +120,27 @@ class TestRanking:
         with pytest.raises(ExperimentError):
             Deployment("X", v100_node(), 0, 100.0)
 
+    @pytest.mark.parametrize(
+        "n_nodes, intensity, pue, years",
+        [
+            (10, 100.0, float("nan"), 5.0),
+            (10, float("nan"), None, 5.0),
+            (10, float("inf"), None, 5.0),
+            (2.5, 100.0, None, 5.0),
+            (True, 100.0, None, 5.0),
+            (10, 100.0, None, float("nan")),
+            (10, 100.0, None, float("inf")),
+        ],
+    )
+    def test_non_finite_or_fractional_input_rejected(
+        self, n_nodes, intensity, pue, years
+    ):
+        # Each was accepted: NaN inputs ranked a NaN total and 2.5 nodes
+        # ranked a fractional fleet.
+        with pytest.raises(ExperimentError, match="^X: "):
+            deployment = Deployment("X", v100_node(), n_nodes, intensity, pue=pue)
+            rank_deployments([deployment], service_years=years)
+
 
 class TestTraceIO:
     def test_roundtrip_preserves_jobs(self):
