@@ -69,12 +69,10 @@ def bench_charging_kernel() -> dict:
     from repro.accounting import VectorizedChargingEngine
     from repro.accounting.engines import ScalarReferenceChargingEngine
     from repro.scheduler.policies import place_jobs
-    from repro.scheduler.transfer import default_transfer_model
 
     service, jobs, policy, node = _setup()
     placements = place_jobs(policy, jobs)
-    transfer = default_transfer_model()
-    kwargs = dict(service=service, node=node, transfer_model=transfer)
+    kwargs = dict(service=service, node=node)
 
     vectorized = VectorizedChargingEngine()
     scalar = ScalarReferenceChargingEngine()

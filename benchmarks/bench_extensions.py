@@ -1,6 +1,6 @@
 """Benchmarks for the extension subsystems (paper Sec. 6 / limitations
 made executable): interconnect, replacements, seasonal PUE, the center
-audit, sensitivity, physical transfers and the paper's takeaways."""
+audit, sensitivity and the paper's takeaways."""
 
 from __future__ import annotations
 
@@ -9,14 +9,12 @@ import numpy as np
 from repro.analysis.audit import CenterAuditor
 from repro.analysis.render import format_table
 from repro.analysis.sensitivity import tornado
-from repro.cluster import WorkloadParams, generate_workload
 from repro.hardware.network import (
     estimate_fat_tree_interconnect,
     system_share_with_interconnect,
 )
 from repro.hardware.replacement import ReplacementModel
 from repro.hardware.systems import frontier, perlmutter
-from repro.intensity.api import CarbonIntensityService
 from repro.intensity.generator import generate_trace
 from repro.power.pue import SeasonalPUE, operational_carbon_seasonal
 
@@ -101,44 +99,6 @@ def test_sensitivity_tornado(benchmark):
                 for r in results
             ],
         )
-    )
-
-
-def test_physical_transfer_geographic_policy(benchmark):
-    """Geographic distribution charged with physical dataset transfers."""
-    from repro.hardware.node import v100_node
-    from repro.scheduler.evaluation import compare_policies
-    from repro.scheduler.policies import CarbonObliviousPolicy, GeographicPolicy
-    from repro.scheduler.transfer import default_transfer_model
-
-    service = CarbonIntensityService(forecast_error=0.0)
-    params = WorkloadParams(
-        horizon_h=24 * 14, total_gpus=32, home_region="MISO",
-        mean_duration_h=12.0,
-    )
-    jobs = generate_workload(params, seed=6)
-    policies = [
-        CarbonObliviousPolicy(service, "MISO"),
-        GeographicPolicy(service, "MISO", regions=["MISO", "PJM", "ERCOT"]),
-    ]
-
-    def run():
-        return {
-            name: evaluation
-            for name, evaluation in compare_policies(
-                jobs, policies, service, v100_node(),
-                transfer_model=default_transfer_model(),
-            ).items()
-        }
-
-    results = benchmark(run)
-    base = results["carbon-oblivious"].total_carbon.grams
-    geo = results["geographic"].total_carbon.grams
-    assert geo < base  # MISO is dirty; neighbors are cleaner even after transfers
-    print(
-        f"\nGeographic policy with physical transfers (home MISO): "
-        f"{1 - geo / base:+.1%} carbon savings, "
-        f"{results['geographic'].migration_count()} migrations"
     )
 
 

@@ -29,6 +29,7 @@ before and after the consolidation (pinned by tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -40,17 +41,17 @@ from repro.core.units import HOURS_PER_YEAR, format_co2
 
 __all__ = ["LedgerEntry", "CarbonLedger", "amortized_embodied_g"]
 
-#: Entry kinds the attribution tables group by.
-KINDS = ("operational", "transfer", "embodied")
+#: Entry kinds the attribution tables group by: Eq. 1's two terms.
+KINDS = ("operational", "embodied")
 
 
 @dataclass(frozen=True, slots=True)
 class LedgerEntry:
     """One itemized carbon charge.
 
-    ``kind`` is ``"operational"`` (Eq. 6 grid carbon), ``"transfer"``
-    (wide-area data movement, split between endpoint grids) or
-    ``"embodied"`` (Eq. 2-5 manufacturing, possibly amortized).
+    ``kind`` is ``"operational"`` (Eq. 6 grid carbon, including the
+    flat transfer overhead of migrated jobs) or ``"embodied"`` (Eq. 2-5
+    manufacturing, possibly amortized).
     ``label`` identifies the charged object (``"job:17"``, ``"GPU"``,
     ``"cluster"``); ``region``/``policy``/``job_id`` carry the
     attribution axes when they apply.
@@ -103,6 +104,14 @@ class _Batch:
         return self.kind
 
 
+def _require(name: str, value: float, *, positive: bool = False) -> None:
+    """Raise :class:`AccountingError` naming ``name`` unless ``value`` is
+    finite and non-negative (``positive``: finite and above zero)."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = "positive" if positive else "non-negative"
+        raise AccountingError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def amortized_embodied_g(
     total_embodied_g: float, duration_h: float, lifetime_years: float
 ) -> float:
@@ -111,12 +120,9 @@ def amortized_embodied_g(
     The standard LCA attribution for shared infrastructure (the model
     cards' formula): ``embodied * duration / (lifetime * 8760 h)``.
     """
-    if lifetime_years <= 0.0:
-        raise AccountingError(
-            f"amortization lifetime must be positive, got {lifetime_years!r}"
-        )
-    if duration_h < 0.0:
-        raise AccountingError(f"duration must be non-negative, got {duration_h!r}")
+    _require("lifetime_years", lifetime_years, positive=True)
+    _require("duration_h", duration_h)
+    _require("total_embodied_g", total_embodied_g)
     return total_embodied_g * duration_h / (lifetime_years * HOURS_PER_YEAR)
 
 
@@ -213,12 +219,9 @@ class CarbonLedger:
         Returns the grams charged (the exact audit-style product, in
         that operation order).
         """
-        if energy_kwh < 0.0:
-            raise AccountingError(f"energy must be non-negative, got {energy_kwh!r}")
-        if intensity_g_per_kwh < 0.0:
-            raise AccountingError(
-                f"intensity must be non-negative, got {intensity_g_per_kwh!r}"
-            )
+        _require("energy_kwh", energy_kwh)
+        _require("intensity_g_per_kwh", intensity_g_per_kwh)
+        _require("pue", pue)
         grams = energy_kwh * intensity_g_per_kwh * pue
         self.add(
             "operational",
@@ -258,9 +261,9 @@ class CarbonLedger:
                 "power and intensity must be 1-D arrays of equal length, got "
                 f"{power.shape} and {intensity.shape}"
             )
-        if step_hours <= 0.0:
-            raise AccountingError(f"step must be positive, got {step_hours!r}")
+        _require("step_hours", step_hours, positive=True)
         if np.ndim(pue) == 0:
+            _require("pue", pue)
             grams = float(np.dot(power, intensity)) * step_hours / 1000.0 * float(pue)
         else:
             profile = np.asarray(pue, dtype=float)
@@ -290,10 +293,7 @@ class CarbonLedger:
         policy: Optional[str] = None,
     ) -> float:
         """Record an embodied (Eq. 2-5) charge; returns the grams."""
-        if carbon_g < 0.0:
-            raise AccountingError(
-                f"embodied carbon must be non-negative, got {carbon_g!r}"
-            )
+        _require("carbon_g", carbon_g)
         self.add("embodied", label, carbon_g, region=region, policy=policy)
         return carbon_g
 
@@ -336,10 +336,6 @@ class CarbonLedger:
         return self._kind_total("operational")
 
     @property
-    def transfer_g(self) -> float:
-        return self._kind_total("transfer")
-
-    @property
     def embodied_g(self) -> float:
         return self._kind_total("embodied")
 
@@ -352,11 +348,9 @@ class CarbonLedger:
         return float(sum(b.energy_kwh.sum() for b in self._batches))
 
     def report(self) -> FootprintReport:
-        """Collapse into the Eq. 1 split (transfers count as operational
-        carbon: they are energy drawn from grids, not manufacturing)."""
+        """Collapse into the Eq. 1 split."""
         return FootprintReport(
-            embodied_g=self.embodied_g,
-            operational_g=self.operational_g + self.transfer_g,
+            embodied_g=self.embodied_g, operational_g=self.operational_g
         )
 
     # --- attribution -----------------------------------------------------

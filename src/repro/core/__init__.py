@@ -7,7 +7,11 @@ This subpackage implements the paper's primary modeling contribution:
   packaging, PUE),
 * :mod:`repro.core.embodied` — the embodied carbon model (Eq. 2-5),
 * :mod:`repro.core.operational` — the operational carbon model (Eq. 6),
-* :mod:`repro.core.model` — total-footprint accounting (Eq. 1).
+* :mod:`repro.core.model` — the total-footprint split (Eq. 1),
+  :class:`~repro.core.model.FootprintReport`.
+
+The itemized charges behind Eq. 1 are recorded in one ledger,
+:class:`repro.accounting.CarbonLedger`.
 """
 
 from repro._lazy import lazy_exports
@@ -33,7 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "TransportMode", "TRANSPORT_G_PER_TONNE_KM", "LifecyclePhases",
         "LifecycleAssessment", "assess_lifecycle",
     ),
-    "repro.core.model": ("FootprintReport", "CarbonLedger"),
+    "repro.core.model": ("FootprintReport",),
     "repro.core.errors": (
         "ReproError", "UnitError", "ConfigurationError", "CatalogError",
         "CalibrationError", "TraceError", "PowerModelError", "WorkloadError",

@@ -1,22 +1,21 @@
-"""Total carbon footprint accounting (paper Eq. 1).
+"""Total carbon footprint (paper Eq. 1).
 
 ``C_total = C_em + C_op``: the overall footprint of a system over an
 accounting window is the embodied carbon of its hardware plus the
-operational carbon accumulated while running.  :class:`CarbonLedger`
-keeps itemized entries for both sides so reports can attribute the total
-to components (Fig. 5) or to phases of the system life cycle (Figs. 8-9).
+operational carbon accumulated while running.  :class:`FootprintReport`
+is that split.  The itemized entries behind it live in the one carbon
+ledger, :class:`repro.accounting.CarbonLedger`, whose ``report()``
+collapses them into a :class:`FootprintReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
 
-from repro.core.embodied import EmbodiedBreakdown
 from repro.core.errors import UnitError
 from repro.core.units import CarbonMass, format_co2
 
-__all__ = ["FootprintReport", "CarbonLedger"]
+__all__ = ["FootprintReport"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,87 +65,3 @@ class FootprintReport:
             f"(C_em={format_co2(self.embodied_g)}, "
             f"C_op={format_co2(self.operational_g)})"
         )
-
-
-class CarbonLedger:
-    """Itemized carbon accounting for a system or an analysis window.
-
-    Embodied entries are keyed by component label (e.g. ``"GPU"``,
-    ``"DRAM"``) and hold :class:`EmbodiedBreakdown` values so the
-    manufacturing/packaging split survives aggregation.  Operational
-    entries are keyed by source label (e.g. a job id or ``"idle"``) and
-    hold grams CO2.
-    """
-
-    def __init__(self) -> None:
-        self._embodied: Dict[str, EmbodiedBreakdown] = {}
-        self._operational: Dict[str, float] = {}
-
-    # --- recording ------------------------------------------------------
-    def add_embodied(self, label: str, breakdown: EmbodiedBreakdown) -> None:
-        """Record embodied carbon under ``label`` (accumulating)."""
-        existing = self._embodied.get(label)
-        self._embodied[label] = breakdown if existing is None else existing + breakdown
-
-    def add_operational(self, label: str, grams: float) -> None:
-        """Record operational carbon under ``label`` (accumulating)."""
-        if grams < 0.0:
-            raise UnitError(f"operational carbon must be non-negative, got {grams!r}")
-        self._operational[label] = self._operational.get(label, 0.0) + grams
-
-    def merge(self, other: "CarbonLedger") -> None:
-        """Fold another ledger's entries into this one."""
-        for label, breakdown in other._embodied.items():
-            self.add_embodied(label, breakdown)
-        for label, grams in other._operational.items():
-            self.add_operational(label, grams)
-
-    # --- queries ----------------------------------------------------------
-    @property
-    def embodied_entries(self) -> Mapping[str, EmbodiedBreakdown]:
-        return dict(self._embodied)
-
-    @property
-    def operational_entries(self) -> Mapping[str, float]:
-        return dict(self._operational)
-
-    @property
-    def embodied_g(self) -> float:
-        return sum(b.total_g for b in self._embodied.values())
-
-    @property
-    def operational_g(self) -> float:
-        return sum(self._operational.values())
-
-    def report(self) -> FootprintReport:
-        """Collapse the ledger into an Eq. 1 report."""
-        return FootprintReport(
-            embodied_g=self.embodied_g, operational_g=self.operational_g
-        )
-
-    def embodied_shares(self) -> Dict[str, float]:
-        """Per-label fraction of total embodied carbon (Fig. 5 rings)."""
-        total = self.embodied_g
-        if total == 0.0:
-            return {label: 0.0 for label in self._embodied}
-        return {
-            label: breakdown.total_g / total
-            for label, breakdown in self._embodied.items()
-        }
-
-    def top_embodied(self) -> Tuple[str, EmbodiedBreakdown]:
-        """The dominant embodied-carbon component (RQ4)."""
-        if not self._embodied:
-            raise UnitError("ledger has no embodied entries")
-        label = max(self._embodied, key=lambda k: self._embodied[k].total_g)
-        return label, self._embodied[label]
-
-    def __iter__(self) -> Iterator[Tuple[str, float]]:
-        """Iterate ``(label, grams)`` over all entries, embodied first."""
-        for label, breakdown in self._embodied.items():
-            yield f"embodied:{label}", breakdown.total_g
-        for label, grams in self._operational.items():
-            yield f"operational:{label}", grams
-
-    def __str__(self) -> str:
-        return str(self.report())

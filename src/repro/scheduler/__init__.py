@@ -54,8 +54,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.scheduler.budget": (
         "BudgetAccount", "CarbonBudgetLedger", "priority_order",
     ),
-    "repro.scheduler.transfer": (
-        "TransferModel", "DATASET_GB", "dataset_size_gb",
-        "default_transfer_model", "transfer_energy_kwh", "transfer_carbon_g",
-    ),
 })

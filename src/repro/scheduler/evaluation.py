@@ -3,9 +3,9 @@
 Policies decide with forecasts; the evaluator replays their placements
 against the ground-truth traces and accounts operational carbon per job
 (Eq. 6).  Job energy uses the node generation's per-GPU busy power — the
-same GPU-centric scope as the paper's Figs. 8-9 — plus a data-transfer
-overhead for migrated jobs (the paper's Insight 7 notes distribution is
-not free).
+same GPU-centric scope as the paper's Figs. 8-9 — plus a flat
+data-transfer overhead for migrated jobs (the paper's Insight 7 notes
+distribution is not free), priced at the destination grid.
 
 Charging goes through :mod:`repro.accounting`: the old per-job
 slice-and-mean loop is now one call into a charging engine (the
@@ -24,7 +24,6 @@ tuple is built only when a caller reads ``outcomes``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
@@ -32,6 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.accounting import CarbonLedger, VectorizedChargingEngine
+from repro.accounting.engines import check_transfer_overhead
 from repro.accounting.pue import PUELike, resolve_pue
 from repro.core.config import ModelConfig
 from repro.core.errors import SchedulingError
@@ -174,7 +174,6 @@ def evaluate_policy(
     node: NodeSpec,
     *,
     transfer_overhead_fraction: float = 0.02,
-    transfer_model: Optional["TransferModel"] = None,
     pue: PUELike = None,
     config: Optional[ModelConfig] = None,
     accounting: Optional[object] = None,
@@ -183,13 +182,9 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Place every job with ``policy`` and charge true intensities.
 
-    Migration cost models (for jobs placed away from home):
-
-    * default — ``transfer_overhead_fraction``: extra energy as a flat
-      fraction of job energy;
-    * physical — pass a :class:`~repro.scheduler.transfer.TransferModel`
-      to charge the job's actual dataset size over the region-pair hop
-      count, with the transfer's carbon split between both grids.
+    A job placed away from home pays ``transfer_overhead_fraction``
+    (finite, non-negative) as extra energy, a flat fraction of its
+    compute energy, priced at the destination grid with the rest.
 
     ``pue`` takes a float (the legacy exact path) or an hourly profile /
     :class:`~repro.power.pue.SeasonalPUE`; ``accounting`` is the
@@ -208,12 +203,7 @@ def evaluate_policy(
     ``job_ids`` differ from the placed jobs' raises
     :class:`SchedulingError` before anything is charged.
     """
-    if not math.isfinite(transfer_overhead_fraction):
-        raise SchedulingError(
-            f"transfer overhead must be finite, got {transfer_overhead_fraction!r}"
-        )
-    if transfer_overhead_fraction < 0.0:
-        raise SchedulingError("transfer overhead must be non-negative")
+    check_transfer_overhead(transfer_overhead_fraction, error=SchedulingError)
     # Resolve the PUE once, with this layer's error type; the engine
     # receives the already-normalized scalar or hourly profile (its own
     # re-resolution of either form is a cheap no-op).
@@ -252,7 +242,6 @@ def evaluate_policy(
         pue=resolved_pue,
         config=config,
         transfer_overhead_fraction=transfer_overhead_fraction,
-        transfer_model=transfer_model,
     )
     own_ledger = CarbonLedger()
     charges.record(own_ledger, policy=policy.name)

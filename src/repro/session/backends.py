@@ -58,9 +58,11 @@ calling conventions, per kind:
 ``accounting``
     ``factory(**opts) -> engine`` — a charging engine exposing
     ``charge(jobs, placements, *, service, node, pue, config,
-    transfer_overhead_fraction, transfer_model) -> JobCharges`` (see
-    :mod:`repro.accounting.engines`).  ``vectorized`` (aliases
-    ``default``, ``ledger``) is the one built-in: the truth-table path.
+    transfer_overhead_fraction) -> JobCharges`` (see
+    :mod:`repro.accounting.engines`); a migrated job's energy carries
+    the flat ``transfer_overhead_fraction``, its one migration cost.
+    ``vectorized`` (aliases ``default``, ``ledger``) is the one
+    built-in: the truth-table path.
 ``pue``
     ``factory(**opts) -> profile object`` exposing ``profile(n_hours)
     -> np.ndarray`` of hourly PUE values ``>= 1.0`` (see

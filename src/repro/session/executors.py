@@ -57,12 +57,44 @@ __all__ = [
     "serial_executor",
     "process_executor",
     "shared_executor",
+    "resolve_executor",
 ]
 
 _SweepItem = Union["Scenario", "Session"]
 
 #: What an ``executor`` backend factory returns.
 SweepExecutor = Callable[[Sequence[_SweepItem]], List["ScenarioResult"]]
+
+
+def resolve_executor(
+    items: Sequence[_SweepItem],
+    executor: Optional[str] = None,
+    max_workers: Optional[int] = None,
+) -> Tuple[str, dict]:
+    """The engine key and factory options a sweep over ``items`` runs on.
+
+    ``executor`` wins; otherwise the first item whose scenario sets the
+    ``executor`` knob explicitly picks the key and its options;
+    otherwise ``serial``.  ``max_workers`` then overrides the worker
+    count.  :meth:`Session.run_many` and
+    :meth:`repro.sweep.SweepService.run` both resolve through here.
+    """
+    key = executor
+    opts: dict = {}
+    if key is None:
+        for item in items:
+            # A built Session carries its builder snapshot, so the
+            # executor knob survives .build() too.
+            knobs = getattr(item, "_scenario", item)
+            if "executor" in knobs._explicit:
+                key = knobs._executor
+                opts = dict(knobs._executor_opts)
+                break
+    if key is None:
+        key = "serial"
+    if max_workers is not None:
+        opts["max_workers"] = int(max_workers)
+    return key, opts
 
 
 def _run_one(item: _SweepItem) -> "ScenarioResult":

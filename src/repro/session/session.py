@@ -787,7 +787,7 @@ class Session:
             primary = CarbonLedger()
             if evaluation.ledger is not None:
                 primary.merge(evaluation.ledger)
-            operational = primary.operational_g + primary.transfer_g
+            operational = primary.operational_g
             # The model-card LCA proration (amortized_embodied_g), applied
             # per job over its occupied GPU share, vectorized.
             from repro.accounting import amortized_embodied_g
@@ -1109,9 +1109,9 @@ class Session:
         its own exception under ``serial``; the pooled engines raise
         :class:`~repro.core.errors.ResilienceError` naming it.
         """
+        from repro.session.executors import resolve_executor
+
         items: List[Union[Scenario, Session]] = []
-        key = executor
-        opts: dict = {}
         for item in scenarios:
             if not isinstance(item, (Scenario, Session)):
                 raise SessionError(
@@ -1119,16 +1119,7 @@ class Session:
                     f"{type(item).__name__}"
                 )
             items.append(item)
-            # A built Session carries its builder snapshot, so the
-            # executor knob survives .build() too.
-            knobs = item if isinstance(item, Scenario) else item._scenario
-            if key is None and "executor" in knobs._explicit:
-                key = knobs._executor
-                opts = dict(knobs._executor_opts)
-        if key is None:
-            key = "serial"
-        if max_workers is not None:
-            opts["max_workers"] = int(max_workers)
+        key, opts = resolve_executor(items, executor, max_workers)
         sweep = resolve_backend("executor", key)(**opts)
         return list(sweep(items))
 

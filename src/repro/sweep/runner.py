@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-# Every pass resolves an executor, and the shared one attaches the trace
-# store: import both with the service, not inside a timed pass.
-import repro.session.executors  # noqa: F401
+# The shared executor attaches the trace store: import it with the
+# service, not inside a timed pass.
 import repro.sweep.store  # noqa: F401
 from repro._memo import Memo
 from repro.core.errors import ResilienceError, SweepError
@@ -48,6 +47,7 @@ from repro.resilience.runner import (
     ResilientUnit,
     run_resilient,
 )
+from repro.session.executors import resolve_executor
 from repro.session.fingerprint import RESULT_SECTIONS
 from repro.session.registry import resolve_backend
 from repro.session.result import ScenarioResult
@@ -208,29 +208,33 @@ def _worker_cache(cache_dir: pathlib.Path) -> ResultCache:
     return cache
 
 
-class _DeltaItem:
-    """A work-unit wrapper that routes execution through the delta path.
+class _PlannedItem:
+    """A computed work unit: runs the session the planner built.
 
     Executors treat it like a Session (it exposes ``run()`` and a
-    ``_scenario`` for seed warming).  In-process engines read sections
-    from the service's live cache and run the session the planner
-    already built, so a computed cell builds and hashes once; pooled
-    items drop both on pickling, build from the pickled item and reopen
-    the directory readonly in the worker.  Either way fresh sections
-    ride home on ``result.fresh_sections``, and the service writes them
-    back as the unit settles, so later cells in the same serial pass
-    reuse them.
+    ``_scenario`` for seed warming).  In-process engines run the session
+    the planner already built, so a computed cell builds and hashes
+    once.  Pooled items drop the session (and any cache) on pickling
+    and build from the pickled item in the worker.
+
+    With delta evaluation the item also carries the service's cache:
+    in-process runs read sections from it, and pooled workers reopen
+    its directory readonly.  Either way fresh sections ride home on
+    ``result.fresh_sections``, and the service writes them back as the
+    unit settles, so later cells in the same serial pass reuse them.
+    Without a cache every section runs, exactly as a plain
+    ``Session.run()``.
     """
 
     def __init__(
         self,
         item: Union[Scenario, Session],
-        cache: ResultCache,
+        cache: Optional[ResultCache],
         session: Optional[Session],
     ) -> None:
         self._item = item
-        self._cache: Optional[ResultCache] = cache
-        self._cache_dir = cache.cache_dir
+        self._cache = cache
+        self._cache_dir = None if cache is None else cache.cache_dir
         self._session = session
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -275,9 +279,10 @@ class SweepService:
     disk:
         ``False`` skips the on-disk tier (memory LRU only).
     executor / max_workers:
-        Default execution engine for :meth:`run`; per-call arguments and
-        swept scenarios' explicit ``executor`` knobs override it the
-        same way :meth:`Session.run_many` resolves engines.
+        Default execution engine for :meth:`run`; per-call arguments
+        override it.  With neither set, the engine resolves as in
+        :meth:`Session.run_many` (see
+        :func:`repro.session.executors.resolve_executor`).
     retry / faults / max_rebuilds:
         Default resilience configuration for :meth:`run` (per-call
         arguments override, then a spec's ``resilience`` section fills
@@ -418,28 +423,6 @@ class SweepService:
         return SweepPlan(units=tuple(units), n_cells=plan.n_cells)
 
     # --- execution --------------------------------------------------------
-    def _resolve_executor(
-        self,
-        items: Sequence[Union[Scenario, Session]],
-        executor: Optional[str],
-        max_workers: Optional[int],
-    ) -> Tuple[str, dict]:
-        key = executor if executor is not None else self._executor
-        opts: dict = {}
-        if key is None:
-            for item in items:
-                knobs = item if isinstance(item, Scenario) else item._scenario
-                if "executor" in knobs._explicit:
-                    key = knobs._executor
-                    opts = dict(knobs._executor_opts)
-                    break
-        if key is None:
-            key = "serial"
-        workers = max_workers if max_workers is not None else self._max_workers
-        if workers is not None:
-            opts["max_workers"] = int(workers)
-        return key, opts
-
     #: ``resilience``-section keys that configure the RetryPolicy.
     _RETRY_KEYS = frozenset(
         {
@@ -566,12 +549,18 @@ class SweepService:
         }
         n_rebuilds = 0
         if to_run:
-            key, opts = self._resolve_executor(items, executor, max_workers)
+            key, opts = resolve_executor(
+                items,
+                executor if executor is not None else self._executor,
+                max_workers if max_workers is not None else self._max_workers,
+            )
             units = [
                 ResilientUnit(
-                    item=_DeltaItem(unit.item, self._cache, unit.session)
-                    if use_delta
-                    else unit.item,
+                    item=_PlannedItem(
+                        unit.item,
+                        self._cache if use_delta else None,
+                        unit.session,
+                    ),
                     index=unit.indices[0],
                     indices=tuple(unit.indices),
                     name=unit.name,

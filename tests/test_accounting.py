@@ -4,8 +4,8 @@ The load-bearing guarantee is the byte-identity pin: the vectorized
 charging engine (and the preserved scalar reference engine) must
 reproduce the *seed* ``evaluate_policy`` per-job loop bit for bit —
 per-job energies, per-job carbon, and therefore evaluation totals —
-across policies, fractional submit hours, and both transfer-cost
-models.  A literal copy of the pre-refactor loop lives here as the
+across policies, fractional submit hours, and the flat migration
+overhead.  A literal copy of the pre-refactor loop lives here as the
 oracle so the pin survives any future engine rewrite.
 """
 
@@ -26,7 +26,7 @@ from repro.accounting import (
 from repro.accounting.engines import ScalarReferenceChargingEngine
 from repro.core.config import get_config
 from repro.core.errors import AccountingError, SchedulingError
-from repro.cluster.job import Job
+from repro.cluster.job import Job, Placement
 from repro.hardware.node import v100_node
 from repro.intensity.api import CarbonIntensityService
 from repro.power.node import NodePowerModel
@@ -39,15 +39,12 @@ from repro.scheduler.policies import (
     TemporalShiftingPolicy,
     place_jobs,
 )
-from repro.scheduler.transfer import (
-    default_transfer_model,
-    transfer_carbon_g,
-    transfer_energy_kwh,
-)
 from repro.workloads.models import get_model
 
 REGIONS = ("ESO", "CISO", "ERCOT", "PJM")
 MODELS = ("BERT", "ResNet50", "NT3", "RoBERTa")
+NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +67,6 @@ def seed_evaluate(
     node,
     *,
     transfer_overhead_fraction=0.02,
-    transfer_model=None,
     pue=None,
 ):
     """Per-job (energy_kwh, carbon_g) exactly as the seed loop computed."""
@@ -81,36 +77,13 @@ def seed_evaluate(
     results = []
     for job, placement in zip(jobs, placements):
         energy_kwh = job.n_gpus * per_gpu_busy_w * job.duration_h / 1000.0
-        transfer_g = 0.0
         if placement.migrated:
-            if transfer_model is not None:
-                home = (
-                    job.home_region if job.home_region is not None else placement.region
-                )
-                hour = int(np.floor(placement.start_h))
-                transfer_g = transfer_carbon_g(
-                    job.model,
-                    home,
-                    placement.region,
-                    service.intensity_at(home, hour),
-                    service.intensity_at(placement.region, hour),
-                    transfer=transfer_model,
-                )
-                energy_kwh += transfer_energy_kwh(
-                    job.model, home, placement.region, transfer=transfer_model
-                )
-            else:
-                energy_kwh *= 1.0 + transfer_overhead_fraction
+            energy_kwh *= 1.0 + transfer_overhead_fraction
         window = max(int(np.ceil(job.duration_h)), 1)
         truth = service.history(
             placement.region, int(np.floor(placement.start_h)), window
         )
-        compute_energy = (
-            job.n_gpus * per_gpu_busy_w * job.duration_h / 1000.0
-            if transfer_model is not None
-            else energy_kwh
-        )
-        carbon_g = compute_energy * float(truth.mean()) * eff_pue + transfer_g
+        carbon_g = energy_kwh * float(truth.mean()) * eff_pue
         results.append((energy_kwh, carbon_g))
     return results
 
@@ -141,6 +114,21 @@ def workloads(draw):
     return [_job(draw, i) for i in range(n)]
 
 
+def _charge_one(engine, service, node, overhead):
+    """Charge one job migrated from ESO to CISO at ``overhead``."""
+    job = Job(
+        job_id=0, user="u", model=get_model("BERT"), n_gpus=1,
+        duration_h=2.0, submit_h=0.0, home_region="ESO",
+    )
+    placement = Placement(
+        job_id=0, region="CISO", start_h=0.0, duration_h=2.0, migrated=True
+    )
+    return engine.charge(
+        [job], [placement], service=service, node=node,
+        transfer_overhead_fraction=overhead,
+    )
+
+
 def _make_policy(kind: str, service):
     if kind == "oblivious":
         return CarbonObliviousPolicy(service, "ESO")
@@ -158,26 +146,17 @@ class TestByteIdentityPin:
         policy_kind=st.sampled_from(
             ["oblivious", "temporal", "geographic", "joint"]
         ),
-        physical_transfer=st.booleans(),
         backend=st.sampled_from(
             [VectorizedChargingEngine, ScalarReferenceChargingEngine]
         ),
     )
     def test_engines_match_seed_loop(
-        self, service, node, jobs, policy_kind, physical_transfer, backend
+        self, service, node, jobs, policy_kind, backend
     ):
         policy = _make_policy(policy_kind, service)
-        transfer = default_transfer_model() if physical_transfer else None
-        reference = seed_evaluate(
-            jobs, policy, service, node, transfer_model=transfer
-        )
+        reference = seed_evaluate(jobs, policy, service, node)
         evaluation = evaluate_policy(
-            jobs,
-            policy,
-            service,
-            node,
-            transfer_model=transfer,
-            accounting=backend(),
+            jobs, policy, service, node, accounting=backend()
         )
         for outcome, (ref_energy, ref_carbon) in zip(
             evaluation.outcomes, reference
@@ -189,7 +168,7 @@ class TestByteIdentityPin:
         assert evaluation.total_carbon.grams == sum(r[1] for r in reference)
         assert evaluation.total_energy.kwh == sum(r[0] for r in reference)
         # The ledger's per-job attribution reproduces each job's realized
-        # carbon exactly (operational + transfer in the seed's order).
+        # carbon exactly.
         by_job = evaluation.ledger.by_job()
         for outcome in evaluation.outcomes:
             assert by_job[outcome.job_id] == outcome.carbon_g
@@ -291,20 +270,16 @@ class TestCarbonLedger:
         ledger = CarbonLedger()
         ledger.add("operational", "a", 10.0, region="ESO", policy="p1", job_id=1)
         ledger.add("operational", "b", 5.0, region="CISO", policy="p1", job_id=2)
-        ledger.add("transfer", "t", 1.0, region="CISO", policy="p1", job_id=2)
+        ledger.add("embodied", "node:2", 1.0, region="CISO", policy="p1", job_id=2)
         ledger.charge_embodied("GPU", 20.0, region="ESO")
         assert ledger.total_carbon_g == pytest.approx(36.0)
-        assert ledger.by_kind() == {
-            "operational": 15.0,
-            "transfer": 1.0,
-            "embodied": 20.0,
-        }
+        assert ledger.by_kind() == {"operational": 15.0, "embodied": 21.0}
         assert ledger.by_region() == {"ESO": 30.0, "CISO": 6.0}
         assert ledger.by_policy() == {"p1": 16.0, "-": 20.0}
         assert ledger.by_job() == {1: 10.0, 2: 6.0}
         report = ledger.report()
-        assert report.embodied_g == 20.0
-        assert report.operational_g == 16.0
+        assert report.embodied_g == 21.0
+        assert report.operational_g == 15.0
         rows = dict(
             (key, share) for key, _g, share in ledger.attribution_rows("region")
         )
@@ -355,6 +330,71 @@ class TestCarbonLedger:
             ledger.charge_embodied("x", -1.0)
         with pytest.raises(AccountingError):
             ledger.attribution_rows("nonsense")
+
+    @pytest.mark.parametrize(
+        "charge, argument",
+        [
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_energy("x", NAN, 100.0),
+                "energy_kwh", id="energy-nan",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_energy("x", 1.0, INF),
+                "intensity_g_per_kwh", id="intensity-inf",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_energy("x", 1.0, 9.0, pue=NAN),
+                "pue", id="pue-nan",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_embodied("x", NAN),
+                "carbon_g", id="embodied-nan",
+            ),
+            pytest.param(
+                lambda s, n: amortized_embodied_g(1000.0, 10.0, INF),
+                "lifetime_years", id="lifetime-inf",
+            ),
+            pytest.param(
+                lambda s, n: amortized_embodied_g(1000.0, 10.0, NAN),
+                "lifetime_years", id="lifetime-nan",
+            ),
+            pytest.param(
+                lambda s, n: amortized_embodied_g(1000.0, NAN, 5.0),
+                "duration_h", id="duration-nan",
+            ),
+            pytest.param(
+                lambda s, n: amortized_embodied_g(NAN, 10.0, 5.0),
+                "total_embodied_g", id="total-nan",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_power_profile(
+                    "x", np.ones(4), np.ones(4), step_hours=NAN
+                ),
+                "step_hours", id="step-nan",
+            ),
+            pytest.param(
+                lambda s, n: _charge_one(VectorizedChargingEngine(), s, n, NAN),
+                "overhead", id="vectorized-overhead-nan",
+            ),
+            pytest.param(
+                lambda s, n: _charge_one(VectorizedChargingEngine(), s, n, INF),
+                "overhead", id="vectorized-overhead-inf",
+            ),
+            pytest.param(
+                lambda s, n: _charge_one(VectorizedChargingEngine(), s, n, -0.5),
+                "overhead", id="vectorized-overhead-negative",
+            ),
+            pytest.param(
+                lambda s, n: _charge_one(ScalarReferenceChargingEngine(), s, n, NAN),
+                "overhead", id="scalar-overhead-nan",
+            ),
+        ],
+    )
+    def test_non_finite_input_rejected(self, service, node, charge, argument):
+        """Each charge names the offending argument instead of letting a
+        NaN or an infinity (or a negative overhead) into the totals."""
+        with pytest.raises(AccountingError, match=argument):
+            charge(service, node)
 
     def test_charge_power_profile_matches_simulator_expression(self):
         rng = np.random.default_rng(3)

@@ -255,7 +255,7 @@ def _check_accounting(key, factory, ctx):
     params = inspect.signature(charge).parameters
     for required in (
         "jobs", "placements", "service", "node", "pue", "config",
-        "transfer_overhead_fraction", "transfer_model",
+        "transfer_overhead_fraction",
     ):
         assert required in params, (
             f"accounting {key!r}.charge is missing the {required!r} parameter"

@@ -462,9 +462,11 @@ class TestServiceDelta:
             line.startswith("sections:") for line in report.summary_lines()
         )
 
-    def test_each_computed_cell_builds_once(self, tmp_path, monkeypatch):
-        # Planning builds every cell, and a computed cell runs the
-        # planned session: each pass builds each of the two cells once.
+    @staticmethod
+    def _builds_per_pass(service, monkeypatch):
+        """``(cells run, Scenario.build calls)`` of a cold, a warm and a
+        simulator-flipped pass over two cells; the last pass's results
+        must equal a cache-free run's."""
         calls = {"build": 0}
         original = Scenario.build
 
@@ -473,7 +475,6 @@ class TestServiceDelta:
             return original(self)
 
         monkeypatch.setattr(Scenario, "build", counting)
-        service = SweepService(cache_dir=tmp_path / "c")
         passes = []
         for simulator in ("fcfs", "fcfs", "fcfs-columnar"):  # cold, warm, delta
             cells = [
@@ -483,11 +484,31 @@ class TestServiceDelta:
             calls["build"] = 0
             report = service.run(cells)
             passes.append((report.n_ran, calls["build"]))
-        assert passes == [(2, 2), (0, 2), (2, 2)]
         truth = SweepService(cache=False).run(cells)
         assert [_canon(r) for r in report.results] == [
             _canon(r) for r in truth.results
         ]
+        return passes
+
+    def test_each_computed_cell_builds_once(self, tmp_path, monkeypatch):
+        # Planning builds every cell, and a computed cell runs the
+        # planned session: each pass builds each of the two cells once.
+        service = SweepService(cache_dir=tmp_path / "c")
+        passes = self._builds_per_pass(service, monkeypatch)
+        assert passes == [(2, 2), (0, 2), (2, 2)]
+
+    @pytest.mark.parametrize("mode", ["cache-off", "delta-off"])
+    def test_each_computed_cell_builds_once_without_delta(
+        self, tmp_path, monkeypatch, mode
+    ):
+        # Passes that read no section tier run the planned session too.
+        if mode == "cache-off":
+            service = SweepService(cache=False)
+            expected = [(2, 2), (2, 2), (2, 2)]
+        else:
+            service = SweepService(cache_dir=tmp_path / "c", delta=False)
+            expected = [(2, 2), (0, 2), (2, 2)]
+        assert self._builds_per_pass(service, monkeypatch) == expected
 
     def test_plan_predicts_section_hits(self, tmp_path):
         service = SweepService(cache_dir=tmp_path / "c")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.model import CarbonLedger
+from repro.accounting import CarbonLedger
 from repro.core.units import HOURS_PER_YEAR
 from repro.cluster.simulator import Cluster, simulate_cluster
 from repro.workloads.sources import WorkloadParams, generate_workload
@@ -40,13 +40,13 @@ class TestLifecycleAccounting:
         node = v100_node()
         ledger = CarbonLedger()
         for cls, breakdown in node.embodied_by_class().items():
-            ledger.add_embodied(cls.value, breakdown)
+            ledger.charge_embodied(cls.value, breakdown.total_g)
         trace = generate_trace("PJM")
         tracker = CarbonTracker(node, trace, sample_step_h=1.0)
         report = tracker.track_run(
             HOURS_PER_YEAR, gpu_utilization=0.4, cpu_utilization=0.3
         )
-        ledger.add_operational("year-1", report.carbon.grams)
+        ledger.add("operational", "year-1", report.carbon.grams)
         footprint = ledger.report()
         # One busy year on a ~400 g/kWh grid dwarfs embodied carbon.
         assert footprint.operational_share > 0.9
@@ -72,8 +72,8 @@ class TestObservation1Through5:
     def test_frontier_dominant_component_is_gpu(self):
         ledger = CarbonLedger()
         for cls, breakdown in frontier().embodied_by_class().items():
-            ledger.add_embodied(cls.value, breakdown)
-        label, _ = ledger.top_embodied()
+            ledger.charge_embodied(cls.value, breakdown.total_g)
+        label = max(ledger, key=lambda entry: entry.carbon_g).label
         assert label == "GPU"
 
     def test_benchmark_run_carbon_consistent_with_eq6(self):

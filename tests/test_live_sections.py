@@ -252,6 +252,10 @@ class TestNoAliasing:
         for name, evaluation in second.scheduling.evaluations.items():
             reference = plain.scheduling.evaluations[name]
             assert len(evaluation.ledger) == len(reference.ledger)
+            assert (
+                evaluation.ledger.total_energy_kwh
+                == reference.ledger.total_energy_kwh
+            )
             assert evaluation.total_carbon == reference.total_carbon
             assert evaluation.total_energy == reference.total_energy
             assert evaluation.mean_delay_h() == reference.mean_delay_h()

@@ -1,12 +1,11 @@
-"""Total-footprint accounting (Eq. 1) and the carbon ledger."""
+"""The total-footprint split (Eq. 1)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.embodied import EmbodiedBreakdown
 from repro.core.errors import UnitError
-from repro.core.model import CarbonLedger, FootprintReport
+from repro.core.model import FootprintReport
 
 
 class TestFootprintReport:
@@ -37,69 +36,3 @@ class TestFootprintReport:
     def test_str_mentions_both_terms(self):
         text = str(FootprintReport(1000.0, 2000.0))
         assert "C_em" in text and "C_op" in text
-
-
-class TestCarbonLedger:
-    def test_empty_ledger_reports_zero(self):
-        report = CarbonLedger().report()
-        assert report.total_g == 0.0
-
-    def test_embodied_entries_accumulate(self):
-        ledger = CarbonLedger()
-        ledger.add_embodied("GPU", EmbodiedBreakdown(100.0, 10.0))
-        ledger.add_embodied("GPU", EmbodiedBreakdown(100.0, 10.0))
-        assert ledger.embodied_entries["GPU"].total_g == pytest.approx(220.0)
-
-    def test_operational_entries_accumulate(self):
-        ledger = CarbonLedger()
-        ledger.add_operational("job-1", 50.0)
-        ledger.add_operational("job-1", 25.0)
-        assert ledger.operational_entries["job-1"] == pytest.approx(75.0)
-
-    def test_negative_operational_rejected(self):
-        with pytest.raises(UnitError):
-            CarbonLedger().add_operational("x", -1.0)
-
-    def test_report_combines_both_sides(self):
-        ledger = CarbonLedger()
-        ledger.add_embodied("CPU", EmbodiedBreakdown(900.0, 100.0))
-        ledger.add_operational("ops", 500.0)
-        report = ledger.report()
-        assert report.embodied_g == pytest.approx(1000.0)
-        assert report.operational_g == pytest.approx(500.0)
-
-    def test_embodied_shares_sum_to_one(self):
-        ledger = CarbonLedger()
-        ledger.add_embodied("GPU", EmbodiedBreakdown(300.0, 0.0))
-        ledger.add_embodied("DRAM", EmbodiedBreakdown(100.0, 100.0))
-        shares = ledger.embodied_shares()
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert shares["GPU"] == pytest.approx(0.6)
-
-    def test_top_embodied(self):
-        ledger = CarbonLedger()
-        ledger.add_embodied("GPU", EmbodiedBreakdown(300.0, 0.0))
-        ledger.add_embodied("HDD", EmbodiedBreakdown(400.0, 0.0))
-        label, breakdown = ledger.top_embodied()
-        assert label == "HDD"
-        assert breakdown.total_g == 400.0
-
-    def test_top_embodied_empty_rejected(self):
-        with pytest.raises(UnitError):
-            CarbonLedger().top_embodied()
-
-    def test_merge(self):
-        a, b = CarbonLedger(), CarbonLedger()
-        a.add_embodied("GPU", EmbodiedBreakdown(10.0, 0.0))
-        b.add_embodied("GPU", EmbodiedBreakdown(5.0, 0.0))
-        b.add_operational("ops", 7.0)
-        a.merge(b)
-        assert a.embodied_g == pytest.approx(15.0)
-        assert a.operational_g == pytest.approx(7.0)
-
-    def test_iteration_labels(self):
-        ledger = CarbonLedger()
-        ledger.add_embodied("GPU", EmbodiedBreakdown(10.0, 0.0))
-        ledger.add_operational("job", 5.0)
-        labels = dict(ledger)
-        assert labels == {"embodied:GPU": 10.0, "operational:job": 5.0}

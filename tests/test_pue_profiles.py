@@ -76,7 +76,6 @@ def test_constant_spellings_bit_identical_in_evaluate_policy(
             tuple(o.carbon_g for o in ev.outcomes),
             tuple(o.energy_kwh for o in ev.outcomes),
             ev.ledger.operational_g,
-            ev.ledger.transfer_g,
         )
         if reference is None:
             reference = snapshot

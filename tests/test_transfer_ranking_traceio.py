@@ -1,4 +1,4 @@
-"""Transfer energy model, deployment rankings, and workload trace I/O."""
+"""Deployment rankings, workload trace I/O, and the analysis CLI commands."""
 
 from __future__ import annotations
 
@@ -14,60 +14,9 @@ from repro.cluster.traceio import (
     save_jobs,
 )
 from repro.workloads.sources import WorkloadParams, generate_workload
-from repro.core.errors import ExperimentError, SchedulingError, SimulationError
+from repro.core.errors import ExperimentError, SimulationError
 from repro.hardware.node import a100_node, v100_node
-from repro.scheduler.transfer import (
-    DATASET_GB,
-    TransferModel,
-    dataset_size_gb,
-    default_transfer_model,
-    transfer_carbon_g,
-    transfer_energy_kwh,
-)
-from repro.workloads.models import ALL_MODELS, get_model
-
-
-class TestTransferModel:
-    def test_every_model_has_a_dataset(self):
-        assert set(DATASET_GB) == {m.name for m in ALL_MODELS}
-
-    def test_vision_datasets_largest(self):
-        assert dataset_size_gb("ResNet50") > dataset_size_gb("BERT")
-        assert dataset_size_gb("BERT") > dataset_size_gb("NT3")
-
-    def test_same_region_free(self):
-        assert transfer_energy_kwh("BERT", "ESO", "ESO") == 0.0
-
-    def test_symmetric_hops(self):
-        model = default_transfer_model()
-        assert model.hop_count("ESO", "CISO") == model.hop_count("CISO", "ESO")
-
-    def test_transatlantic_costs_more_than_domestic(self):
-        atlantic = transfer_energy_kwh("ResNet50", "ESO", "CISO")
-        domestic = transfer_energy_kwh("ResNet50", "CISO", "ERCOT")
-        assert atlantic > 2 * domestic
-
-    def test_unknown_pair_uses_default(self):
-        model = TransferModel(hops={}, default_hops=4)
-        assert model.hop_count("KN", "PJM") == 4
-
-    def test_energy_formula(self):
-        model = TransferModel(kwh_per_gb_per_hop=0.01, hops={("A", "B"): 5})
-        energy = transfer_energy_kwh("BERT", "A", "B", transfer=model)
-        assert energy == pytest.approx(18.0 * 0.01 * 5)
-
-    def test_carbon_split_between_grids(self):
-        model = TransferModel(kwh_per_gb_per_hop=0.01, hops={("A", "B"): 1})
-        carbon = transfer_carbon_g("BERT", "A", "B", 100.0, 300.0, transfer=model)
-        assert carbon == pytest.approx(18.0 * 0.01 * 200.0)
-
-    def test_validation(self):
-        with pytest.raises(SchedulingError):
-            TransferModel(kwh_per_gb_per_hop=-0.1)
-        with pytest.raises(SchedulingError):
-            TransferModel(hops={("A", "B"): 0})
-        with pytest.raises(SchedulingError):
-            transfer_carbon_g("BERT", "A", "B", -1.0, 100.0)
+from repro.workloads.models import get_model
 
 
 class TestRanking:

@@ -497,12 +497,10 @@ class TestColumnarPaths:
         vec = VectorizedChargingEngine().charge(
             workload, placements, service=service, node=node,
             pue=None, config=None, transfer_overhead_fraction=0.02,
-            transfer_model=None,
         )
         ref = ScalarReferenceChargingEngine().charge(
             workload, placements, service=service, node=node,
             pue=None, config=None, transfer_overhead_fraction=0.02,
-            transfer_model=None,
         )
         assert np.array_equal(vec.carbon_g, ref.carbon_g)
         assert np.array_equal(vec.energy_kwh, ref.energy_kwh)
