@@ -112,6 +112,15 @@ def _require(name: str, value: float, *, positive: bool = False) -> None:
         raise AccountingError(f"{name} must be finite and {bound}, got {value!r}")
 
 
+def _require_all(name: str, values: np.ndarray) -> None:
+    """:func:`_require` for every entry of ``values`` (two reductions)."""
+    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
+        bad = values[~((values >= 0.0) & (values < math.inf))][0]
+        raise AccountingError(
+            f"{name} entries must be finite and non-negative, got {float(bad)!r}"
+        )
+
+
 def amortized_embodied_g(
     total_embodied_g: float, duration_h: float, lifetime_years: float
 ) -> float:
@@ -167,7 +176,8 @@ class CarbonLedger:
         job_ids: Optional[np.ndarray] = None,
     ) -> None:
         """Record a batch of charges sharing ``kind`` (and optionally
-        ``policy``); per-entry arrays must agree in length."""
+        ``policy``); per-entry arrays must agree in length, and every
+        carbon and energy entry must be finite and non-negative."""
         if kind not in KINDS:
             raise AccountingError(
                 f"unknown ledger entry kind {kind!r}; kinds: {', '.join(KINDS)}"
@@ -197,6 +207,8 @@ class CarbonLedger:
                 raise AccountingError(
                     f"{name} batch length {length} does not match {n} charges"
                 )
+        _require_all("carbon_g", carbon)
+        _require_all("energy_kwh", energy)
         if n == 0:
             return
         self._batches.append(
@@ -262,6 +274,8 @@ class CarbonLedger:
                 f"{power.shape} and {intensity.shape}"
             )
         _require("step_hours", step_hours, positive=True)
+        _require_all("power_w", power)
+        _require_all("intensity_g_per_kwh", intensity)
         if np.ndim(pue) == 0:
             _require("pue", pue)
             grams = float(np.dot(power, intensity)) * step_hours / 1000.0 * float(pue)
@@ -272,6 +286,7 @@ class CarbonLedger:
                     f"hourly PUE profile length {profile.shape} does not match "
                     f"the power profile {power.shape}"
                 )
+            _require_all("pue", profile)
             grams = float(np.dot(power * profile, intensity)) * step_hours / 1000.0
         energy_kwh = float(power.sum()) * step_hours / 1000.0
         self.add(

@@ -55,8 +55,8 @@ def row_groups(keys: np.ndarray) -> List[np.ndarray]:
     """Row indices per distinct key, groups in first-seen key order.
 
     Rows ascend within a group, so a loop over the groups visits rows in
-    the order a dict-of-lists pass over ``keys`` would.  The placement
-    kernels and the charging engine group jobs with it.
+    the order a dict-of-lists pass over ``keys`` would.  The charging
+    engine groups jobs with it.
     """
     if not keys.size:
         return []

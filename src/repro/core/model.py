@@ -10,6 +10,7 @@ collapses them into a :class:`FootprintReport`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import UnitError
@@ -26,9 +27,13 @@ class FootprintReport:
     operational_g: float
 
     def __post_init__(self) -> None:
-        if self.embodied_g < 0.0 or self.operational_g < 0.0:
+        # NaN fails both comparisons, so it is rejected with infinities.
+        if not (
+            0.0 <= self.embodied_g < math.inf
+            and 0.0 <= self.operational_g < math.inf
+        ):
             raise UnitError(
-                "footprint components must be non-negative, got "
+                "footprint components must be finite and non-negative, got "
                 f"embodied={self.embodied_g!r}, operational={self.operational_g!r}"
             )
 

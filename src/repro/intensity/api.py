@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import namedtuple
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -171,7 +171,6 @@ class CarbonIntensityService:
         self._forecast_error = forecast_error
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed + 777)
-        self._score_matrices: Dict[Tuple[Tuple[str, ...], int], np.ndarray] = {}
         self._trace_digests: Dict[str, str] = {}
 
     def _table_identity(self, region: str) -> Dict[str, object]:
@@ -358,46 +357,6 @@ class CarbonIntensityService:
             np.maximum(noisy, 0.0, out=noisy)
             acc += noisy.sum(axis=1)
         return acc / window
-
-    def window_score_matrix(
-        self,
-        regions: Sequence[str],
-        window_hours: int,
-        rows: Optional[int] = None,
-    ) -> np.ndarray:
-        """Stacked score tables, shape ``(len(regions), >= rows)``.
-
-        Row ``i`` holds the leading rows of
-        ``window_score_table(regions[i], window_hours, rows)``: the 2-D
-        gather a joint (region, start) policy takes its
-        ``unravel_index(argmin)`` over.  ``rows`` counts issue hours as
-        for :meth:`window_score_table` (all when ``None``), and callers
-        wrap hours by the trace length, never by ``matrix.shape[1]``.
-        Memoized per (regions, window) and rebuilt when a request needs
-        more rows; requires every region's trace to share one length (the
-        Table 3 sets do).  Read-only.
-        """
-        key = (tuple(regions), int(window_hours))
-        lengths = {len(self.trace(code)) for code in key[0]}
-        if len(lengths) != 1:
-            raise TraceError(
-                f"regions {list(key[0])} have trace lengths {sorted(lengths)}; "
-                f"a joint score matrix needs one horizon"
-            )
-        n = lengths.pop()
-        want = n if rows is None else min(int(rows), n)
-        matrix = self._score_matrices.get(key)
-        if matrix is not None and matrix.shape[1] >= want:
-            return matrix
-        tables = [
-            self.window_score_table(code, window_hours, rows=want)
-            for code in key[0]
-        ]
-        width = min(table.shape[0] for table in tables)
-        matrix = np.vstack([table[:width] for table in tables])
-        matrix.setflags(write=False)
-        self._score_matrices[key] = matrix
-        return matrix
 
     # --- accounting truth tables -------------------------------------------
     def truth_table_cached(self, region: str, window_hours: int) -> bool:

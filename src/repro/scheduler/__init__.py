@@ -15,12 +15,14 @@ on which caller asked first.  Both placement paths read it:
 
 * ``policy.place(job)`` — the scalar reference path: per-candidate
   table lookups via ``forecast_window_mean`` (deduped by floored hour).
-* ``policy.place_all(jobs)`` — the batched kernel: one gather + flat
-  ``argmin`` per job group over the 2-D region × start block from
-  ``window_score_matrix``, decoded with ``unravel_index``, returning a
-  columnar :class:`~repro.cluster.job.PlacementBatch` in input order
-  whose rows are **byte-identical** to per-job ``place`` calls (pinned
-  by the hypothesis tests in ``tests/test_placement_vectorized.py``).
+* ``policy.place_all(jobs)`` — the batched kernel: one pass over the
+  whole stream.  Every job's candidate starts form one flat column, a
+  (candidate region × candidate start) score block is filled with one
+  table gather per (window key, region), and segmented minima pick each
+  job's first best pair.  It returns a columnar
+  :class:`~repro.cluster.job.PlacementBatch` in input order whose rows
+  are **byte-identical** to per-job ``place`` calls (pinned by the
+  hypothesis tests in ``tests/test_placement_vectorized.py``).
 
 The three carbon-aware policies (temporal shifting, geographic, and
 both) share one search, so one ``place`` and one ``place_all`` serve

@@ -43,7 +43,6 @@ from repro.cluster.job import (
     Placement,
     PlacementBatch,
     charge_windows,
-    row_groups,
 )
 from repro.intensity.api import CarbonIntensityService
 
@@ -211,13 +210,32 @@ def _placed(
     )
 
 
-def _slack_starts(submit: float, slack: float, step_h: float) -> np.ndarray:
-    """Candidate start times of one job (the scalar path's exact grid)."""
-    submit = float(submit)
-    slack = float(slack)
-    if slack <= 0.0:
-        return np.array([submit])
-    return np.arange(submit, submit + slack + 1e-9, step_h)
+def _start_grid(
+    submits: np.ndarray, slacks: np.ndarray, step_h: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every job's candidate starts as one flat column.
+
+    Returns ``(firsts, owner, starts)``: job ``i``'s starts begin at
+    ``starts[firsts[i]]`` (``owner`` is each entry's job) and are, bit
+    for bit, ``np.arange(submit, submit + slack + 1e-9, step_h)``.
+    The fill is numpy's: its length is the ceiling of ``(stop - start)
+    / step_h``, and it writes ``submit``, then ``submit + step_h``, then
+    ``submit + i * ((submit + step_h) - submit)``.  A grid always holds
+    the submit time: a zero slack, or one below the float spacing at the
+    submit time (where ``np.arange`` comes back empty), leaves the
+    submit time alone.
+    """
+    seconds = submits + step_h
+    lengths = np.ceil(((submits + slacks + 1e-9) - submits) / step_h)
+    counts = np.where(slacks > 0.0, np.maximum(lengths, 1.0), 1.0).astype(np.int64)
+    firsts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
+    index = np.arange(owner.shape[0]) - firsts[owner]
+    starts = submits[owner] + index * (seconds - submits)[owner]
+    starts[firsts] = submits
+    two = counts > 1
+    starts[firsts[two] + 1] = seconds[two]
+    return firsts, owner, starts
 
 
 def _shared_horizon(
@@ -225,11 +243,11 @@ def _shared_horizon(
 ) -> Optional[int]:
     """The trace length all candidate regions share, else ``None``.
 
-    The 2-D score matrix needs a single horizon; mixed-length trace sets
-    (legal on the service, which wraps each region modulo its own
-    length) are placed through the scalar reference path instead.
-    Kernels wrap issue hours by this length, never by a table's row
-    count: score tables hold only the rows asked for.
+    The batched search wraps every candidate region's issue hours by
+    this one length, never by a table's row count (score tables hold
+    only the rows asked for).  Mixed-length trace sets (legal on the
+    service, which wraps each region modulo its own length) are placed
+    through the scalar reference path instead.
     """
     lengths = {len(service.trace(code)) for code in regions}
     return lengths.pop() if len(lengths) == 1 else None
@@ -243,20 +261,6 @@ def _unique_floor_hours(starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     already has (the score is a pure table lookup per (hour, window))."""
     hours = np.floor(starts).astype(np.int64)
     return np.unique(hours, return_index=True)
-
-
-def _padded_starts(starts_list: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack ragged per-job candidate-start arrays into one matrix.
-
-    Returns ``(matrix, pad_mask)`` where padded cells (mask True) hold
-    0.0 and must be score-masked before any argmin.
-    """
-    lengths = np.array([s.size for s in starts_list], dtype=np.int64)
-    matrix = np.zeros((len(starts_list), int(lengths.max())))
-    for row, starts in enumerate(starts_list):
-        matrix[row, : starts.size] = starts
-    pad_mask = np.arange(matrix.shape[1])[None, :] >= lengths[:, None]
-    return matrix, pad_mask
 
 
 @dataclass
@@ -302,11 +306,11 @@ class _ForecastSearch:
       alone;
     * ``_in_time`` — candidate starts are the slack grid, every
       ``step_h`` hours from submit to the latest start
-      (:func:`_slack_starts`), else the submit time alone.
+      (:func:`_start_grid`), else the submit time alone.
 
     :meth:`place` scans regions outer and starts inner and keeps the
     first best candidate; :meth:`place_all` takes the same decision for
-    a whole job stream in one flat ``argmin`` per window group.
+    a whole job stream in one pass of segmented reductions.
     """
 
     _in_space = False
@@ -342,7 +346,11 @@ class _ForecastSearch:
         home = _job_region(job, self.default_region)
         window = _window_hours(job.duration_h)
         if self._in_time:
-            starts = _slack_starts(job.submit_h, job.slack_h, self.step_h)
+            _firsts, _owner, starts = _start_grid(
+                np.array([float(job.submit_h)]),
+                np.array([float(job.slack_h)]),
+                self.step_h,
+            )
         else:
             starts = np.array([float(job.submit_h)])
         # Distinct starts flooring to one hour share a score; ask the
@@ -367,16 +375,18 @@ class _ForecastSearch:
     def place_all(self, jobs: JobStream) -> PlacementBatch:
         """Vectorized batch placement, byte-identical to per-job ``place``.
 
-        Jobs group by window, and by home region when that is the only
-        candidate region.  Each group gathers a ``(region, job, start)``
-        score tensor from
-        :meth:`~repro.intensity.api.CarbonIntensityService.window_score_matrix`,
-        masks the padding of ragged slack grids, and takes one flat
-        ``argmin`` per job over the row-major (region, start) block:
-        ``unravel_index`` order is the scalar path's region-outer,
-        start-inner first-best scan.  Submit-only starts stay a single
-        column, with no padding.  A candidate list whose traces differ
-        in length has no shared score matrix and places per job through
+        One pass over the whole stream.  Jobs are ordered once by score
+        table key — the window, and the home region when that is the
+        only candidate region — so each key's jobs and their candidate
+        starts (one flat column, :func:`_start_grid`) are contiguous.  A
+        ``(candidate regions, candidate starts)`` score block is filled
+        with one table gather per (key, region).  Segmented minima give
+        each job its best score per region; ``argmin`` over regions
+        takes the first region reaching the job's best, and the job's
+        first start scoring it there wins: the scalar path's
+        region-outer, start-inner first-best scan.  Submit-only starts
+        are the submit column.  A candidate list whose traces differ in
+        length has no shared horizon and places per job through
         :meth:`place`.
         """
         candidates = self._candidates
@@ -398,37 +408,51 @@ class _ForecastSearch:
                 [regions.setdefault(code, len(regions)) for code in candidates],
                 dtype=np.int64,
             )
-        starts = np.empty(ids.shape[0])
-        codes = np.empty(ids.shape[0], dtype=np.int64)
-        for idxs in row_groups(keys):
-            window = int(windows[idxs[0]])
-            if candidates is None:
-                group_codes = homes[idxs[:1]]
-                group = [names[int(group_codes[0])]]
-            else:
-                group_codes, group = candidate_codes, candidates
-            if self._in_time:
-                grid, pad_mask = _padded_starts(
-                    [_slack_starts(submits[i], slacks[i], self.step_h) for i in idxs]
-                )
-            else:
-                grid, pad_mask = submits[idxs, None], None
-            hours = np.floor(grid).astype(np.int64) % len(
-                self.service.trace(group[0])
+        n_jobs = ids.shape[0]
+        if not n_jobs:
+            return _placed(ids, submits, durations, homes, regions, homes)
+        order = np.argsort(keys, kind="stable")
+        if self._in_time:
+            firsts, owner, starts = _start_grid(
+                submits[order], slacks[order], self.step_h
             )
-            matrix = self.service.window_score_matrix(
-                group, window, rows=int(hours.max()) + 1
+        else:
+            firsts = owner = np.arange(n_jobs)
+            starts = submits[order]
+        floors = np.floor(starts).astype(np.int64)
+        # Each key run's first job, and the run's bounds in the start column.
+        cuts = np.flatnonzero(np.diff(keys[order])) + 1
+        heads = order[np.append(0, cuts)].tolist()
+        edges = [0, *firsts[cuts].tolist(), starts.shape[0]]
+        block = np.empty(
+            (1 if candidates is None else len(candidates), starts.shape[0])
+        )
+        for head, lo, hi in zip(heads, edges[:-1], edges[1:]):
+            window = int(windows[head])
+            group = (
+                [names[int(homes[head])]] if candidates is None else candidates
             )
-            scores = matrix[:, hours]  # (regions, jobs, starts)
-            if pad_mask is not None:
-                scores[:, pad_mask] = np.inf
-            flat = scores.transpose(1, 0, 2).reshape(idxs.shape[0], -1)
-            region_rows, start_cols = np.unravel_index(
-                np.argmin(flat, axis=1), (len(group), grid.shape[1])
-            )
-            codes[idxs] = group_codes[region_rows]
-            starts[idxs] = grid[np.arange(idxs.shape[0]), start_cols]
-        return _placed(ids, starts, durations, codes, regions, homes)
+            hours = floors[lo:hi] % len(self.service.trace(group[0]))
+            rows = int(hours.max()) + 1
+            for r, region in enumerate(group):
+                table = self.service.window_score_table(region, window, rows=rows)
+                block[r, lo:hi] = table[hours]
+        best = np.minimum.reduceat(block, firsts, axis=1)  # (regions, jobs)
+        region_rows = np.argmin(best, axis=0)
+        # In its region, the job's first start reaching its best score.
+        reached = np.flatnonzero(
+            block[region_rows[owner], np.arange(starts.shape[0])]
+            == best[region_rows, np.arange(n_jobs)][owner]
+        )
+        chosen = reached[np.searchsorted(reached, firsts)]
+        placed_starts = np.empty(n_jobs)
+        placed_starts[order] = starts[chosen]
+        if candidates is None:
+            codes = homes
+        else:
+            codes = np.empty(n_jobs, dtype=np.int64)
+            codes[order] = candidate_codes[region_rows]
+        return _placed(ids, placed_starts, durations, codes, regions, homes)
 
 
 @dataclass

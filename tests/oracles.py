@@ -14,7 +14,8 @@ carbon-aware policy, each its own loop over that policy's candidates,
 with the candidate sets read from the policy's public fields.  The
 search the policies share (``repro.scheduler.policies._ForecastSearch``)
 must match them placement for placement, in ``place`` and
-``place_all`` alike.
+``place_all`` alike.  The scans spell the slack grid as ``np.arange``
+(:func:`slack_starts`), the oracle of the search's flat grid.
 
 The tests import this module as ``oracles`` (pytest puts ``tests/`` on
 ``sys.path``); the benchmarks' oracle arms append ``tests/`` to
@@ -41,7 +42,6 @@ from repro.cluster.simulator import Cluster, ScheduledJob, _account_horizon
 from repro.intensity.trace import IntensityTrace
 from repro.scheduler.policies import (
     _job_region,
-    _slack_starts,
     _unique_floor_hours,
     _window_hours,
 )
@@ -49,6 +49,7 @@ from repro.scheduler.policies import (
 __all__ = [
     "SimulationResult",
     "simulate_cluster",
+    "slack_starts",
     "temporal_shifting_place",
     "geographic_place",
     "temporal_geographic_place",
@@ -280,8 +281,21 @@ def simulate_cluster(
 
 
 # --- scalar placement scans ---------------------------------------------------
+def slack_starts(submit: float, slack: float, step_h: float) -> np.ndarray:
+    """One job's candidate starts: ``np.arange`` over its slack window,
+    or the submit time alone when the slack is zero or too small to
+    move the stop past the submit time (``np.arange`` is empty then)."""
+    submit = float(submit)
+    slack = float(slack)
+    if slack > 0.0:
+        grid = np.arange(submit, submit + slack + 1e-9, step_h)
+        if grid.size:
+            return grid
+    return np.array([submit])
+
+
 def _candidate_starts(policy, job: Job) -> np.ndarray:
-    return _slack_starts(job.submit_h, job.slack_h, policy.step_h)
+    return slack_starts(job.submit_h, job.slack_h, policy.step_h)
 
 
 def _candidate_regions(policy) -> List[str]:

@@ -388,11 +388,63 @@ class TestCarbonLedger:
                 lambda s, n: _charge_one(ScalarReferenceChargingEngine(), s, n, NAN),
                 "overhead", id="scalar-overhead-nan",
             ),
+            pytest.param(
+                lambda s, n: CarbonLedger().add("operational", "x", NAN),
+                "carbon_g", id="add-nan",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().add("operational", "x", -5.0),
+                "carbon_g", id="add-negative",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().add(
+                    "operational", "x", 1.0, energy_kwh=INF
+                ),
+                "energy_kwh", id="add-energy-inf",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().add_batch(
+                    "embodied", carbon_g=np.array([1.0, INF])
+                ),
+                "carbon_g", id="batch-inf",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().add_batch(
+                    "operational",
+                    carbon_g=np.ones(2),
+                    energy_kwh=np.array([1.0, -1.0]),
+                ),
+                "energy_kwh", id="batch-energy-negative",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_power_profile(
+                    "x", np.array([1.0, NAN]), np.ones(2)
+                ),
+                "power_w", id="power-profile-nan",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_power_profile(
+                    "x", np.array([1.0, -3.0]), np.ones(2)
+                ),
+                "power_w", id="power-profile-negative",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_power_profile(
+                    "x", np.ones(2), np.array([INF, 1.0])
+                ),
+                "intensity_g_per_kwh", id="intensity-profile-inf",
+            ),
+            pytest.param(
+                lambda s, n: CarbonLedger().charge_power_profile(
+                    "x", np.ones(3), np.ones(3), pue=np.array([1.2, NAN, 1.1])
+                ),
+                "pue", id="hourly-pue-nan",
+            ),
         ],
     )
     def test_non_finite_input_rejected(self, service, node, charge, argument):
         """Each charge names the offending argument instead of letting a
-        NaN or an infinity (or a negative overhead) into the totals."""
+        NaN, an infinity or a negative value into the totals."""
         with pytest.raises(AccountingError, match=argument):
             charge(service, node)
 

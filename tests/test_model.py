@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.errors import UnitError
@@ -32,6 +34,12 @@ class TestFootprintReport:
     def test_negative_rejected(self):
         with pytest.raises(UnitError):
             FootprintReport(-1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("term", ["embodied_g", "operational_g"])
+    def test_non_finite_rejected(self, term, bad):
+        with pytest.raises(UnitError, match="finite"):
+            FootprintReport(**{"embodied_g": 1.0, "operational_g": 1.0, term: bad})
 
     def test_str_mentions_both_terms(self):
         text = str(FootprintReport(1000.0, 2000.0))

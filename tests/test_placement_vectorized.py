@@ -113,13 +113,6 @@ class TestScalarVectorEquivalence:
         expected = service.trace("B").forward_window_mean(6)
         assert np.array_equal(table, expected)
 
-    def test_score_matrix_rows_are_tables(self):
-        service = make_service(5, 0.1)
-        matrix = service.window_score_matrix(list(REGIONS), 4)
-        assert matrix.shape == (len(REGIONS), N_HOURS)
-        for row, code in zip(matrix, REGIONS):
-            assert np.array_equal(row, service.window_score_table(code, 4))
-
     def test_place_jobs_falls_back_for_minimal_policies(self):
         class MinimalPolicy:
             name = "minimal"
@@ -271,16 +264,19 @@ class TestSharedSearchParity:
 
     def test_submit_only_starts_build_no_slack_grid(self, monkeypatch):
         """The geographic kernel scores submit times as one column: no
-        per-job candidate-start arrays, which measurably slowed it."""
+        candidate-start grid, which measurably slowed it.  The kernels
+        that search the slack grid build it once per ``place_all``,
+        never per job."""
         from repro.scheduler import policies
 
         calls = []
-        for name in ("_slack_starts", "_padded_starts"):
-            def counting(*args, _real=getattr(policies, name), _name=name):
-                calls.append(_name)
-                return _real(*args)
+        real = policies._start_grid
 
-            monkeypatch.setattr(policies, name, counting)
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(policies, "_start_grid", counting)
         service = make_service(9, 0.05)
         jobs = [
             Job(
@@ -297,9 +293,120 @@ class TestSharedSearchParity:
         ]
         GeographicPolicy(service, "A").place_all(jobs)
         assert calls == []
-        # The counters do see the kernels that search the slack grid.
+        # One grid call over all ten jobs per time-shifting kernel.
         TemporalGeographicPolicy(service, "A").place_all(jobs)
-        assert set(calls) == {"_slack_starts", "_padded_starts"}
+        TemporalShiftingPolicy(service, "A").place_all(jobs)
+        assert calls == [len(jobs), len(jobs)]
+
+    @pytest.mark.parametrize(
+        "policy_cls", [TemporalShiftingPolicy, TemporalGeographicPolicy]
+    )
+    def test_slack_below_float_spacing_keeps_the_submit_time(self, policy_cls):
+        """A positive slack too small to move ``submit + slack + 1e-9``
+        past the submit time makes ``np.arange`` empty; the job still
+        has its submit time to start at, as with a zero slack."""
+        service = make_service(10, 0.05)
+        policy = policy_cls(service, "A")
+        jobs = [
+            Job(
+                job_id=i,
+                user="u",
+                model=get_model("BERT"),
+                n_gpus=1,
+                duration_h=2.0,
+                submit_h=submit,
+                slack_h=slack,
+                home_region="B",
+            )
+            for i, (submit, slack) in enumerate(
+                [(3e9, 1e-7), (1e12, 1e-6), (float(2**53), 0.5)]
+            )
+        ]
+        expected = [ORACLES[policy.name](policy, job) for job in jobs]
+        assert [p.start_h for p in expected] == [j.submit_h for j in jobs]
+        assert [policy.place(job) for job in jobs] == expected
+        assert policy.place_all(jobs) == expected
+
+    @pytest.mark.parametrize("policy_key", sorted(ORACLES))
+    def test_ties_go_to_the_first_region_and_start(self, policy_key):
+        """On a flat grid every candidate scores the same, so the scan
+        order alone decides: the first candidate region, the submit
+        time."""
+        from repro.intensity.api import constant_service
+
+        service = constant_service(value=200.0, regions=list(REGIONS))
+        candidates = ["C", "A", "B"]
+        if policy_key == "temporal-shifting":
+            policy = TemporalShiftingPolicy(service, "A", step_h=0.5)
+        elif policy_key == "geographic":
+            policy = GeographicPolicy(service, "A", regions=candidates)
+        else:
+            policy = TemporalGeographicPolicy(
+                service, "A", regions=candidates, step_h=0.5
+            )
+        jobs = [
+            Job(
+                job_id=i,
+                user="u",
+                model=get_model("BERT"),
+                n_gpus=1,
+                duration_h=1.0 + i % 4,
+                submit_h=3.7 * i,
+                slack_h=8.0,
+                home_region=REGIONS[i % 3],
+            )
+            for i in range(12)
+        ]
+        expected = [ORACLES[policy_key](policy, job) for job in jobs]
+        assert [policy.place(job) for job in jobs] == expected
+        assert policy.place_all(jobs) == expected
+        assert [p.start_h for p in expected] == [job.submit_h for job in jobs]
+        assert [p.region for p in expected] == (
+            [job.home_region for job in jobs]
+            if policy_key == "temporal-shifting"
+            else ["C"] * len(jobs)
+        )
+
+
+class TestStartGrid:
+    """The search's flat candidate-start column against ``np.arange``
+    (``oracles.slack_starts``), bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e7),
+                st.sampled_from(["zero", "hours", "below spacing"]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            max_size=12,
+        ),
+        step_h=st.sampled_from([0.25, 0.5, 1 / 3, 1.0, 2.5]),
+    )
+    def test_matches_arange_bit_for_bit(self, jobs, step_h):
+        from repro.scheduler.policies import _start_grid
+
+        submits = np.array([submit for submit, _, _ in jobs], dtype=float)
+        slacks = np.array(
+            [
+                0.0 if kind == "zero"
+                else 72.0 * fraction if kind == "hours"
+                else fraction * float(np.spacing(submit))
+                for submit, kind, fraction in jobs
+            ],
+            dtype=float,
+        )
+        grids = [
+            oracles.slack_starts(submit, slack, step_h)
+            for submit, slack in zip(submits, slacks)
+        ]
+        sizes = np.array([grid.size for grid in grids], dtype=np.int64)
+        firsts, owner, starts = _start_grid(submits, slacks, step_h)
+        assert np.array_equal(firsts, np.cumsum(sizes) - sizes)
+        assert np.array_equal(owner, np.repeat(np.arange(len(grids)), sizes))
+        expected = np.concatenate([np.empty(0), *grids])
+        assert np.array_equal(starts.view(np.int64), expected.view(np.int64))
 
 
 class TestExecutorEquality:

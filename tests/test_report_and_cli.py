@@ -62,6 +62,36 @@ class TestReport:
         assert "44.4%" in report  # Table 6 P100->V100 NLP
 
 
+#: The two workload scenarios CI's installed-package step runs (and
+#: ``cmp``s against these files): the canonical month under all four
+#: policies on a 16-node cluster, and the three carbon-aware policies
+#: over a restricted candidate-region list.  They are the byte pins of
+#: the temporal-shifting and geographic policies on their own.
+_WORKLOAD_SCENARIOS = {
+    "scenario-month": [
+        "--policies",
+        "carbon-oblivious,temporal-shifting,geographic,temporal+geographic",
+        "--cluster", "16",
+    ],
+    "scenario-regions": [
+        "--regions", "ESO,CISO,PJM",
+        "--policies", "temporal-shifting,geographic,temporal+geographic",
+        "--cluster", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_SCENARIOS))
+def test_workload_scenario_matches_golden(name, capsys, golden_file):
+    # Re-bless: pytest tests/test_report_and_cli.py --update-golden
+    assert main([
+        "scenario", "--system", "frontier", "--node", "A100",
+        "--region", "ESO", "--workload", "synthetic",
+        *_WORKLOAD_SCENARIOS[name], "--renderer", "json",
+    ]) == 0
+    golden_file(f"cli/{name}.json", capsys.readouterr().out)
+
+
 class TestCli:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
