@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import namedtuple
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -172,6 +172,7 @@ class CarbonIntensityService:
         self._seed = int(seed)
         self._rng = np.random.default_rng(seed + 777)
         self._trace_digests: Dict[str, str] = {}
+        self._table_keys: Dict[Tuple[str, str, int], tuple] = {}
 
     def _table_identity(self, region: str) -> Dict[str, object]:
         """The inputs a window table's bytes depend on (see :func:`table_key`)."""
@@ -187,6 +188,15 @@ class CarbonIntensityService:
             "seed": self._seed,
             "forecast_error": repr(self._forecast_error),
         }
+
+    def _table_key(self, kind: str, region: str, window: int) -> tuple:
+        """The memo key of one of this service's window tables, built once
+        per ``(kind, region, window)``, so a memo hit costs one lookup."""
+        key = self._table_keys.get((kind, region, window))
+        if key is None:
+            key = table_key(kind, self._table_identity(region), region, window)
+            self._table_keys[(kind, region, window)] = key
+        return key
 
     # --- catalog ------------------------------------------------------------
     @property
@@ -276,7 +286,7 @@ class CarbonIntensityService:
         want = n if rows is None else min(int(rows), n)
         if want < 1:
             raise TraceError(f"rows must be >= 1, got {rows}")
-        key = table_key("score", self._table_identity(region), region, window)
+        key = self._table_key("score", region, window)
         entry = _TABLES.get(key, lambda held: held[0].shape[0] >= want)
         if entry is None:
             held, stream = None, None
@@ -363,8 +373,7 @@ class CarbonIntensityService:
         """Whether the process-wide memo holds the :meth:`truth_window_table`
         of ``(region, window)`` — charging engines use this to prefer a
         free gather over a fresh table build for small job groups."""
-        identity = self._table_identity(region)
-        return table_key("truth", identity, region, int(window_hours)) in _TABLES
+        return self._table_key("truth", region, int(window_hours)) in _TABLES
 
     def truth_window_table(self, region: str, window_hours: int) -> np.ndarray:
         """Per-start-hour *true* window means: the charging truth table.
@@ -390,7 +399,7 @@ class CarbonIntensityService:
         The returned array is read-only and shared; copy before writing.
         """
         window = _window(window_hours)
-        key = table_key("truth", self._table_identity(region), region, window)
+        key = self._table_key("truth", region, window)
         entry = _TABLES.get(key)
         if entry is not None:
             return entry[0]

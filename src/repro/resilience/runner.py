@@ -34,10 +34,13 @@ timeout) with no injector is the plain run:
 
 Completed units are reported through ``on_unit_done`` *as they settle*,
 so the caller can journal checkpoints and write back cache entries
-before a later crash can lose them.  Workers return
-``(fingerprint, result)`` payloads — the fingerprint read off the
-result they just computed — so the parent's cache write never has to
-recompute one.
+before a later crash can lose them.  Workers return each result with
+the fingerprint read off it, so no caller has to recompute one.  A
+pooled item with a ``write_back(result, fingerprint)`` method stores
+its own result: the worker calls it once the unit's attempt loop has
+succeeded (never after a failed, timed-out or crashed attempt), and the
+outcome's ``stored`` flag tells the parent the unit's entries are
+already written.
 """
 
 from __future__ import annotations
@@ -105,6 +108,8 @@ class UnitOutcome:
     attempts: int
     #: Worker-reported fingerprint (falls back to the planner's).
     fingerprint: Optional[str]
+    #: The pool worker wrote the result itself (the item's ``write_back``).
+    stored: bool = False
 
     @property
     def ok(self) -> bool:
@@ -260,11 +265,17 @@ def _run_unit_attempts(
 
 
 def _pooled_unit(payload: Tuple) -> Dict[str, Any]:
-    """The per-unit pool task (module-level for pickling)."""
+    """The per-unit pool task (module-level for pickling).
+
+    Once the attempt loop succeeds, an item's ``write_back(result,
+    fingerprint)`` stores the result from this worker; its return value
+    comes home as ``"stored"``.  A write error propagates as the
+    future's exception.
+    """
     item, token, index, indices, name, fingerprint, policy, injector, first = (
         payload
     )
-    return _run_unit_attempts(
+    outcome = _run_unit_attempts(
         item,
         token=token,
         index=index,
@@ -276,6 +287,10 @@ def _pooled_unit(payload: Tuple) -> Dict[str, Any]:
         first_attempt=first,
         allow_crash=True,
     )
+    write_back = getattr(item, "write_back", None)
+    if outcome["status"] == "ok" and write_back is not None:
+        outcome["stored"] = write_back(outcome["result"], outcome["fingerprint"])
+    return outcome
 
 
 # --- engines ----------------------------------------------------------------
@@ -291,6 +306,7 @@ def _settle(
             failure=None,
             attempts=payload["attempts"],
             fingerprint=payload.get("fingerprint") or unit.fingerprint,
+            stored=payload.get("stored", False),
         )
     else:
         outcome = UnitOutcome(

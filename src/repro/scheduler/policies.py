@@ -210,8 +210,14 @@ def _placed(
     )
 
 
+#: The most candidate starts one job's slack grid may hold: 2**20, about
+#: 120 years of hourly starts.  A longer grid is an input error, not a
+#: search to run.
+MAX_STARTS_PER_JOB = 2**20
+
+
 def _start_grid(
-    submits: np.ndarray, slacks: np.ndarray, step_h: float
+    submits: np.ndarray, slacks: np.ndarray, step_h: float, ids: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every job's candidate starts as one flat column.
 
@@ -223,11 +229,22 @@ def _start_grid(
     ``submit + i * ((submit + step_h) - submit)``.  A grid always holds
     the submit time: a zero slack, or one below the float spacing at the
     submit time (where ``np.arange`` comes back empty), leaves the
-    submit time alone.
+    submit time alone.  A job whose grid would hold more than
+    :data:`MAX_STARTS_PER_JOB` starts raises :class:`SchedulingError`
+    naming its id (``ids``, aligned with ``submits``).
     """
     seconds = submits + step_h
     lengths = np.ceil(((submits + slacks + 1e-9) - submits) / step_h)
-    counts = np.where(slacks > 0.0, np.maximum(lengths, 1.0), 1.0).astype(np.int64)
+    counts = np.where(slacks > 0.0, np.maximum(lengths, 1.0), 1.0)
+    too_long = ~(counts <= MAX_STARTS_PER_JOB)  # NaN and inf counts too
+    if too_long.any():
+        i = int(np.argmax(too_long))
+        raise SchedulingError(
+            f"job {int(ids[i])}: a slack of {float(slacks[i])!r} h at a "
+            f"{step_h!r} h step asks for more than {MAX_STARTS_PER_JOB} "
+            "candidate starts"
+        )
+    counts = counts.astype(np.int64)
     firsts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(counts.shape[0]), counts)
     index = np.arange(owner.shape[0]) - firsts[owner]
@@ -350,6 +367,7 @@ class _ForecastSearch:
                 np.array([float(job.submit_h)]),
                 np.array([float(job.slack_h)]),
                 self.step_h,
+                np.array([job.job_id]),
             )
         else:
             starts = np.array([float(job.submit_h)])
@@ -414,7 +432,7 @@ class _ForecastSearch:
         order = np.argsort(keys, kind="stable")
         if self._in_time:
             firsts, owner, starts = _start_grid(
-                submits[order], slacks[order], self.step_h
+                submits[order], slacks[order], self.step_h, ids[order]
             )
         else:
             firsts = owner = np.arange(n_jobs)

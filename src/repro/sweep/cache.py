@@ -144,9 +144,6 @@ class ResultCache:
 
     ``memory_slots`` bounds the memory-tier LRU, defaulting to
     ``$REPRO_HPC_CACHE_MEM`` (else :data:`DEFAULT_MEMORY_SLOTS`).
-    ``readonly=True`` makes writes stop at the memory tier — the mode
-    sweep *workers* open the cache in, so only the parent process ever
-    writes the shared directory.
     """
 
     def __init__(
@@ -154,14 +151,12 @@ class ResultCache:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         *,
         memory_slots: Optional[int] = None,
-        readonly: bool = False,
     ) -> None:
         slots = default_memory_slots() if memory_slots is None else memory_slots
         if slots < 0:
             raise SweepError(f"memory_slots must be >= 0, got {slots!r}")
         self._dir = pathlib.Path(cache_dir) if cache_dir is not None else None
         self._memory_slots = int(slots)
-        self._readonly = bool(readonly)
         self._memory: "OrderedDict[str, ScenarioResult]" = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -184,10 +179,6 @@ class ResultCache:
     @property
     def memory_slots(self) -> int:
         return self._memory_slots
-
-    @property
-    def readonly(self) -> bool:
-        return self._readonly
 
     @property
     def stats(self) -> CacheStats:
@@ -277,15 +268,21 @@ class ResultCache:
         return replace(result, provenance_hash=fingerprint)
 
     # --- write ------------------------------------------------------------
-    def put(self, fingerprint: str, result: ScenarioResult) -> None:
-        """Store ``result`` under ``fingerprint`` in both tiers."""
+    def put(
+        self, fingerprint: str, result: ScenarioResult, *, disk: bool = True
+    ) -> None:
+        """Store ``result`` under ``fingerprint`` in both tiers.
+
+        ``disk=False`` stops at the memory tier: the sweep service passes
+        it for a unit whose pool worker already wrote the disk entry.
+        """
         fingerprint = self._check_fingerprint(fingerprint)
         if not isinstance(result, ScenarioResult):
             raise SweepError(
                 f"cache stores ScenarioResult, got {type(result).__name__}"
             )
         self._remember(fingerprint, result)
-        if self._dir is None or self._readonly:
+        if self._dir is None or not disk:
             return
         payload: Dict[str, object] = {
             "schema": CACHE_SCHEMA,
@@ -404,9 +401,15 @@ class ResultCache:
         )
 
     def put_section(
-        self, section: str, fingerprint: str, payload: Optional[Dict[str, Any]]
+        self,
+        section: str,
+        fingerprint: str,
+        payload: Optional[Dict[str, Any]],
+        *,
+        disk: bool = True,
     ) -> None:
-        """Store one section's ``to_dict`` payload (``None`` = absent)."""
+        """Store one section's ``to_dict`` payload (``None`` = absent);
+        ``disk=False`` stops at the memory tier, as for :meth:`put`."""
         section = self._check_section(section)
         fingerprint = self._check_fingerprint(fingerprint)
         if payload is not None and not isinstance(payload, dict):
@@ -415,7 +418,7 @@ class ResultCache:
                 f"{type(payload).__name__}"
             )
         self._remember_section((section, fingerprint), payload)
-        if self._dir is None or self._readonly:
+        if self._dir is None or not disk:
             return
         self._write_atomic(
             self._section_path(section, fingerprint),

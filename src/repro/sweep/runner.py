@@ -17,7 +17,9 @@ still deduplicated) are thin factory variants.  A run is:
    unit), resolved the way :meth:`Session.run_many` resolves engines,
    so serial sweep results are byte-identical to ``run_many``'s output;
 5. **cache** — each result is written back under its fingerprint (and
-   journaled, when a journal is open) as its unit settles.
+   journaled, when a journal is open) as its unit settles; a pooled
+   worker writes its unit's entries itself, so the service only
+   journals and counts them.
 
 Units are isolated in every configuration: a cell that raises becomes a
 :class:`~repro.resilience.CellFailure` on the returned
@@ -194,8 +196,8 @@ def _coerce_injector(value):
     )
 
 
-#: Readonly caches a pooled delta worker opens, by directory, so it
-#: reuses one memory tier across its units (one directory per pass).
+#: The cache a pooled worker opens, by directory, so it reads and writes
+#: through one memory tier across its units (one directory per pass).
 _WORKER_CACHES = Memo("sweep.worker_caches", 8)
 
 
@@ -203,7 +205,7 @@ def _worker_cache(cache_dir: pathlib.Path) -> ResultCache:
     key = str(cache_dir)
     cache = _WORKER_CACHES.get(key)
     if cache is None:
-        cache = ResultCache(cache_dir, readonly=True)
+        cache = ResultCache(cache_dir)
         _WORKER_CACHES.put(key, cache)
     return cache
 
@@ -217,12 +219,16 @@ class _PlannedItem:
     once.  Pooled items drop the session (and any cache) on pickling
     and build from the pickled item in the worker.
 
-    With delta evaluation the item also carries the service's cache:
-    in-process runs read sections from it, and pooled workers reopen
-    its directory readonly.  Either way fresh sections ride home on
-    ``result.fresh_sections``, and the service writes them back as the
-    unit settles, so later cells in the same serial pass reuse them.
-    Without a cache every section runs, exactly as a plain
+    The item carries the service's cache directory when the cache has
+    an on-disk tier, and records whether delta evaluation reads it and
+    whether the pass writes back to it.  With delta evaluation,
+    in-process runs read sections from the service's cache and pooled
+    workers from their own (:func:`_worker_cache`); either way fresh
+    sections ride home on ``result.fresh_sections``.  A pooled worker
+    then writes the unit's result and fresh sections to the directory
+    itself (:meth:`write_back`), so other workers reuse them within the
+    pass; for in-process engines the service writes them as the unit
+    settles.  Without a cache every section runs, exactly as a plain
     ``Session.run()``.
     """
 
@@ -231,11 +237,16 @@ class _PlannedItem:
         item: Union[Scenario, Session],
         cache: Optional[ResultCache],
         session: Optional[Session],
+        *,
+        delta: bool,
+        writeback: bool,
     ) -> None:
         self._item = item
-        self._cache = cache
+        self._cache = cache if delta else None
         self._cache_dir = None if cache is None else cache.cache_dir
         self._session = session
+        self._delta = delta
+        self._writeback = writeback
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
@@ -260,9 +271,23 @@ class _PlannedItem:
                 else self._item
             )
         reuse = self._cache
-        if reuse is None and self._cache_dir is not None:
+        if reuse is None and self._delta and self._cache_dir is not None:
             reuse = _worker_cache(self._cache_dir)
         return session.run(reuse=reuse)
+
+    def write_back(
+        self, result: ScenarioResult, fingerprint: Optional[str]
+    ) -> bool:
+        """Write the unit's entries from a pool worker, once its attempt
+        loop has succeeded; ``False`` (nothing written) when the pass
+        writes no directory."""
+        if not self._writeback or self._cache_dir is None or fingerprint is None:
+            return False
+        cache = _worker_cache(self._cache_dir)
+        cache.put(fingerprint, result)
+        for name, (fp, payload) in (result.fresh_sections or {}).items():
+            cache.put_section(name, fp, payload)
+        return True
 
 
 class SweepService:
@@ -558,8 +583,10 @@ class SweepService:
                 ResilientUnit(
                     item=_PlannedItem(
                         unit.item,
-                        self._cache if use_delta else None,
+                        self._cache,
                         unit.session,
+                        delta=use_delta,
+                        writeback=writeback,
                     ),
                     index=unit.indices[0],
                     indices=tuple(unit.indices),
@@ -571,7 +598,9 @@ class SweepService:
 
             def _on_unit_done(outcome) -> None:
                 # Fired as each unit settles, so a later failure cannot
-                # lose completions already cached and journaled.
+                # lose completions already cached and journaled.  A unit
+                # its pool worker stored is on disk already: only the
+                # memory tiers are left to fill.
                 if not outcome.ok:
                     failures.append(outcome.failure)
                     if journal_obj is not None:
@@ -579,19 +608,24 @@ class SweepService:
                     return
                 for index in outcome.unit.indices:
                     results[index] = outcome.result
+                disk = not outcome.stored
                 if (
                     self._cache is not None
                     and writeback
                     and outcome.fingerprint is not None
                 ):
-                    self._cache.put(outcome.fingerprint, outcome.result)
+                    self._cache.put(
+                        outcome.fingerprint, outcome.result, disk=disk
+                    )
                 fresh = getattr(outcome.result, "fresh_sections", None)
                 if use_delta and fresh is not None:
                     for name, counts in section_counts.items():
                         counts["misses" if name in fresh else "hits"] += 1
                     if writeback:
                         for name, (fp, payload) in fresh.items():
-                            self._cache.put_section(name, fp, payload)
+                            self._cache.put_section(
+                                name, fp, payload, disk=disk
+                            )
                 if journal_obj is not None:
                     journal_obj.record_done(
                         outcome.fingerprint, name=outcome.unit.name

@@ -365,9 +365,9 @@ class TestSectionTier:
         assert cache.section_stats["embodied"].evictions == 1
         assert cache.get_section("carbon", "c" * 64) == (True, {"v": 3})
 
-    def test_readonly_cache_never_touches_disk(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", readonly=True)
-        cache.put_section("training", "ab" * 32, {"v": 1})
+    def test_memory_only_puts_never_touch_disk(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        cache.put_section("training", "ab" * 32, {"v": 1}, disk=False)
         assert not (tmp_path / "c").exists()
         # ... but the memory tier still serves it back.
         assert cache.get_section("training", "ab" * 32) == (True, {"v": 1})

@@ -273,6 +273,37 @@ class TestTableMemo:
         assert all(s.truth_table_cached("B", window) for s in services)
         assert all(s.truth_window_table("B", window) is table for s in services)
 
+    def test_memo_hits_reuse_one_key_per_table(self, monkeypatch):
+        """A service builds each table's memo key once per (kind, region,
+        window), and every later hit on that table reuses it."""
+        trace_cache_clear()
+        built = []
+        real = api.table_key
+
+        def counting(kind, identity, region, window):
+            built.append((kind, region, window))
+            return real(kind, identity, region, window)
+
+        monkeypatch.setattr(api, "table_key", counting)
+        traces = random_traces(15)
+        service = CarbonIntensityService(traces, forecast_error=0.1, seed=2)
+        for _ in range(5):
+            held = service.window_score_table("A", 6, rows=10)
+            truth = service.truth_window_table("A", 6)
+            assert service.truth_table_cached("A", 6)
+        assert service.window_score_table("A", 6, rows=10) is held
+        assert service.truth_window_table("A", 6) is truth
+        assert sorted(built) == [("score", "A", 6), ("truth", "A", 6)]
+        # The memo key is the tuple table_key builds, unchanged.
+        assert service._table_key("score", "A", 6) == real(
+            "score", service._table_identity("A"), "A", 6
+        )
+        # A second service over the same inputs builds its own keys and
+        # hits the same tables.
+        other = CarbonIntensityService(traces, forecast_error=0.1, seed=2)
+        assert other.window_score_table("A", 6, rows=10) is held
+        assert built.count(("score", "A", 6)) == 2
+
     def test_trace_cache_clear_empties_the_memo(self):
         service = CarbonIntensityService(random_traces(11), forecast_error=0.1)
         service.window_score_table("A", 6)

@@ -19,6 +19,7 @@ from repro.cluster.job import Job, JobBatch, Placement
 from repro.intensity.api import CarbonIntensityService
 from repro.intensity.trace import IntensityTrace
 from repro.scheduler.policies import (
+    MAX_STARTS_PER_JOB,
     CarbonObliviousPolicy,
     GeographicPolicy,
     TemporalGeographicPolicy,
@@ -327,6 +328,39 @@ class TestSharedSearchParity:
         assert [policy.place(job) for job in jobs] == expected
         assert policy.place_all(jobs) == expected
 
+    @pytest.mark.parametrize("path", ["place", "place_all"])
+    @pytest.mark.parametrize(
+        "policy_cls", [TemporalShiftingPolicy, TemporalGeographicPolicy]
+    )
+    @pytest.mark.parametrize(
+        "slack", [1e300, float(MAX_STARTS_PER_JOB)]
+    )
+    def test_unbounded_start_grid_is_a_scheduling_error(
+        self, slack, policy_cls, path
+    ):
+        """A slack whose grid would pass the per-job start cap (one past
+        it here, or an overflowing count) names the job instead of
+        failing inside numpy, on both paths alike."""
+        from repro.core.errors import SchedulingError
+
+        policy = policy_cls(make_service(10, 0.05), "A")
+        jobs = [
+            Job(
+                job_id=job_id,
+                user="u",
+                model=get_model("BERT"),
+                n_gpus=1,
+                duration_h=2.0,
+                submit_h=0.0,
+                slack_h=job_slack,
+                home_region="B",
+            )
+            for job_id, job_slack in ((3, 1.0), (41, slack))
+        ]
+        place = policy.place if path == "place" else policy.place_all
+        with pytest.raises(SchedulingError, match=r"job 41: a slack of "):
+            place(jobs[1] if path == "place" else jobs)
+
     @pytest.mark.parametrize("policy_key", sorted(ORACLES))
     def test_ties_go_to_the_first_region_and_start(self, policy_key):
         """On a flat grid every candidate scores the same, so the scan
@@ -402,7 +436,9 @@ class TestStartGrid:
             for submit, slack in zip(submits, slacks)
         ]
         sizes = np.array([grid.size for grid in grids], dtype=np.int64)
-        firsts, owner, starts = _start_grid(submits, slacks, step_h)
+        firsts, owner, starts = _start_grid(
+            submits, slacks, step_h, np.arange(len(jobs))
+        )
         assert np.array_equal(firsts, np.cumsum(sizes) - sizes)
         assert np.array_equal(owner, np.repeat(np.arange(len(grids)), sizes))
         expected = np.concatenate([np.empty(0), *grids])

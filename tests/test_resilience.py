@@ -448,10 +448,58 @@ class TestResume:
 
 
 # --- cache write-back -------------------------------------------------------
+def _section_grid() -> list:
+    """Four cells sharing their scheduling and upgrade sections: two
+    systems, each on two cluster simulators."""
+    cells = []
+    for system in ("frontier", "lumi"):
+        for simulator in ("fcfs", "backfill"):
+            cells.append(
+                Scenario()
+                .system(system)
+                .node("A100")
+                .region("ESO")
+                .seed(7)
+                .workload("synthetic", seed=11, horizon_h=24.0, total_gpus=8)
+                .policies(["temporal-shifting", "geographic"])
+                .upgrade("V100", "A100")
+                .cluster(2, simulator=simulator)
+            )
+    return cells
+
+
+def _cache_tree(cache_dir: pathlib.Path) -> dict:
+    """Relative path -> bytes of every entry under results/ and sections/."""
+    return {
+        str(path.relative_to(cache_dir)): path.read_bytes()
+        for top in ("results", "sections")
+        for path in sorted((cache_dir / top).rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.fixture()
+def parent_writes(monkeypatch):
+    """The paths this (the parent) process writes cache entries to."""
+    from repro.sweep.cache import ResultCache
+
+    written = []
+    real = ResultCache._write_atomic
+    parent = os.getpid()
+
+    def recording(self, path, payload):
+        if os.getpid() == parent:  # forked workers record nothing here
+            written.append(path)
+        return real(self, path, payload)
+
+    monkeypatch.setattr(ResultCache, "_write_atomic", recording)
+    return written
+
+
 class TestWriteback:
-    def test_pooled_workers_write_back_through_parent(self, tmp_path):
-        """Fresh pooled results land in the parent's cache under the
-        worker-reported fingerprint (no parent-side recomputation)."""
+    def test_pooled_workers_write_back_their_own_entries(self, tmp_path):
+        """Fresh pooled results land on disk under the worker-reported
+        fingerprint, and a fresh service serves them all."""
         cache_dir = tmp_path / "cache"
         service = SweepService(cache_dir=cache_dir)
         report = service.run(
@@ -462,6 +510,105 @@ class TestWriteback:
             assert service.cache.get(result.provenance_hash) is not None
         warm = SweepService(cache_dir=cache_dir).run(_cells())
         assert warm.n_ran == 0 and warm.n_hits == 3
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pooled_and_serial_caches_are_byte_identical(
+        self, workers, tmp_path, monkeypatch, parent_writes
+    ):
+        """A pooled sweep (shared store, retry, journal) writes the same
+        entries, byte for byte, and the same journal lines as a serial
+        one; its parent writes none of them.  With 4 workers every unit
+        runs at once, so workers race to write their shared sections."""
+        monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(tmp_path / "env"))
+        trees, journals = {}, {}
+        for executor in ("shared", "serial"):
+            cache_dir = tmp_path / executor
+            journal = tmp_path / f"{executor}.jsonl"
+            del parent_writes[:]
+            report = SweepService(cache_dir=cache_dir).run(
+                _section_grid(),
+                executor=executor,
+                max_workers=workers if executor == "shared" else None,
+                # The deadline bounds the test should a worker hang.
+                retry={"retries": 1, "unit_timeout_s": 60.0},
+                journal=journal,
+            )
+            assert report.ok and report.n_ran == 4
+            trees[executor] = _cache_tree(cache_dir)
+            journals[executor] = journal.read_text(encoding="utf-8")
+            if executor == "shared":
+                assert parent_writes == []
+            else:
+                # The serial parent writes every entry, each once.
+                assert sorted(
+                    str(path.relative_to(cache_dir)) for path in parent_writes
+                ) == sorted(trees[executor])
+        assert sum(name.startswith("results") for name in trees["serial"]) == 4
+        assert any(name.startswith("sections") for name in trees["serial"])
+        assert trees["shared"] == trees["serial"]
+        assert not list((tmp_path / "shared").rglob("*.tmp"))
+        assert journals["shared"] == journals["serial"]
+
+    def test_pooled_results_stay_in_the_parents_memory(
+        self, tmp_path, monkeypatch
+    ):
+        """The parent skips the disk write of a unit its worker stored,
+        but still remembers the result: a later lookup reads no file."""
+        from repro.sweep.cache import ResultCache
+
+        service = SweepService(cache_dir=tmp_path / "cache")
+        report = service.run(_cells(), executor="process", max_workers=2)
+        assert report.ok
+
+        def no_disk(self, fingerprint):
+            raise AssertionError("read a result from disk")
+
+        monkeypatch.setattr(ResultCache, "_load_entry", no_disk)
+        hits = service.cache.stats.hits
+        for result in report.results:
+            assert service.cache.get(result.provenance_hash) is result
+        assert service.cache.stats.hits == hits + 3
+        again = service.run(_cells(), executor="process", max_workers=2)
+        assert again.n_ran == 0 and again.n_hits == 3
+
+    def test_pooled_no_writeback_writes_nothing(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        report = SweepService(cache_dir=cache_dir).run(
+            _section_grid(),
+            executor="process",
+            max_workers=2,
+            cache_writeback=False,
+        )
+        assert report.ok and report.n_ran == 4
+        assert _cache_tree(cache_dir) == {}
+
+    def test_exhausted_unit_leaves_no_entry(self, tmp_path):
+        """A unit whose every attempt is corrupted fails and leaves no
+        result file; the other cells are written by their workers."""
+        cache_dir = tmp_path / "cache"
+        report = SweepService(cache_dir=cache_dir).run(
+            _cells(),
+            executor="process",
+            max_workers=2,
+            retry=1,
+            faults={"kind": "scripted", "corrupt_at": [1], "attempts": 2},
+        )
+        assert [failure.indices for failure in report.failures] == [(1,)]
+        written = {path.stem for path in (cache_dir / "results").glob("*/*.json")}
+        assert written == {
+            result.provenance_hash
+            for index, result in enumerate(report.results)
+            if index != 1
+        }
+
+    def test_worker_write_failure_raises(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "results").write_text("a regular file, not a directory")
+        with pytest.raises(SweepError, match="cannot write cache entry"):
+            SweepService(cache_dir=cache_dir).run(
+                _cells(), executor="process", max_workers=2
+            )
 
     def test_no_cache_writeback_escape_hatch(self, tmp_path):
         cache_dir = tmp_path / "cache"
