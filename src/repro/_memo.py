@@ -1,8 +1,8 @@
 """Bounded process-wide memos: one LRU type and one registry.
 
 Every process-wide memo in ``repro`` is a :class:`Memo`: the trace sets,
-the window tables, the live sections of delta runs, the generated and
-the parsed workload batches, and the caches pooled sweep workers open.
+the window tables, the generated and the parsed workload batches, and
+the caches pooled sweep workers open.
 A memo joins the registry under its name when it is constructed, so
 :func:`memo_info` reports every memo's counters and :func:`memo_clear`
 empties all of them: after it, the next run starts cold.  This module

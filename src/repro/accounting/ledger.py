@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -339,6 +339,54 @@ class CarbonLedger:
     def merge(self, other: "CarbonLedger") -> None:
         """Fold another ledger's batches into this one (shared arrays)."""
         self._batches.extend(other._batches)
+
+    # --- plain columns ----------------------------------------------------
+    def to_columns(self) -> List[Dict[str, Any]]:
+        """The ledger as plain JSON-able columns, one mapping per batch.
+
+        :meth:`from_columns` rebuilds it bit for bit, through JSON too
+        (``json`` writes each float as its shortest round-trip repr).
+        The lists are new objects: nothing aliases this ledger's arrays.
+        """
+        return [
+            {
+                "kind": batch.kind,
+                "policy": batch.policy,
+                "labels": None if batch.labels is None else list(batch.labels),
+                "regions": list(batch.regions),
+                "job_ids": (
+                    None if batch.job_ids is None else batch.job_ids.tolist()
+                ),
+                "carbon_g": batch.carbon_g.tolist(),
+                "energy_kwh": batch.energy_kwh.tolist(),
+            }
+            for batch in self._batches
+        ]
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Dict[str, Any]]) -> "CarbonLedger":
+        """Rebuild a ledger from :meth:`to_columns` output, with fresh
+        arrays, through the validating :meth:`add_batch`."""
+        ledger = cls()
+        for batch in columns:
+            job_ids = batch["job_ids"]
+            ledger.add_batch(
+                batch["kind"],
+                carbon_g=np.asarray(batch["carbon_g"], dtype=float),
+                energy_kwh=np.asarray(batch["energy_kwh"], dtype=float),
+                labels=batch["labels"],
+                regions=batch["regions"],
+                policy=batch["policy"],
+                job_ids=(
+                    None if job_ids is None
+                    else np.asarray(job_ids, dtype=np.int64)
+                ),
+            )
+        return ledger
+
+    def regions(self) -> List[Optional[str]]:
+        """Every entry's region, in insertion order."""
+        return [region for batch in self._batches for region in batch.regions]
 
     # --- totals ----------------------------------------------------------
     def _kind_total(self, kind: str) -> float:

@@ -254,7 +254,7 @@ def trace_cache_info():
 
 def trace_cache_clear() -> None:
     """Empty every process-wide memo (:func:`repro.memo_clear`): the
-    trace sets, the window tables built on them, the live sections delta
-    runs kept, the workload batches and the pooled workers' caches, so
-    the next run starts cold (tests, benchmarks and ablations)."""
+    trace sets, the window tables built on them, the workload batches
+    and the pooled workers' caches, so the next run starts cold (tests,
+    benchmarks and ablations)."""
     memo_clear()

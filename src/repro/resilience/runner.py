@@ -52,7 +52,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ResilienceError
@@ -564,6 +564,7 @@ def run_resilient(
     injector=None,
     max_rebuilds: int = DEFAULT_MAX_REBUILDS,
     on_unit_done=None,
+    store_dir=None,
 ) -> ResilientRun:
     """Run work units fault-tolerantly through an executor backend.
 
@@ -572,7 +573,10 @@ def run_resilient(
     a :class:`~repro.session.executors.PoolExecutor` gets per-unit
     futures with crash recovery; any other engine is called once per
     unit under the parent-side attempt loop.  ``on_unit_done(outcome)``
-    fires as each unit settles, in dispatch order.
+    fires as each unit settles, in dispatch order.  ``store_dir`` is
+    where a shared-store engine whose options name no ``store_dir``
+    keeps its trace store (the sweep service passes its cache
+    directory's ``store/``).
     """
     units = list(units)
     if not units:
@@ -589,6 +593,8 @@ def run_resilient(
 
     engine = resolve_backend("executor", executor)(**(executor_opts or {}))
     if isinstance(engine, PoolExecutor):
+        if engine.shared and engine.store_dir is None and store_dir is not None:
+            engine = replace(engine, store_dir=store_dir)
         return _run_pooled(
             units,
             config=engine,

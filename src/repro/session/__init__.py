@@ -35,7 +35,7 @@ from repro.session.registry import registry as registry
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.session.scenario": ("Scenario",),
-    "repro.session.session": ("Session", "run_scenario", "live_section_info"),
+    "repro.session.session": ("Session", "run_scenario"),
     "repro.session.result": (
         "ScenarioResult", "EmbodiedSection", "TrainingSection",
         "SchedulingSection", "PolicyOutcome", "ClusterSection",

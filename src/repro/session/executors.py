@@ -146,8 +146,10 @@ class PoolExecutor:
 
     max_workers: int
     shared: bool = False
-    #: The shared trace store directory (default: the sweep cache's
-    #: ``store/``); ignored unless ``shared``.
+    #: The shared trace store directory (default: ``store/`` under a
+    #: sweep's on-disk cache directory, else under
+    #: ``$REPRO_HPC_CACHE_DIR`` or ``~/.cache/repro-hpc``); ignored
+    #: unless ``shared``.
     store_dir: Any = None
 
     def __call__(self, items: Sequence[_SweepItem]) -> List["ScenarioResult"]:
@@ -226,7 +228,8 @@ def shared_executor(
 
     Like ``process``, but the parent serializes every sweep seed's trace
     set to memory-mapped ``.npy`` files under ``store_dir`` (default:
-    the sweep cache's ``store/`` directory) before the pool starts, and
+    ``store/`` under the sweep's on-disk cache directory, see
+    :attr:`PoolExecutor.store_dir`) before the pool starts, and
     each worker attaches a :class:`repro.sweep.store.SharedTraceStore`
     instead of regenerating traces from scratch.
     """

@@ -35,7 +35,6 @@ import importlib
 import threading
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from repro._memo import memo_clear
 from repro.core.errors import SessionError, UnknownBackendError
 
 __all__ = [
@@ -144,11 +143,6 @@ class BackendRegistry:
                 norms.append(norm)
             for norm in norms:
                 table[norm] = factory
-        if replace:
-            # A replaced key names different code, so the live sections
-            # of delta runs computed under it are stale.  Cleared by
-            # name: the registry loads no session code.
-            memo_clear("session.live_sections")
 
     def add_row(
         self, kind: str, key: str, target: str, *, aliases: Iterable[str] = ()

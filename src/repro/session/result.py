@@ -37,6 +37,8 @@ __all__ = [
     "CarbonSection",
     "ScenarioResult",
     "SECTION_TYPES",
+    "LEDGER_SECTIONS",
+    "dump_section",
     "load_section",
 ]
 
@@ -114,6 +116,10 @@ class SchedulingSection:
     outcomes: Tuple[PolicyOutcome, ...]
     #: Live per-job evaluations keyed by policy name; not serialized.
     evaluations: Any = field(default=None, compare=False, repr=False)
+    #: The best policy's operational ledger, which the carbon rollup
+    #: merges (its regions are the placement regions); not serialized,
+    #: but carried by the section-tier payload (:func:`dump_section`).
+    ledger: Any = field(default=None, compare=False, repr=False)
 
     def best(self) -> PolicyOutcome:
         if not self.outcomes:
@@ -147,6 +153,10 @@ class UpgradeSection:
     savings_at_lifetime: float
     verdict: str
     rationale: str
+    #: The decision's keep/upgrade ledger, which the carbon rollup
+    #: reads; not serialized, but carried by the section-tier payload
+    #: (:func:`dump_section`).
+    ledger: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,27 @@ SECTION_TYPES: Dict[str, Any] = {
 }
 
 
+#: Sections whose section-tier payload also carries the ledger the
+#: carbon rollup reads from them (see :func:`dump_section`).
+LEDGER_SECTIONS = ("scheduling", "upgrade")
+
+
+def dump_section(name: str, section) -> Optional[Dict[str, Any]]:
+    """One section's section-tier payload: its ``to_dict`` form, plus,
+    for :data:`LEDGER_SECTIONS`, its ledger as plain JSON columns under
+    ``"ledger"`` (:meth:`~repro.accounting.CarbonLedger.to_columns`).
+
+    :func:`load_section` restores that ledger, so a delta run rebuilds
+    the carbon rollup from cached sections alone.
+    """
+    if section is None:
+        return None
+    payload = ScenarioResult._plain(section)
+    if name in LEDGER_SECTIONS and section.ledger is not None:
+        payload["ledger"] = section.ledger.to_columns()
+    return payload
+
+
 def load_section(name: str, payload: Optional[Mapping[str, Any]]):
     """Rebuild one typed section from its ``to_dict`` payload.
 
@@ -205,7 +236,9 @@ def load_section(name: str, payload: Optional[Mapping[str, Any]]):
     non-compared fields (``evaluations``, ``result``, ``ledger``) —
     exactly what :meth:`ScenarioResult.from_dict` produces, so a
     section assembled from the cache serializes to the same bytes a
-    recompute would.
+    recompute would.  A :func:`dump_section` payload's ledger columns
+    come back as a new :class:`~repro.accounting.CarbonLedger` with
+    arrays of its own.
     """
     if payload is None:
         return None
@@ -215,6 +248,10 @@ def load_section(name: str, payload: Optional[Mapping[str, Any]]):
         payload["outcomes"] = tuple(
             PolicyOutcome(**o) for o in payload.get("outcomes", ())
         )
+    if name in LEDGER_SECTIONS and payload.get("ledger") is not None:
+        from repro.accounting import CarbonLedger
+
+        payload["ledger"] = CarbonLedger.from_columns(payload["ledger"])
     return section_cls(**payload)
 
 
@@ -238,10 +275,11 @@ class ScenarioResult:
     #: compared, so cached and recomputed results stay equal.
     provenance_hash: Optional[str] = field(default=None, compare=False, repr=False)
     #: Sections this run computed live under delta evaluation:
-    #: ``{section_name: (section_fingerprint, payload_or_None)}``.
-    #: Stamped by ``Session.run(reuse=...)`` so sweep workers can ship
-    #: fresh section payloads back for the parent to cache; not
-    #: serialized and not compared (plain full runs leave it ``None``).
+    #: ``{section_name: (section_fingerprint, payload_or_None)}``, each
+    #: payload a :func:`dump_section` one.  Stamped by
+    #: ``Session.run(reuse=...)`` for the sweep service (or a pool
+    #: worker) to write to the section tier; not serialized and not
+    #: compared (plain full runs leave it ``None``).
     fresh_sections: Optional[Dict[str, Tuple[str, Optional[Dict[str, Any]]]]] = field(
         default=None, compare=False, repr=False
     )

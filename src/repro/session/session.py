@@ -16,25 +16,24 @@ process-wide trace-set memo in :mod:`repro.intensity.generator`, so a
 window tables built on those traces are shared the same way, through
 the process-wide table memo in :mod:`repro.intensity.api`: each table
 identity (trace content, seed, forecast error, region, window) is built
-once per process, whichever session asks first.  Delta runs
-(``run(reuse=cache)``) also keep the live values of the sections the
-carbon rollup reads unserialized (:func:`live_section_info`), so a
-sweep computes each distinct scheduling and upgrade section once per
-process.
-
-Each of these, like the workload layer's batch memos, is a bounded
+once per process, whichever session asks first.  Each of these, like
+the workload layer's batch memos, is a bounded
 :class:`repro._memo.Memo`: :func:`repro.memo_info` reports their
 counters and :func:`repro.memo_clear` empties them all.
+
+Delta runs (``run(reuse=cache)``) assemble the result from a section
+cache and run only the stale sections.  The carbon rollup reads the
+scheduling and upgrade sections' ledgers, which their section-tier
+payloads carry (:func:`~repro.session.result.dump_section`), so a
+cached copy serves the rollup as well as a live one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
-from collections import namedtuple
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro._memo import Memo
 from repro.core.config import default_config, get_config
 from repro.core.errors import SessionError, SweepError
 from repro.session.fingerprint import (
@@ -44,6 +43,7 @@ from repro.session.fingerprint import (
 )
 from repro.session.registry import resolve_backend
 from repro.session.result import (
+    LEDGER_SECTIONS,
     CarbonSection,
     ClusterSection,
     EmbodiedSection,
@@ -53,6 +53,7 @@ from repro.session.result import (
     SchedulingSection,
     TrainingSection,
     UpgradeSection,
+    dump_section,
     load_section,
 )
 from repro.session.scenario import BASELINE_POLICY, Scenario
@@ -61,7 +62,7 @@ from repro.session.types import SystemDeployment
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.intensity.api import CarbonIntensityService
 
-__all__ = ["Session", "create_workload_source", "live_section_info", "run_scenario"]
+__all__ = ["Session", "create_workload_source", "run_scenario"]
 
 #: The module each optional section's runner executes.  ``build`` imports
 #: those of the sections a scenario enables, so ``run`` imports nothing.
@@ -71,60 +72,6 @@ _SECTION_MODULES = {
     "cluster": "repro.cluster.simulator",
     "upgrade": "repro.upgrade.advisor",
 }
-
-LiveSectionInfo = namedtuple("LiveSectionInfo", "hits misses entries")
-
-#: Live section values by ``(section name, section fingerprint)``, the
-#: key the sweep cache's section tier stores payloads under; values are
-#: what the section runner returned (see :meth:`Session._run_delta`).
-#: 64 entries, the trace-set memo's cap: a canonical-size scheduling
-#: section (4 policies x 2325 jobs) holds about 0.43 MB, so a full memo
-#: stays under about 28 MB.
-_LIVE_SECTIONS = Memo("session.live_sections", 64)
-
-
-def live_section_info() -> LiveSectionInfo:
-    """Counters of the process-wide live-section memo.
-
-    ``hits`` count the section runs a delta run served from the memo,
-    ``misses`` those it had to compute; ``entries`` is what the memo
-    holds now.  Plain ``Session.run()`` neither reads nor fills it.
-    :func:`repro.memo_clear` (and so
-    :func:`repro.intensity.generator.trace_cache_clear`) and
-    ``register_backend(..., replace=True)`` empty the memo and reset the
-    counters.
-    """
-    info = _LIVE_SECTIONS.info()
-    return LiveSectionInfo(info.hits, info.misses, info.entries)
-
-
-def _detached(name: str, value):
-    """``value`` as the memo may keep or serve it: no two results share
-    a mutable object with each other or with the memo.
-
-    Only a scheduling section reaches a result with live objects
-    (through ``evaluations``).  Its copy holds its own per-job columns
-    and fresh ledgers over the same charge batches, so writing into one
-    result's columns or appending to its ledgers changes no other.  The
-    upgrade decision and the cluster simulation never reach a result
-    (the rollup merges their ledgers into a fresh one).
-    """
-    if name != "scheduling":
-        return value
-    from repro.accounting import CarbonLedger
-
-    evaluations = {}
-    for policy, evaluation in value.evaluations.items():
-        ledger = CarbonLedger()
-        ledger.merge(evaluation.ledger)
-        evaluations[policy] = dataclasses.replace(
-            evaluation,
-            energy_kwh=evaluation.energy_kwh.copy(),
-            carbon_g=evaluation.carbon_g.copy(),
-            delay_h=evaluation.delay_h.copy(),
-            ledger=ledger,
-        )
-    return dataclasses.replace(value, evaluations=evaluations)
 
 
 def create_workload_source(
@@ -671,12 +618,17 @@ class Session:
             )
             for name, ev in evaluations.items()
         )
-        return SchedulingSection(
+        section = SchedulingSection(
             baseline=baseline_name,
             n_jobs=len(jobs),
             gpu_hours=jobs.total_gpu_hours(),
             outcomes=outcomes,
             evaluations=evaluations,
+        )
+        # The ledger the carbon rollup merges rides on the section, so
+        # the section tier can store it with the payload.
+        return dataclasses.replace(
+            section, ledger=evaluations[section.best().policy].ledger
         )
 
     def _run_cluster(self, jobs) -> Tuple[Optional[ClusterSection], Any]:
@@ -720,10 +672,10 @@ class Session:
         )
         return section, sim
 
-    def _run_upgrade(self) -> Tuple[Optional[UpgradeSection], Any]:
+    def _run_upgrade(self) -> Optional[UpgradeSection]:
         s = self._scenario
         if s._upgrade is None:
-            return None, None
+            return None
         from repro.upgrade.advisor import UpgradeAdvisor
 
         advisor = UpgradeAdvisor(
@@ -738,7 +690,7 @@ class Session:
             s._upgrade["suite"],
             lifetime_years=s._lifetime_years,
         )
-        section = UpgradeSection(
+        return UpgradeSection(
             old=decision.old,
             new=decision.new,
             suite=decision.suite.value,
@@ -747,8 +699,8 @@ class Session:
             savings_at_lifetime=decision.savings_at_lifetime,
             verdict=decision.verdict.value,
             rationale=decision.rationale,
+            ledger=decision.ledger,
         )
-        return section, decision
 
     def _run_carbon(
         self,
@@ -759,7 +711,7 @@ class Session:
         scheduling: Optional[SchedulingSection],
         cluster: Optional[ClusterSection],
         cluster_sim,
-        upgrade_decision,
+        upgrade: Optional[UpgradeSection],
     ) -> Optional[CarbonSection]:
         """Roll every charged section up into the unified carbon account.
 
@@ -769,6 +721,10 @@ class Session:
         Workload-scale primaries add the amortized embodied share of
         the hardware they occupied (the model-card LCA attribution), so
         scheduling results and audits finally speak one Eq. 1 currency.
+
+        Only sections are read, live or cache-assembled: the scheduling
+        and upgrade ledgers ride on their sections.  ``jobs`` feed the
+        scheduling primary's embodied proration.
         """
         from repro.accounting import CarbonLedger
 
@@ -783,10 +739,10 @@ class Session:
             best = scheduling.best()
             for outcome in scheduling.outcomes:
                 by_source[f"scheduling:{outcome.policy}"] = outcome.carbon_g
-            evaluation = scheduling.evaluations[best.policy]
+            # The best policy's one operational batch, aligned with the
+            # jobs: its regions are where each job ran.
             primary = CarbonLedger()
-            if evaluation.ledger is not None:
-                primary.merge(evaluation.ledger)
+            primary.merge(scheduling.ledger)
             operational = primary.operational_g
             # The model-card LCA proration (amortized_embodied_g), applied
             # per job over its occupied GPU share, vectorized.
@@ -804,7 +760,7 @@ class Session:
             primary.add_batch(
                 "embodied",
                 carbon_g=amortized,
-                regions=evaluation.placements.region_names(),
+                regions=primary.regions(),
                 policy=best.policy,
                 job_ids=jobs.job_ids,
             )
@@ -864,17 +820,17 @@ class Session:
                 embodied_g = audit.embodied_total_g
                 source = "audit"
 
-        if upgrade_decision is not None and upgrade_decision.ledger is not None:
-            for policy, grams in upgrade_decision.ledger.by_policy().items():
+        if upgrade is not None and upgrade.ledger is not None:
+            for policy, grams in upgrade.ledger.by_policy().items():
                 by_source[f"upgrade:{policy}"] = grams
             if primary is None:
                 # The recommendation's own account: the upgrade
                 # alternative (embodied tax + new-node operation),
                 # merged into a fresh ledger like the other primaries,
-                # so the result never holds the decision's own ledger
-                # (a delta run may serve that decision again).
+                # so appending to the rollup's ledger never changes
+                # the section's.
                 primary = CarbonLedger()
-                primary.merge(upgrade_decision.ledger)
+                primary.merge(upgrade.ledger)
                 operational = sum(
                     e.carbon_g
                     for e in primary
@@ -939,20 +895,15 @@ class Session:
         fingerprints are computed only when ``reuse`` is given, and
         ``fresh_sections`` stays ``None`` when none were.
 
-        Sections the rollup needs *live* — their non-serialized ledgers
-        feed ``_run_carbon`` — are forced live whenever the rollup
-        itself is stale: scheduling (the primary account's evaluations
-        and per-job embodied proration) and upgrade (its by-policy
-        ledger rows).  Everything else rebuilds from its ``to_dict``
-        payload, which is all the rollup reads from it.
-
-        Those live sections come from the process-wide memo
-        (:func:`live_section_info`) when this process already computed
-        them under the same section fingerprint; their runner executes
-        only on a miss, and its value is kept once it returns.  A memo
-        hit the cache's tiers lacked still counts as fresh (it lands in
-        ``fresh_sections`` for write-back); the cache's hit and miss
-        counters never see the memo.
+        The carbon rollup reads only sections, live or cached: the
+        scheduling and upgrade payloads the section tier holds carry
+        their ledgers (:func:`~repro.session.result.dump_section`), so
+        a stale rollup recomputes neither.  A hit without its ledger
+        (a ``reuse`` object that stores plain ``to_dict`` payloads) is
+        recomputed, and so is the cluster section for a rollup whose
+        primary account would be the live simulation.  The jobs are
+        generated whenever scheduling, the cluster or the rollup runs
+        (the rollup prorates embodied carbon over them).
         """
         try:
             fingerprint = self.fingerprint()
@@ -971,33 +922,19 @@ class Session:
                 if hit:
                     cached[name] = payload
         live = {name for name in RESULT_SECTIONS if name not in cached}
-        # The sections whose live values the rollup reads.
-        rollup_live = set()
-        if s._workload is not None:
-            rollup_live.add("scheduling")
-        if s._upgrade is not None:
-            rollup_live.add("upgrade")
-        if s._cluster_nodes is not None and s._workload is None:
-            # Defensive: validation makes a cluster imply a workload
-            # (and thus a scheduling primary), but a cluster-primary
-            # rollup would need the live simulation's ledger.
-            rollup_live.add("cluster")
         if "carbon" in live:
-            live |= rollup_live
-
-        def run_live(name: str, runner, *args):
-            if fps is None or name not in rollup_live:
-                return runner(*args)
-            key = (name, fps[name])
-            value = _LIVE_SECTIONS.get(key)
-            if value is not None:
-                return _detached(name, value)
-            value = runner(*args)
-            _LIVE_SECTIONS.put(key, _detached(name, value))
-            return value
+            for name in LEDGER_SECTIONS:
+                payload = cached.get(name)
+                if payload is not None and payload.get("ledger") is None:
+                    live.add(name)
+            if s._cluster_nodes is not None and s._workload is None:
+                # Defensive: validation makes a cluster imply a workload
+                # (and thus a scheduling primary), but a cluster-primary
+                # rollup would need the live simulation's ledger.
+                live.add("cluster")
 
         needs_jobs = s._workload is not None and bool(
-            {"scheduling", "cluster"} & live
+            {"scheduling", "cluster", "carbon"} & live
         )
         jobs = self._jobs() if needs_jobs else []
         embodied = (
@@ -1016,24 +953,24 @@ class Session:
             else load_section("training", cached["training"])
         )
         scheduling = (
-            run_live("scheduling", self._run_scheduling, jobs)
+            self._run_scheduling(jobs)
             if "scheduling" in live
             else load_section("scheduling", cached["scheduling"])
         )
         if "cluster" in live:
-            cluster, cluster_sim = run_live("cluster", self._run_cluster, jobs)
+            cluster, cluster_sim = self._run_cluster(jobs)
         else:
             cluster = load_section("cluster", cached["cluster"])
             cluster_sim = None
-        if "upgrade" in live:
-            upgrade, upgrade_decision = run_live("upgrade", self._run_upgrade)
-        else:
-            upgrade = load_section("upgrade", cached["upgrade"])
-            upgrade_decision = None
+        upgrade = (
+            self._run_upgrade()
+            if "upgrade" in live
+            else load_section("upgrade", cached["upgrade"])
+        )
         if "carbon" in live:
             carbon = self._run_carbon(
                 jobs, embodied, audit, training, scheduling, cluster,
-                cluster_sim, upgrade_decision,
+                cluster_sim, upgrade,
             )
         else:
             carbon = load_section("carbon", cached["carbon"])
@@ -1049,12 +986,7 @@ class Session:
         fresh = None
         if fps is not None:
             fresh = {
-                name: (
-                    fps[name],
-                    None
-                    if sections[name] is None
-                    else ScenarioResult._plain(sections[name]),
-                )
+                name: (fps[name], dump_section(name, sections[name]))
                 for name in live
                 if name not in cached  # force-recomputed hits need no write
             }

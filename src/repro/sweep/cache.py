@@ -23,9 +23,11 @@ Since PR 10 the cache carries a third axis: a **section tier** keyed by
 ``(section_name, section_fingerprint)`` holding each section's
 ``to_dict`` payload (``sections/<name>/<shard>/<fingerprint>.json`` on
 disk, the same LRU discipline in memory, per-section hit/miss/evict
-stats).  ``Session.run(reuse=cache)`` assembles results from it,
-recomputing only sections whose inputs changed — the sweep service's
-delta-evaluation path.
+stats).  The scheduling and upgrade payloads also carry, as plain JSON
+columns, the ledgers the carbon rollup reads.
+``Session.run(reuse=cache)`` assembles results from it, recomputing only
+sections whose inputs changed — the sweep service's delta-evaluation
+path.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ __all__ = [
 CACHE_SCHEMA = 1
 
 #: On-disk section-entry layout version (independent of the whole-result
-#: schema: the two tiers evolve separately).
-SECTION_CACHE_SCHEMA = 1
+#: schema: the two tiers evolve separately).  Schema 2 payloads of the
+#: scheduling and upgrade sections carry the ledger the carbon rollup
+#: reads (``repro.session.result.dump_section``).
+SECTION_CACHE_SCHEMA = 2
 
 #: Fallback in-memory LRU capacity (see :func:`default_memory_slots`).
 DEFAULT_MEMORY_SLOTS = 256
@@ -276,13 +280,28 @@ class ResultCache:
         ``disk=False`` stops at the memory tier: the sweep service passes
         it for a unit whose pool worker already wrote the disk entry.
         """
-        fingerprint = self._check_fingerprint(fingerprint)
+        self._remember(
+            self._check_fingerprint(fingerprint), self._check_result(result)
+        )
+        if disk:
+            self.write_entry(fingerprint, result)
+
+    @staticmethod
+    def _check_result(result: ScenarioResult) -> ScenarioResult:
         if not isinstance(result, ScenarioResult):
             raise SweepError(
                 f"cache stores ScenarioResult, got {type(result).__name__}"
             )
-        self._remember(fingerprint, result)
-        if self._dir is None or not disk:
+        return result
+
+    def write_entry(self, fingerprint: str, result: ScenarioResult) -> None:
+        """Write ``result``'s disk entry alone, leaving the memory tier
+        as it is (nothing happens for a memory-only cache): a pooled
+        worker stores its units' results this way, since it never reads
+        one back."""
+        fingerprint = self._check_fingerprint(fingerprint)
+        self._check_result(result)
+        if self._dir is None:
             return
         payload: Dict[str, object] = {
             "schema": CACHE_SCHEMA,

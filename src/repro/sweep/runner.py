@@ -196,8 +196,8 @@ def _coerce_injector(value):
     )
 
 
-#: The cache a pooled worker opens, by directory, so it reads and writes
-#: through one memory tier across its units (one directory per pass).
+#: The cache a pooled worker opens, by directory, so its units read the
+#: sections it wrote through one memory tier (one directory per pass).
 _WORKER_CACHES = Memo("sweep.worker_caches", 8)
 
 
@@ -284,7 +284,8 @@ class _PlannedItem:
         if not self._writeback or self._cache_dir is None or fingerprint is None:
             return False
         cache = _worker_cache(self._cache_dir)
-        cache.put(fingerprint, result)
+        # The worker reads sections back, but never a result.
+        cache.write_entry(fingerprint, result)
         for name, (fp, payload) in (result.fresh_sections or {}).items():
             cache.put_section(name, fp, payload)
         return True
@@ -631,6 +632,7 @@ class SweepService:
                         outcome.fingerprint, name=outcome.unit.name
                     )
 
+            cache_dir = None if self._cache is None else self._cache.cache_dir
             n_rebuilds = run_resilient(
                 units,
                 executor=key,
@@ -639,6 +641,7 @@ class SweepService:
                 injector=injector,
                 max_rebuilds=rebuild_budget,
                 on_unit_done=_on_unit_done,
+                store_dir=None if cache_dir is None else cache_dir / "store",
             ).rebuilds
 
         after = self._cache.stats if self._cache is not None else CacheStats()

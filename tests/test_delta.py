@@ -13,28 +13,44 @@ The load-bearing pins:
   serializes to exactly the bytes a full recompute produces, across
   every cached-section combination;
 * **section tier** — the ``(section, fingerprint)`` cache obeys the
-  same LRU/atomic-write/fail-soft contract as the whole-result tier.
+  same LRU/atomic-write/fail-soft contract as the whole-result tier;
+  its scheduling and upgrade payloads carry the ledgers the carbon
+  rollup reads, bit for bit, so a delta pass in a fresh process
+  recomputes no cached section.
 """
 
 from __future__ import annotations
 
+import collections
 import json
+import multiprocessing
 import pathlib
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.accounting import CarbonLedger
+from repro.accounting.ledger import KINDS
 from repro.cluster import WorkloadParams
 from repro.core.errors import SweepError
-from repro.session import Scenario
+from repro.intensity.api import CarbonIntensityService
+from repro.session import Scenario, Session
 from repro.session.fingerprint import (
     KNOB_SECTIONS,
     RESULT_SECTIONS,
     SECTION_KNOBS,
     _SCENARIO_KNOBS,
 )
-from repro.session.result import ScenarioResult, load_section
+from repro.session.result import (
+    SchedulingSection,
+    ScenarioResult,
+    dump_section,
+    load_section,
+)
 from repro.sweep import ResultCache, SweepService
 from repro.sweep.cache import default_memory_slots
 
@@ -209,12 +225,9 @@ class TestDeltaAssembly:
     )
     def test_warm_delta_equals_full(self, tmp_path, over, expect_fresh):
         """After warming on the base cell, a knob flip recomputes only
-        the dependent sections — byte-identical to a full run.
-
-        (A stale carbon rollup force-recomputes ``scheduling`` for its
-        live ledger, but scheduling's unchanged fingerprint keeps it out
-        of ``fresh_sections`` — the cache already holds that payload.)
-        """
+        the dependent sections — byte-identical to a full run.  (A stale
+        carbon rollup reads the ledger the cached scheduling payload
+        carries, so scheduling stays served.)"""
         cache = ResultCache(tmp_path / "c")
         _warm(cache, _scenario())
         delta = _scenario(**over).build().run(reuse=cache)
@@ -389,6 +402,271 @@ class TestSectionTier:
         cache.put_section("carbon", "cd" * 32, None)
         listed = [(s, fp) for s, fp, _path in cache.section_entries()]
         assert listed == [("embodied", "ab" * 32), ("carbon", "cd" * 32)]
+
+
+_REGION_CODES = st.sampled_from(["ESO", "CISO", "PJM", None])
+_GRAMS = st.floats(
+    min_value=0.0, max_value=1e15, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _ledger_batches(draw):
+    """``add_batch`` keyword sets: mixed, repeated and ``None`` regions
+    (shared or per entry), several policies and repeated job ids."""
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 6))
+        column = st.lists(_GRAMS, min_size=n, max_size=n)
+        batches.append(
+            {
+                "kind": draw(st.sampled_from(KINDS)),
+                "carbon_g": np.asarray(draw(column), dtype=float),
+                "energy_kwh": draw(
+                    st.none() | column.map(lambda v: np.asarray(v, dtype=float))
+                ),
+                "labels": draw(
+                    st.none()
+                    | st.lists(
+                        st.text("job:0123456789", max_size=6),
+                        min_size=n, max_size=n,
+                    )
+                ),
+                "regions": draw(
+                    _REGION_CODES
+                    | st.lists(_REGION_CODES, min_size=n, max_size=n)
+                ),
+                "policy": draw(
+                    st.sampled_from(["carbon-oblivious", "geographic", "keep", None])
+                ),
+                "job_ids": draw(
+                    st.none()
+                    | st.lists(st.integers(0, 5), min_size=n, max_size=n).map(
+                        np.asarray
+                    )
+                ),
+            }
+        )
+    return batches
+
+
+def _ledger_bits(ledger: CarbonLedger) -> dict:
+    """Every attribution table, total and entry, floats as ``float.hex``
+    and tables in their insertion order."""
+
+    def table(values) -> list:
+        return [(key, grams.hex()) for key, grams in values.items()]
+
+    return {
+        "by_region": table(ledger.by_region()),
+        "by_policy": table(ledger.by_policy()),
+        "by_kind": table(ledger.by_kind()),
+        "by_job": table(ledger.by_job()),
+        "totals": [
+            ledger.total_carbon_g.hex(),
+            ledger.total_energy_kwh.hex(),
+            ledger.operational_g.hex(),
+            ledger.embodied_g.hex(),
+        ],
+        "entries": [
+            (e.kind, e.label, e.carbon_g.hex(), e.energy_kwh.hex(), e.region,
+             e.policy, e.job_id)
+            for e in ledger
+        ],
+    }
+
+
+class TestLedgerColumns:
+    @given(batches=_ledger_batches())
+    @settings(deadline=None, max_examples=60)
+    def test_section_entry_round_trip_is_bit_identical(self, batches):
+        """A ledger written with a scheduling section entry and read back
+        from disk by a fresh cache attributes every gram identically."""
+        ledger = CarbonLedger()
+        for batch in batches:
+            ledger.add_batch(batch.pop("kind"), **batch)
+        section = SchedulingSection(
+            baseline="carbon-oblivious", n_jobs=0, gpu_hours=0.0,
+            outcomes=(), ledger=ledger,
+        )
+        fp = "ab" * 32
+        with tempfile.TemporaryDirectory() as root:
+            ResultCache(root).put_section(
+                "scheduling", fp, dump_section("scheduling", section)
+            )
+            hit, payload = ResultCache(root).get_section("scheduling", fp)
+        assert hit
+        rebuilt = load_section("scheduling", payload)
+        assert rebuilt == section  # the serialized fields
+        assert rebuilt.ledger is not ledger
+        assert _ledger_bits(rebuilt.ledger) == _ledger_bits(ledger)
+
+    def test_to_dict_carries_no_ledger(self):
+        result = _scenario().build().run()
+        payload = result.to_dict()["scheduling"]
+        assert "ledger" not in payload
+        assert dump_section("scheduling", result.scheduling) == {
+            **payload, "ledger": result.scheduling.ledger.to_columns()
+        }
+        assert dump_section("cluster", result.cluster) == (
+            result.to_dict()["cluster"]
+        )
+
+
+def _simulator_grid(simulator: str) -> list:
+    """Four small cells: two systems x two regions, sharing each
+    region's scheduling and upgrade sections."""
+    return [
+        Scenario()
+        .system(system)
+        .node("A100")
+        .region(region)
+        .seed(7)
+        .workload("synthetic", seed=11, horizon_h=24.0, total_gpus=8)
+        .policies(["temporal-shifting", "geographic"])
+        .upgrade("V100", "A100")
+        .cluster(2, simulator=simulator)
+        for system in ("frontier", "lumi")
+        for region in ("ESO", "CISO")
+    ]
+
+
+#: The calls a delta pass that flips only the simulator must not make.
+_RECOMPUTES = (
+    (Session, "_run_scheduling"),
+    (Session, "_run_upgrade"),
+    (CarbonIntensityService, "_build_score_table"),
+)
+
+
+def _log_calls(monkeypatch, log: pathlib.Path) -> None:
+    """Append each :data:`_RECOMPUTES` call's name to ``log``; pool
+    workers forked from this process log theirs too."""
+    for owner, attr in _RECOMPUTES:
+        original = owner.__dict__[attr]
+
+        def logging(*args, _original=original, _attr=attr, **kwargs):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(_attr + "\n")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, logging)
+
+
+def _logged(log: pathlib.Path) -> collections.Counter:
+    if not log.exists():
+        return collections.Counter()
+    return collections.Counter(log.read_text(encoding="utf-8").split())
+
+
+class TestFreshProcessDelta:
+    @pytest.mark.parametrize("executor", ["serial", "shared"])
+    def test_delta_after_memo_clear_recomputes_no_cached_section(
+        self, executor, tmp_path, monkeypatch
+    ):
+        """What a fresh ``sweep run --delta`` process sees: the memos are
+        empty, and the scheduling and upgrade sections come from the
+        section tier with their ledgers, so only the cluster and the
+        rollup run.  Both engines match a cache-free run byte for byte."""
+        monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(tmp_path / "env"))
+        options = (
+            {} if executor == "serial"
+            else {"executor": "shared", "max_workers": 2}
+        )
+        log = tmp_path / "calls.log"
+        _log_calls(monkeypatch, log)
+        # Pool workers inherit the logging wrappers only when forked.
+        logs_workers = (
+            executor == "serial" or multiprocessing.get_start_method() == "fork"
+        )
+        repro.memo_clear()
+        cold = SweepService(cache_dir=tmp_path / "c").run(
+            _simulator_grid("fcfs"), **options
+        )
+        if logs_workers:
+            assert set(_logged(log)) == {attr for _, attr in _RECOMPUTES}
+        log.unlink(missing_ok=True)
+        repro.memo_clear()
+        delta = SweepService(cache_dir=tmp_path / "c").run(
+            _simulator_grid("backfill"), **options
+        )
+        assert cold.ok and delta.ok and delta.n_ran == 4
+        assert _logged(log) == collections.Counter()
+        reference = SweepService(cache=False)
+        for report, simulator in ((cold, "fcfs"), (delta, "backfill")):
+            truth = reference.run(_simulator_grid(simulator))
+            assert [_canon(r) for r in report.results] == [
+                _canon(r) for r in truth.results
+            ]
+        served = delta.results[0].scheduling
+        assert served.evaluations is None and served.ledger is not None
+
+
+class _PlainPayloads:
+    """A ``reuse`` object serving ``to_dict`` payloads: scheduling hits
+    without the ledger the section tier stores with them."""
+
+    def __init__(self, cache: ResultCache) -> None:
+        self._cache = cache
+
+    def get_section(self, name, fingerprint):
+        hit, payload = self._cache.get_section(name, fingerprint)
+        if hit and name == "scheduling" and payload is not None:
+            payload = {k: v for k, v in payload.items() if k != "ledger"}
+        return hit, payload
+
+
+class TestLedgerFallback:
+    def _count_scheduling(self, monkeypatch) -> dict:
+        calls = {"scheduling": 0}
+        original = Session.__dict__["_run_scheduling"]
+
+        def counting(self, jobs):
+            calls["scheduling"] += 1
+            return original(self, jobs)
+
+        monkeypatch.setattr(Session, "_run_scheduling", counting)
+        return calls
+
+    def test_schema_1_section_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """An entry written before payloads carried ledgers reads as a
+        miss, so the section is recomputed and written afresh."""
+        root = tmp_path / "c"
+        cache = ResultCache(root)
+        _warm(cache, _scenario())
+        fp = _scenario().build().section_fingerprints()["scheduling"]
+        path = root / "sections" / "scheduling" / fp[:2] / f"{fp}.json"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        del entry["payload"]["ledger"]
+        entry["schema"] = 1
+        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        fresh = ResultCache(root)
+        assert fresh.get_section("scheduling", fp) == (False, None)
+        assert fresh.section_stats["scheduling"].errors == 1
+        calls = self._count_scheduling(monkeypatch)
+        delta = _scenario(simulator="columnar").build().run(reuse=fresh)
+        assert calls["scheduling"] == 1
+        assert "scheduling" in delta.fresh_sections
+        assert _canon(delta) == _canon(
+            _scenario(simulator="columnar").build().run()
+        )
+
+    def test_a_hit_without_its_ledger_is_recomputed(self, monkeypatch):
+        expected = _canon(_scenario(simulator="columnar").build().run())
+        cache = ResultCache()
+        _warm(cache, _scenario())
+        calls = self._count_scheduling(monkeypatch)
+        delta = _scenario(simulator="columnar").build().run(
+            reuse=_PlainPayloads(cache)
+        )
+        assert calls["scheduling"] == 1
+        # The recomputed hit needs no write; the stale rollup does.
+        assert set(delta.fresh_sections) == {"cluster", "carbon"}
+        assert delta.scheduling.evaluations is not None
+        served = _scenario(simulator="columnar").build().run(reuse=cache)
+        assert calls["scheduling"] == 1
+        assert served.scheduling.evaluations is None
+        assert _canon(delta) == _canon(served) == expected
 
 
 class TestMemorySlotKnobs:

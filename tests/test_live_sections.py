@@ -1,45 +1,33 @@
-"""The live-section memo behind delta runs (``Session._run_delta``).
+"""The carbon rollup of delta runs, served by the section tier.
 
-A delta run whose carbon rollup is stale needs the scheduling and
-upgrade sections *live*: the rollup reads their unserialized ledgers.
-The process-wide memo keyed by ``(section, section fingerprint)`` serves
-those values when this process already computed them.  The pins:
+A delta run whose carbon rollup is stale reads the ledgers of the
+scheduling and upgrade sections.  Their section-tier payloads carry
+those ledgers as plain JSON columns
+(:func:`repro.session.result.dump_section`), so a cached copy serves
+the rollup as well as a live one.  The pins:
 
 * **counting** — a serial sweep computes each distinct scheduling and
   upgrade section once in its cold pass and none in a delta pass that
-  flips only the simulator, byte-identical to a cache-free run;
-* **invalidation** — ``trace_cache_clear()`` and
-  ``register_backend(..., replace=True)`` empty it;
-* **scope** — plain ``Session.run()`` never reads or fills it, a
-  raising runner stores nothing, and the least recently used entry
-  goes first;
-* **no aliasing** — appending to one result's ledgers never changes
-  what the memo serves next;
-* **soundness** — a memo-served cell equals its cache-free run, under
-  random knob flips.
+  flips only the simulator, even after every process-wide memo was
+  emptied, byte-identical to a cache-free run;
+* **no aliasing** — two results assembled from one cached ledger share
+  no array and no ledger, so appending to one result's ledgers or
+  writing into its columns never changes another;
+* **soundness** — a cell the tier serves equals its cache-free run,
+  under random knob flips.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
-import sys
-import threading
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_delta import _canon, _scenario, _warm
 
-from repro.intensity import trace_cache_clear
-from repro.session import (
-    Scenario,
-    Session,
-    live_section_info,
-    register_backend,
-    resolve_backend,
-)
-from repro.session import session as session_module
+import repro
+from repro.session import Scenario, Session
 from repro.sweep import ResultCache, SweepService
 
 
@@ -84,7 +72,7 @@ def _count_runners(monkeypatch) -> dict:
 
 
 def _scheduling_cell(seed: int) -> Scenario:
-    """A cell whose only live section is scheduling."""
+    """A cell whose rollup reads only the scheduling section."""
     return (
         Scenario()
         .node("A100")
@@ -95,11 +83,34 @@ def _scheduling_cell(seed: int) -> Scenario:
     )
 
 
+def _cache_without_rollup(cell: Scenario) -> ResultCache:
+    """A memory cache holding every section of ``cell`` but the rollup,
+    so each delta run of ``cell`` rebuilds the rollup from the tier."""
+    cache = ResultCache()
+    result = cell.build().run(reuse=cache)
+    for name, (fp, payload) in result.fresh_sections.items():
+        if name != "carbon":
+            cache.put_section(name, fp, payload)
+    return cache
+
+
+def _arrays(ledger):
+    """The writable arrays behind ``ledger``'s batches (the read-only
+    job columns of the workload memo may be shared: no one can write
+    them)."""
+    return [
+        array
+        for batch in ledger._batches
+        for array in (batch.carbon_g, batch.energy_kwh, batch.job_ids)
+        if array is not None and array.flags.writeable
+    ]
+
+
 class TestCounting:
     def test_cold_pass_once_per_section_and_delta_pass_none(
         self, tmp_path, monkeypatch
     ):
-        trace_cache_clear()
+        repro.memo_clear()
         calls = _count_runners(monkeypatch)
         cold = SweepService(cache_dir=tmp_path / "c").run(_grid("fcfs"))
         expected = {
@@ -108,6 +119,7 @@ class TestCounting:
         assert expected == {"scheduling": 2, "upgrade": 2}
         assert calls == expected
         calls.update(scheduling=0, upgrade=0)
+        repro.memo_clear()
         delta = SweepService(cache_dir=tmp_path / "c").run(
             _grid("fcfs-columnar")
         )
@@ -121,155 +133,71 @@ class TestCounting:
             reference.run(_grid("fcfs-columnar")).results
         )
 
-    def test_trace_cache_clear_makes_the_delta_pass_recompute(
-        self, tmp_path, monkeypatch
-    ):
-        trace_cache_clear()
-        SweepService(cache_dir=tmp_path / "a").run(_grid("fcfs"))
-        shutil.copytree(tmp_path / "a", tmp_path / "b")
-        calls = _count_runners(monkeypatch)
-        served = SweepService(cache_dir=tmp_path / "a").run(
-            _grid("fcfs-columnar")
-        )
-        assert calls == {"scheduling": 0, "upgrade": 0}
-        trace_cache_clear()
-        assert live_section_info() == (0, 0, 0)
-        recomputed = SweepService(cache_dir=tmp_path / "b").run(
-            _grid("fcfs-columnar")
-        )
-        assert calls == {"scheduling": 2, "upgrade": 2}
-        assert _encode(served.results) == _encode(recomputed.results)
-
-
-class TestInvalidationAndScope:
-    def test_replacing_a_backend_empties_the_memo(self):
-        _grid("fcfs")[0].build().run(reuse=ResultCache())
-        assert live_section_info().entries > 0
-        text = resolve_backend("renderer", "text")
-        register_backend("renderer", "text", text, replace=True)
-        assert live_section_info().entries == 0
-
-    def test_plain_runs_neither_read_nor_fill_the_memo(self, monkeypatch):
-        cell = _grid("fcfs")[0]
-        cell.build().run(reuse=ResultCache())  # the memo now holds its sections
-        before = live_section_info()
-        calls = _count_runners(monkeypatch)
-        cell.build().run()
-        cell.build().run()
-        assert calls == {"scheduling": 2, "upgrade": 2}
-        assert live_section_info() == before
-
-    def test_a_raising_runner_stores_nothing(self, monkeypatch):
-        trace_cache_clear()
-        cell = _grid("fcfs")[0]
-
-        def failing(self):
-            raise RuntimeError("upgrade runner failed")
-
-        monkeypatch.setattr(Session, "_run_upgrade", failing)
-        with pytest.raises(RuntimeError, match="upgrade runner failed"):
-            cell.build().run(reuse=ResultCache())
-        assert live_section_info().entries == 1  # scheduling ran first
-        monkeypatch.undo()
-        calls = _count_runners(monkeypatch)
-        cell.build().run(reuse=ResultCache())
-        assert calls == {"scheduling": 0, "upgrade": 1}
-
-    def test_least_recently_used_entry_goes_first(self, monkeypatch):
-        trace_cache_clear()
-        monkeypatch.setattr(session_module._LIVE_SECTIONS, "capacity", 2)
-        calls = _count_runners(monkeypatch)
-
-        def run(seed: int) -> None:
-            _scheduling_cell(seed).build().run(reuse=ResultCache())
-
-        run(1)
-        run(2)
-        run(1)  # served: seed 2 is now the least recently used
-        assert calls["scheduling"] == 2
-        run(3)  # over the cap: drops seed 2
-        assert live_section_info() == (1, 3, 2)
-        run(1)
-        assert calls["scheduling"] == 3
-        run(2)
-        assert calls["scheduling"] == 4
-
-    def test_concurrent_lookups_keep_the_memo_consistent(self, monkeypatch):
-        """Threads sharing the memo lose no count and never trip over
-        each other's evictions."""
-        trace_cache_clear()
-        monkeypatch.setattr(session_module._LIVE_SECTIONS, "capacity", 4)
-        memo = session_module._LIVE_SECTIONS
-        errors = []
-
-        def worker(offset: int) -> None:
-            try:
-                for i in range(2000):
-                    key = ("scheduling", f"{(offset + i) % 9:064x}")
-                    if memo.get(key) is None:
-                        memo.put(key, i)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(n,)) for n in range(8)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        info = live_section_info()
-        assert info.hits + info.misses == 8 * 2000
-        assert info.entries == 4
-        trace_cache_clear()
-
 
 class TestNoAliasing:
     def _append(self, ledger, policy: str) -> None:
         ledger.add("operational", "extra", 1.0e9, region="ESO", policy=policy)
 
-    def test_scheduling_ledgers_and_columns_are_never_shared(self):
-        trace_cache_clear()
+    def _assert_unshared(self, first, second) -> None:
+        assert first is not second
+        for a in _arrays(first):
+            for b in _arrays(second):
+                assert not np.shares_memory(a, b)
+
+    def test_scheduling_ledgers_and_columns_are_never_shared(
+        self, monkeypatch
+    ):
         cell = _scheduling_cell(5)
         plain = cell.build().run()
         expected = _canon(plain)
-        first = cell.build().run(reuse=ResultCache())
-        self._append(first.carbon.ledger, "temporal-shifting")
-        for name, evaluation in first.scheduling.evaluations.items():
-            self._append(evaluation.ledger, name)
-            for column in ("energy_kwh", "carbon_g", "delay_h"):
-                getattr(evaluation, column)[:] = -1.0
-        second = cell.build().run(reuse=ResultCache())
-        assert live_section_info().hits == 1
-        assert _canon(second) == expected
-        for name, evaluation in second.scheduling.evaluations.items():
-            reference = plain.scheduling.evaluations[name]
-            assert len(evaluation.ledger) == len(reference.ledger)
-            assert (
-                evaluation.ledger.total_energy_kwh
-                == reference.ledger.total_energy_kwh
-            )
-            assert evaluation.total_carbon == reference.total_carbon
-            assert evaluation.total_energy == reference.total_energy
-            assert evaluation.mean_delay_h() == reference.mean_delay_h()
+        cache = _cache_without_rollup(cell)
+        calls = _count_runners(monkeypatch)
+        first = cell.build().run(reuse=cache)
+        second = cell.build().run(reuse=cache)
+        assert calls["scheduling"] == 0
+        assert set(first.fresh_sections) == {"carbon"}
+        assert first.scheduling.evaluations is None  # served, not live
+        for result in (first, second):
+            assert _canon(result) == expected
+        self._assert_unshared(first.scheduling.ledger, second.scheduling.ledger)
+        self._assert_unshared(first.carbon.ledger, second.carbon.ledger)
 
-    def test_upgrade_primary_ledger_is_never_shared(self):
-        trace_cache_clear()
+        self._append(first.carbon.ledger, "temporal-shifting")
+        self._append(first.scheduling.ledger, "temporal-shifting")
+        for array in _arrays(first.scheduling.ledger):
+            array[:] = 0
+        third = cell.build().run(reuse=cache)
+        reference = plain.scheduling.ledger
+        for result in (second, third):
+            assert _canon(result) == expected
+            ledger = result.scheduling.ledger
+            assert ledger.by_region() == reference.by_region()
+            assert ledger.by_job() == reference.by_job()
+            assert ledger.total_energy_kwh == reference.total_energy_kwh
+            assert result.carbon.ledger.by_policy() == (
+                plain.carbon.ledger.by_policy()
+            )
+
+    def test_upgrade_primary_ledger_is_never_shared(self, monkeypatch):
         cell = Scenario().region("ESO").upgrade("V100", "A100")
-        expected = _canon(cell.build().run())
-        first = cell.build().run(reuse=ResultCache())
+        plain = cell.build().run()
+        expected = _canon(plain)
+        cache = _cache_without_rollup(cell)
+        calls = _count_runners(monkeypatch)
+        first = cell.build().run(reuse=cache)
         assert first.carbon.source == "upgrade"
+        second = cell.build().run(reuse=cache)
+        assert calls["upgrade"] == 0
+        self._assert_unshared(first.upgrade.ledger, second.upgrade.ledger)
+        self._assert_unshared(first.carbon.ledger, second.carbon.ledger)
         self._append(first.carbon.ledger, "upgrade")
-        second = cell.build().run(reuse=ResultCache())
-        assert live_section_info().hits == 1
-        assert _canon(second) == expected
+        self._append(first.upgrade.ledger, "upgrade")
+        third = cell.build().run(reuse=cache)
+        for result in (second, third):
+            assert _canon(result) == expected
+            assert result.upgrade.ledger.by_policy() == (
+                plain.upgrade.ledger.by_policy()
+            )
 
 
 #: One alternative value per knob ``tests/test_delta.py``'s ``_scenario``
@@ -290,11 +218,13 @@ _FLIPS = {
 @given(flips=st.sets(st.sampled_from(sorted(_FLIPS))))
 @settings(deadline=None, max_examples=12)
 def test_memo_served_cells_equal_cache_free_runs(flips):
-    """Warm the memo (and a cache) with the base cell, then run a cell
-    with random knob flips through the delta path: whatever the memo
-    serves, the result is byte-identical to a cache-free run."""
+    """Warm a cache with the base cell, empty every process-wide memo,
+    then run a cell with random knob flips through the delta path:
+    whatever the section tier serves, the result is byte-identical to a
+    cache-free run."""
     cache = ResultCache()
     _warm(cache, _scenario())
+    repro.memo_clear()
     over = {knob: _FLIPS[knob] for knob in flips}
     delta = _scenario(**over).build().run(reuse=cache)
     assert _canon(delta) == _canon(_scenario(**over).build().run())

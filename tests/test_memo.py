@@ -2,14 +2,17 @@
 
 Pins :class:`repro._memo.Memo` on its own (count and weight capacities,
 least-recently-used eviction, the peek, a stored ``None``, a value the
-caller rejects) and its registry: ``memo_clear()`` empties every
+caller rejects, threads sharing one) and its registry: the five
+process-wide memos register by name, ``memo_clear()`` empties every
 registered memo, one registered after an earlier clear included, and
 ``trace_cache_clear()`` is that clear, so the workload memos start cold
-after it too, while ``register_backend(..., replace=True)`` empties the
-live-section memo alone.
+after it too.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -19,15 +22,13 @@ from repro import _memo
 from repro._memo import Memo, MemoInfo, memo_clear, memo_info
 from repro.cluster.traceio import save_jobs
 from repro.intensity import trace_cache_clear
-from repro.session import Scenario, register_backend, resolve_backend
-from repro.sweep import ResultCache
+from repro.session import Scenario
 from repro.workloads.sources import SyntheticSource, TraceReplaySource
 
-#: The six process-wide memos, by registry name.
+#: The five process-wide memos, by registry name.
 PROCESS_MEMOS = (
     "intensity.traces",
     "intensity.tables",
-    "session.live_sections",
     "workloads.batches",
     "workloads.traces",
     "sweep.worker_caches",
@@ -131,14 +132,49 @@ class TestMemo:
         assert memo.info() == EMPTY
         assert "b" not in memo
 
+    def test_concurrent_lookups_keep_the_memo_consistent(self, make_memo):
+        """Threads sharing a memo lose no count and never trip over
+        each other's evictions."""
+        memo = make_memo("test.concurrent", 4)
+        errors = []
+
+        def worker(offset: int) -> None:
+            try:
+                for i in range(2000):
+                    key = f"{(offset + i) % 9:064x}"
+                    if memo.get(key) is None:
+                        memo.put(key, i)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = memo.info()
+        assert info.hits + info.misses == 8 * 2000
+        assert info.entries == 4
+
 
 class TestRegistry:
     def test_the_process_wide_memos_are_registered(self):
         import repro.intensity.api  # noqa: F401
         import repro.session.session  # noqa: F401
         import repro.sweep.runner  # noqa: F401
+        import repro.workloads.sources  # noqa: F401
 
-        assert set(PROCESS_MEMOS) <= set(memo_info())
+        names = {name for name in memo_info() if not name.startswith("test.")}
+        assert names == set(PROCESS_MEMOS)
         assert (repro.memo_info, repro.memo_clear) == (memo_info, memo_clear)
 
     def test_memo_clear_empties_every_memo_including_a_later_one(
@@ -214,16 +250,3 @@ class TestStartsCold:
         memo_clear()
         info = memo_info()
         assert {name: EMPTY for name in info} == info
-
-    def test_replacing_a_backend_empties_only_the_live_sections(self):
-        memo_clear()
-        _workload_cell().build().run(reuse=ResultCache())
-        before = memo_info()
-        assert before["session.live_sections"].entries > 0
-        text = resolve_backend("renderer", "text")
-        register_backend("renderer", "text", text, replace=True)
-        after = memo_info()
-        assert after.pop("session.live_sections") == EMPTY
-        del before["session.live_sections"]
-        assert after == before
-        assert after["intensity.tables"].entries > 0

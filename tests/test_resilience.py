@@ -610,6 +610,31 @@ class TestWriteback:
                 _cells(), executor="process", max_workers=2
             )
 
+    def test_worker_write_keeps_no_result_in_memory(self, tmp_path):
+        """A worker writes its unit's result to disk without keeping it
+        in its cache's result tier, which no worker reads; the sections
+        it wrote stay in memory for its later units."""
+        import pickle
+
+        from repro.sweep.cache import ResultCache
+        from repro.sweep.runner import _PlannedItem, _worker_cache
+
+        cache_dir = tmp_path / "cache"
+        item = _PlannedItem(
+            _section_grid()[0], ResultCache(cache_dir), None,
+            delta=True, writeback=True,
+        )
+        item = pickle.loads(pickle.dumps(item))  # as a worker receives it
+        result = item.run()
+        fingerprint = result.fingerprint()
+        assert item.write_back(result, fingerprint)
+        worker = _worker_cache(cache_dir)
+        assert len(worker._memory) == 0
+        assert len(worker) == 1  # the disk entry
+        assert ResultCache(cache_dir).get(fingerprint) == result
+        for name, (fp, _payload) in result.fresh_sections.items():
+            assert (name, fp) in worker._section_memory
+
     def test_no_cache_writeback_escape_hatch(self, tmp_path):
         cache_dir = tmp_path / "cache"
         service = SweepService(cache_dir=cache_dir)
@@ -748,6 +773,72 @@ class TestRunnerEdges:
             run_resilient(
                 [unit], executor="process", executor_opts={"max_workers": 0}
             )
+
+
+# --- where the shared executor keeps its trace store ------------------------
+class TestSharedStoreDir:
+    @pytest.fixture()
+    def env_dir(self, tmp_path, monkeypatch):
+        """``$REPRO_HPC_CACHE_DIR``, the store's fallback home."""
+        env = tmp_path / "env"
+        env.mkdir()
+        monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(env))
+        return env
+
+    def test_cli_sweep_keeps_the_store_under_its_cache_dir(
+        self, tmp_path, env_dir, capsys
+    ):
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "store-dir",
+                    "base": {
+                        "system": "frontier", "node": "V100", "seed": 7,
+                        "workload": "synthetic", "workload_seed": 11,
+                        "workload_opts": {"horizon_h": 24.0, "total_gpus": 8},
+                    },
+                    "axes": {"region": ["ESO", "CISO"]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        cache_dir = tmp_path / "X"
+        assert main(
+            [
+                "sweep", "run", str(spec), "--cache-dir", str(cache_dir),
+                "--executor", "shared", "--max-workers", "2",
+            ]
+        ) == 0
+        assert "2 ran (executor shared)" in capsys.readouterr().out
+        assert list((cache_dir / "store").iterdir())
+        assert list(env_dir.iterdir()) == []
+
+    def test_explicit_store_dir_wins(self, tmp_path, env_dir, plugin_backend):
+        from repro.session.executors import shared_executor
+
+        pinned = tmp_path / "pinned"
+        plugin_backend(
+            "executor", "test-shared-pinned",
+            lambda **opts: shared_executor(store_dir=pinned, **opts),
+        )
+        cache_dir = tmp_path / "cache"
+        report = SweepService(cache_dir=cache_dir).run(
+            _cells()[:2], executor="test-shared-pinned", max_workers=2
+        )
+        assert report.ok
+        assert list(pinned.iterdir())
+        assert not (cache_dir / "store").exists()
+        assert list(env_dir.iterdir()) == []
+
+    def test_memory_only_cache_keeps_the_default_store(self, env_dir):
+        report = SweepService(disk=False).run(
+            _cells()[:2], executor="shared", max_workers=2
+        )
+        assert report.ok
+        assert list((env_dir / "store").iterdir())
 
 
 # --- the failure contract without resilience knobs --------------------------
