@@ -1,4 +1,4 @@
-"""Sweep-service benchmarks: result cache, shared store, delta grids.
+"""Sweep-service benchmarks: result cache and delta grids.
 
 Measures the wins the ``repro.sweep`` subsystem exists for:
 
@@ -6,15 +6,13 @@ Measures the wins the ``repro.sweep`` subsystem exists for:
    2-policy x 2-workload grid cold (every cell computed) vs warm (every
    cell served from the provenance-keyed disk cache).  The acceptance
    floor: warm must be at least 10x faster.
-2. *Shared-store warm-up* — time for a fresh process-pool worker to
-   warm its trace memo by regenerating from scratch vs attaching the
-   memory-mapped ``.npy`` files the parent wrote once.
-3. *Delta grids* (schema 2) — a grid varying only late-stage knobs
+2. *Delta grids* (schema 2) — a grid varying only late-stage knobs
    (``accounting``/``pue``/``renderer``) over one fixed expensive
    cluster workload, evaluated cold (every cell a full recompute) vs
    through the section tier (every cell misses the whole-result cache
    but assembles from cached section payloads).  The acceptance floor:
-   delta must beat cold by at least 5x, byte-identically.
+   delta must beat cold by at least 2x (``DELTA_SPEEDUP_FLOOR``),
+   byte-identically.
 
 ``python benchmarks/bench_sweep.py --write`` records the numbers to
 ``BENCH_sweep.json`` at the repo root; the committed file is the perf
@@ -176,46 +174,10 @@ def bench_delta_grid() -> dict:
     }
 
 
-def bench_store_warmup() -> dict:
-    """Worker warm-up: regenerate the Table 3 trace set vs mmap-attach."""
-    from repro.intensity.generator import (
-        generate_all_traces,
-        trace_cache_clear,
-    )
-    from repro.sweep.store import SharedTraceStore
-
-    seed = 7
-    with tempfile.TemporaryDirectory() as tmp:
-        store = SharedTraceStore(pathlib.Path(tmp) / "store")
-        store.ensure_traces(seed=seed)  # the parent's one-time write
-
-        # Cold worker: empty memo, full RNG regeneration.
-        trace_cache_clear()
-        t0 = time.perf_counter()
-        generate_all_traces(seed=seed)
-        generate_s = time.perf_counter() - t0
-
-        # Shared-store worker: empty memo, mmap attach. A fresh store
-        # instance mirrors a fork (no in-process _trace_sets memo).
-        trace_cache_clear()
-        t0 = time.perf_counter()
-        with SharedTraceStore(pathlib.Path(tmp) / "store"):
-            generate_all_traces(seed=seed)
-        attach_s = time.perf_counter() - t0
-        trace_cache_clear()
-
-    return {
-        "generate_s": generate_s,
-        "attach_s": attach_s,
-        "speedup": generate_s / attach_s,
-    }
-
-
 def collect() -> dict:
     return {
         "schema": 2,
         "cache_grid": bench_cache_grid(),
-        "store_warmup": bench_store_warmup(),
         "delta_grid": bench_delta_grid(),
         "python": sys.version.split()[0],
     }
@@ -235,20 +197,6 @@ def test_warm_cache_grid_is_10x_faster():
     print(
         f"\ncache grid: {stats['n_cells']} cells, cold {stats['cold_s']:.2f}s "
         f"-> warm {stats['warm_s']:.3f}s ({stats['speedup']:.0f}x)"
-    )
-
-
-def test_store_attach_beats_regeneration():
-    stats = bench_store_warmup()
-    # mmap-attach skips the full RNG pass; it must never cost more
-    # (generous 0.9 floor for CI noise on tiny absolute times).
-    assert stats["speedup"] >= 0.9, (
-        f"store attach {stats['speedup']:.2f}x vs regeneration — the "
-        "shared store is slower than the work it replaces"
-    )
-    print(
-        f"\nstore warmup: regenerate {stats['generate_s'] * 1e3:.0f}ms -> "
-        f"attach {stats['attach_s'] * 1e3:.0f}ms ({stats['speedup']:.1f}x)"
     )
 
 

@@ -1152,7 +1152,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sweep_run.add_argument(
         "--executor", default=None,
-        help="executor backend key (serial/process/shared)",
+        help="executor backend key (serial/process)",
     )
     sweep_run.add_argument(
         "--max-workers", type=int, default=None,

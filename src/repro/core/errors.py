@@ -155,10 +155,9 @@ class SweepError(SessionError):
 
     Examples: a declarative sweep spec with an unknown knob or a
     mis-typed axis value, a scenario whose knobs cannot be fingerprinted
-    for the result cache (an object with no stable identity), or a
-    malformed shared-store directory.  Subclasses
-    :class:`SessionError`, so existing facade-level handlers keep
-    working.
+    for the result cache (an object with no stable identity), or an
+    unwritable cache entry.  Subclasses :class:`SessionError`, so
+    existing facade-level handlers keep working.
     """
 
 

@@ -23,7 +23,7 @@ independent across regions.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -40,39 +40,10 @@ __all__ = [
     "DEFAULT_SEED",
     "trace_cache_info",
     "trace_cache_clear",
-    "set_trace_provider",
-    "trace_provider",
 ]
 
 #: Library-wide default seed for the 2021 study traces.
 DEFAULT_SEED = 2021
-
-#: Externalizable memo hook: when set, :func:`generate_all_traces`
-#: consults ``provider(codes, n_hours, seed)`` before generating; a
-#: non-``None`` tuple of traces (aligned with ``codes``) is used as-is.
-#: This is how :class:`repro.sweep.store.SharedTraceStore` lets process
-#: workers attach to memory-mapped trace files instead of re-running
-#: the generator per worker.  The provider must be byte-faithful: the
-#: library's determinism contracts assume provided traces equal
-#: generated ones exactly.
-_trace_provider = None
-
-
-def set_trace_provider(provider):
-    """Install (or with ``None`` clear) the external trace provider.
-
-    Returns the previously installed provider so callers can restore it
-    (the shared-store attach/detach protocol).
-    """
-    global _trace_provider
-    previous = _trace_provider
-    _trace_provider = provider
-    return previous
-
-
-def trace_provider():
-    """The currently installed external trace provider (or ``None``)."""
-    return _trace_provider
 
 _DAYS_PER_YEAR = 365.0
 #: Jan 1 2021 was a Friday; with Monday=0 its weekday index is 4.
@@ -208,23 +179,6 @@ def generate_trace(
 _TRACE_SETS = Memo("intensity.traces", 64)
 
 
-def _cached_traces(
-    codes: Tuple[str, ...], n_hours: int, seed: int
-) -> Tuple[IntensityTrace, ...]:
-    """The trace set of one ``(regions, n_hours, seed)`` signature, from
-    the memo.  Traces are immutable records sharing one ndarray, so
-    handing the same objects to every caller is safe.
-    """
-    key = (codes, n_hours, seed)
-    traces = _TRACE_SETS.get(key)
-    if traces is None:
-        traces = tuple(
-            generate_trace(code, n_hours=n_hours, seed=seed) for code in codes
-        )
-        _TRACE_SETS.put(key, traces)
-    return traces
-
-
 def generate_all_traces(
     *,
     regions: Optional[Iterable[str]] = None,
@@ -235,16 +189,21 @@ def generate_all_traces(
 
     Results are memoized process-wide on ``(regions, n_hours, seed)``;
     the returned dict is a fresh copy each call, the traces themselves
-    are shared.  :func:`trace_cache_info` reads the memo's counters and
+    (immutable records sharing one ndarray) are shared.
+    :func:`trace_cache_info` reads the memo's counters and
     :func:`trace_cache_clear` empties it, with every other process-wide
     memo (benchmarks and tests do).
     """
     codes = tuple(regions) if regions is not None else tuple(REGIONS)
-    if _trace_provider is not None:
-        provided = _trace_provider(codes, int(n_hours), int(seed))
-        if provided is not None:
-            return dict(zip(codes, provided))
-    return dict(zip(codes, _cached_traces(codes, int(n_hours), int(seed))))
+    n_hours, seed = int(n_hours), int(seed)
+    key = (codes, n_hours, seed)
+    traces = _TRACE_SETS.get(key)
+    if traces is None:
+        traces = tuple(
+            generate_trace(code, n_hours=n_hours, seed=seed) for code in codes
+        )
+        _TRACE_SETS.put(key, traces)
+    return dict(zip(codes, traces))
 
 
 def trace_cache_info():

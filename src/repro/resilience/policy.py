@@ -13,6 +13,7 @@ propagating, so one pathological cell can no longer abort a campaign.
 from __future__ import annotations
 
 import hashlib
+import math
 import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -65,6 +66,14 @@ class RetryPolicy:
             raise ResilienceError(
                 f"max_attempts must be >= 1, got {self.max_attempts!r}"
             )
+        # NaN slips through every range check below, and an infinite
+        # deadline or sleep overflows the timer and time.sleep.
+        for name in ("backoff_s", "backoff_factor", "unit_timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ResilienceError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.backoff_s < 0.0:
             raise ResilienceError(
                 f"backoff_s must be >= 0, got {self.backoff_s!r}"

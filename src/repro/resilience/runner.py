@@ -2,7 +2,7 @@
 
 :func:`run_resilient` is the one way work units reach an ``executor``
 backend: :class:`~repro.sweep.runner.SweepService` dispatches every
-sweep through it, and the pooled engines' ``run_many`` calls share its
+sweep through it, and the pooled engine's ``run_many`` calls share its
 pool driver.  Every unit runs under a
 :class:`~repro.resilience.policy.RetryPolicy` with a fault injector at
 the execution boundary, and failures come back as structured
@@ -17,17 +17,16 @@ timeout) with no injector is the plain run:
   ``crash`` actions degrade to raised
   :class:`~repro.resilience.faults.InjectedFault` errors — killing the
   only process would abort the host, not simulate a lost worker.
-* **pooled engines** (a :class:`~repro.session.executors.PoolExecutor`
-  — ``process`` / ``shared``) — each unit is submitted *individually*
-  to a ``ProcessPoolExecutor`` (per-unit isolation), attempts retry
-  inside the worker, and an injected ``crash`` is a real ``os._exit``.
-  When the pool breaks
+* **the pooled engine** (``process``, a
+  :class:`~repro.session.executors.PoolExecutor`) — each unit is
+  submitted *individually* to a ``ProcessPoolExecutor`` (per-unit
+  isolation), attempts retry inside the worker, and an injected
+  ``crash`` is a real ``os._exit``.  When the pool breaks
   (:class:`~concurrent.futures.process.BrokenProcessPool` — an
   OOM-killed or segfaulted worker), the parent rebuilds it — re-warming
-  trace memos and re-attaching the
-  :class:`~repro.sweep.store.SharedTraceStore` exactly as the original
-  initializer did — and re-dispatches only the unfinished units, each
-  crash consuming one attempt.  A bounded rebuild budget
+  trace memos exactly as the original initializer did — and
+  re-dispatches only the unfinished units, each crash consuming one
+  attempt.  A bounded rebuild budget
   (``max_rebuilds``) turns a crash *storm* into a typed
   :class:`~repro.core.errors.ResilienceError` instead of an infinite
   rebuild loop.
@@ -52,7 +51,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ResilienceError
@@ -400,31 +399,14 @@ def _run_pooled(
 
     ``config`` is a :class:`~repro.session.executors.PoolExecutor`.
     """
-    from repro.session.executors import (
-        _attach_store_worker,
-        _sweep_seeds,
-        _warm_worker,
-    )
+    from repro.session.executors import _sweep_seeds, _warm_worker
 
     seeds = _sweep_seeds([unit.item for unit in units])
-    if config.shared:
-        from repro.sweep.store import SharedTraceStore
-
-        store = SharedTraceStore(config.store_dir)
-        for seed in seeds:
-            # Parent-side pre-warm: files exist before any worker
-            # starts, so workers only ever mmap-attach.
-            store.ensure_traces(seed=seed)
-        initializer: Callable = _attach_store_worker
-        initargs: Tuple = (str(store.directory), seeds)
-    else:
-        initializer, initargs = _warm_worker, (seeds,)
-
     workers = max(1, min(config.max_workers, len(units)))
 
     def _make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
+            max_workers=workers, initializer=_warm_worker, initargs=(seeds,)
         )
 
     #: Next first_attempt per unit index (crashes consume attempts).
@@ -564,7 +546,6 @@ def run_resilient(
     injector=None,
     max_rebuilds: int = DEFAULT_MAX_REBUILDS,
     on_unit_done=None,
-    store_dir=None,
 ) -> ResilientRun:
     """Run work units fault-tolerantly through an executor backend.
 
@@ -573,10 +554,7 @@ def run_resilient(
     a :class:`~repro.session.executors.PoolExecutor` gets per-unit
     futures with crash recovery; any other engine is called once per
     unit under the parent-side attempt loop.  ``on_unit_done(outcome)``
-    fires as each unit settles, in dispatch order.  ``store_dir`` is
-    where a shared-store engine whose options name no ``store_dir``
-    keeps its trace store (the sweep service passes its cache
-    directory's ``store/``).
+    fires as each unit settles, in dispatch order.
     """
     units = list(units)
     if not units:
@@ -593,8 +571,6 @@ def run_resilient(
 
     engine = resolve_backend("executor", executor)(**(executor_opts or {}))
     if isinstance(engine, PoolExecutor):
-        if engine.shared and engine.store_dir is None and store_dir is not None:
-            engine = replace(engine, store_dir=store_dir)
         return _run_pooled(
             units,
             config=engine,

@@ -80,15 +80,15 @@ calling conventions, per kind:
     ``factory(**opts) -> callable(items) -> list[ScenarioResult]`` — a
     sweep engine for :meth:`Session.run_many` (see
     :mod:`repro.session.executors`); the factory validates its options.
-    ``serial``, ``process``, and ``shared`` ship built-in.  The pooled
-    engines take ``max_workers`` (``shared`` also ``store_dir``) and
-    return a :class:`~repro.session.executors.PoolExecutor`: every item
-    runs as its own process-pool future through the resilience layer's
-    pool driver.  Sweeps call any engine once per work unit through
+    ``serial`` and ``process`` (alias ``shared``) ship built-in.  The
+    pooled engine takes ``max_workers`` and returns a
+    :class:`~repro.session.executors.PoolExecutor`: every item runs as
+    its own process-pool future through the resilience layer's pool
+    driver.  Sweeps call any engine once per work unit through
     :func:`repro.resilience.run_resilient`, where a unit that raises
     becomes a :class:`~repro.resilience.CellFailure`.  Called directly
     (``run_many``), ``serial`` propagates a scenario's own exception and
-    the pooled engines raise :class:`~repro.core.errors.ResilienceError`
+    the pooled engine raises :class:`~repro.core.errors.ResilienceError`
     naming the first failed cell.
 ``faults``
     ``factory(**opts) -> injector`` — a deterministic fault injector
@@ -180,9 +180,8 @@ BUILTIN_BACKENDS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
     ("renderer", "markdown", ("md",), "repro.analysis.render:render_scenario_markdown"),
     ("report", "experiments", (), "repro.analysis.report:generate_report"),
     ("executor", "serial", ("inline",), "repro.session.executors:serial_executor"),
-    ("executor", "process", ("processes", "parallel"),
+    ("executor", "process", ("processes", "parallel", "shared", "shared-store"),
      "repro.session.executors:process_executor"),
-    ("executor", "shared", ("shared-store",), "repro.session.executors:shared_executor"),
     ("sweep", "cached", ("default",), "repro.sweep.runner:cached_sweep_service"),
     ("sweep", "direct", ("nocache", "no-cache"), "repro.sweep.runner:direct_sweep_service"),
     ("faults", "none", ("off",), "repro.resilience.faults:NoFaults"),

@@ -14,15 +14,15 @@ registry kind; built-ins:
   future on a :class:`~concurrent.futures.ProcessPoolExecutor`, driven
   by the resilience layer's pool driver — the same one sweeps use.
   Each worker's trace memo is warmed once for every seed in the sweep
-  (via the pool initializer; under ``fork`` the parent's memo is
-  inherited for free), so workers never regenerate traces per
-  scenario.  Scenario resolution and execution happen inside the
-  worker, which requires every item and its payloads (workloads,
-  configs, policy objects) to be picklable — registry-keyed scenarios
-  always are.
-* ``shared`` — ``process`` over a memory-mapped
-  :class:`~repro.sweep.store.SharedTraceStore` the parent fills before
-  the pool starts.
+  by the pool initializer.  Under ``fork`` that is a memo hit on the
+  traces the parent's planned sessions already generated; under
+  ``spawn`` or ``forkserver``, and for a pool whose parent built no
+  session, each worker generates a seed's trace set once.  Workers
+  never regenerate traces per scenario.  Scenario resolution and
+  execution happen inside the worker, which requires every item and
+  its payloads (workloads, configs, policy objects) to be picklable —
+  registry-keyed scenarios always are.  ``shared`` and
+  ``shared-store`` are aliases of ``process``.
 
 A pooled call runs under the inert retry policy (one attempt, no
 timeout, no faults) and raises :class:`~repro.core.errors.ResilienceError`
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import SessionError
 
@@ -56,7 +56,6 @@ __all__ = [
     "PoolExecutor",
     "serial_executor",
     "process_executor",
-    "shared_executor",
     "resolve_executor",
 ]
 
@@ -137,7 +136,7 @@ def serial_executor(**_opts) -> "SweepExecutor":
 
 @dataclass(frozen=True)
 class PoolExecutor:
-    """A validated process-pool configuration: the pooled engines.
+    """A validated process-pool configuration: the pooled engine.
 
     :func:`repro.resilience.run_resilient` reads it to drive one future
     per work unit; calling it runs a :meth:`Session.run_many` sweep
@@ -145,12 +144,6 @@ class PoolExecutor:
     """
 
     max_workers: int
-    shared: bool = False
-    #: The shared trace store directory (default: ``store/`` under a
-    #: sweep's on-disk cache directory, else under
-    #: ``$REPRO_HPC_CACHE_DIR`` or ``~/.cache/repro-hpc``); ignored
-    #: unless ``shared``.
-    store_dir: Any = None
 
     def __call__(self, items: Sequence[_SweepItem]) -> List["ScenarioResult"]:
         items = list(items)
@@ -191,46 +184,14 @@ class PoolExecutor:
         return [outcome.result for outcome in run.outcomes]
 
 
-def _pool(max_workers: Optional[int], **config) -> PoolExecutor:
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    if int(max_workers) < 1:
-        raise SessionError(f"max_workers must be >= 1, got {max_workers!r}")
-    return PoolExecutor(max_workers=int(max_workers), **config)
-
-
 def process_executor(*, max_workers: Optional[int] = None) -> PoolExecutor:
     """Parallel sweep executor over a process pool.
 
     ``max_workers`` defaults to the machine's CPU count.
     """
-    return _pool(max_workers)
+    if max_workers is None:
+        max_workers = os.cpu_count() or 1
+    if int(max_workers) < 1:
+        raise SessionError(f"max_workers must be >= 1, got {max_workers!r}")
+    return PoolExecutor(max_workers=int(max_workers))
 
-
-def _attach_store_worker(store_dir: str, seeds: Tuple[int, ...]) -> None:
-    """Pool initializer: attach the shared store, then warm the memos.
-
-    With the store attached, ``generate_all_traces`` loads each seed's
-    set from the parent's memory-mapped ``.npy`` file instead of
-    re-running the generator — the per-worker warm-up PR 2 recorded
-    becomes a file read.
-    """
-    from repro.sweep.store import SharedTraceStore
-
-    SharedTraceStore(store_dir).attach()
-    _warm_worker(seeds)
-
-
-def shared_executor(
-    *, max_workers: Optional[int] = None, store_dir=None
-) -> PoolExecutor:
-    """Parallel sweep executor backed by the shared trace store.
-
-    Like ``process``, but the parent serializes every sweep seed's trace
-    set to memory-mapped ``.npy`` files under ``store_dir`` (default:
-    ``store/`` under the sweep's on-disk cache directory, see
-    :attr:`PoolExecutor.store_dir`) before the pool starts, and
-    each worker attaches a :class:`repro.sweep.store.SharedTraceStore`
-    instead of regenerating traces from scratch.
-    """
-    return _pool(max_workers, shared=True, store_dir=store_dir)

@@ -3,10 +3,9 @@
 The subsystem behind ``repro-hpc sweep``: declarative grid specs
 (:class:`SweepSpec`), a fingerprint-deduplicating planner
 (:func:`plan_sweep`), a provenance-keyed result cache
-(:class:`ResultCache`), a memory-mapped shared trace store for process
-workers (:class:`SharedTraceStore`), and the :class:`SweepService` that
-ties them together.  Services construct through the registry's
-``sweep`` kind (``cached`` by default, ``direct`` for cache-free runs).
+(:class:`ResultCache`), and the :class:`SweepService` that ties them
+together.  Services construct through the registry's ``sweep`` kind
+(``cached`` by default, ``direct`` for cache-free runs).
 """
 
 from repro._lazy import lazy_exports
@@ -15,7 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sweep.cache": (
         "CacheClearance", "CacheStats", "ResultCache", "default_cache_dir",
     ),
-    "repro.sweep.store": ("SharedTraceStore",),
     "repro.sweep.runner": (
         "SweepOutcome", "SweepReport", "SweepService", "cached_sweep_service",
         "direct_sweep_service",

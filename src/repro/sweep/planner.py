@@ -10,8 +10,8 @@ cannot be fingerprinted (knobs with no stable identity) each get their
 own unit with ``fingerprint=None`` — always recomputed, never cached.
 
 Sub-computation dedup rides on the library's memo layers: cells sharing
-a (seed, region-set) signature draw one trace set from the module memo
-(or the shared store), and cells sharing (workload knobs, seed) reuse
+a (seed, region-set) signature draw one trace set from the module memo,
+and cells sharing (workload knobs, seed) reuse
 the same generated :class:`~repro.cluster.job.JobBatch` via the
 workload-source batch memo — the planner does not need to model either.
 """

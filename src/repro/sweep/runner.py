@@ -13,8 +13,8 @@ still deduplicated) are thin factory variants.  A run is:
    :class:`~repro.sweep.cache.ResultCache` first;
 4. **run** — remaining units flow through
    :func:`repro.resilience.run_resilient` on a registry ``executor``
-   (serial by default; ``process``/``shared`` fan out one future per
-   unit), resolved the way :meth:`Session.run_many` resolves engines,
+   (serial by default; ``process`` fans out one future per unit),
+   resolved the way :meth:`Session.run_many` resolves engines,
    so serial sweep results are byte-identical to ``run_many``'s output;
 5. **cache** — each result is written back under its fingerprint (and
    journaled, when a journal is open) as its unit settles; a pooled
@@ -37,9 +37,6 @@ from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-# The shared executor attaches the trace store: import it with the
-# service, not inside a timed pass.
-import repro.sweep.store  # noqa: F401
 from repro._memo import Memo
 from repro.core.errors import ResilienceError, SweepError
 from repro.resilience.journal import SweepJournal
@@ -632,7 +629,6 @@ class SweepService:
                         outcome.fingerprint, name=outcome.unit.name
                     )
 
-            cache_dir = None if self._cache is None else self._cache.cache_dir
             n_rebuilds = run_resilient(
                 units,
                 executor=key,
@@ -641,7 +637,6 @@ class SweepService:
                 injector=injector,
                 max_rebuilds=rebuild_budget,
                 on_unit_done=_on_unit_done,
-                store_dir=None if cache_dir is None else cache_dir / "store",
             ).rebuilds
 
         after = self._cache.stats if self._cache is not None else CacheStats()

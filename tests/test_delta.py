@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import json
 import multiprocessing
+import os
 import pathlib
 import tempfile
 
@@ -539,24 +540,27 @@ _RECOMPUTES = (
 )
 
 
-def _log_calls(monkeypatch, log: pathlib.Path) -> None:
-    """Append each :data:`_RECOMPUTES` call's name to ``log``; pool
-    workers forked from this process log theirs too."""
-    for owner, attr in _RECOMPUTES:
+def _log_calls(monkeypatch, log: pathlib.Path, calls=_RECOMPUTES) -> None:
+    """Append ``"<name> <pid>"`` to ``log`` for each call to an ``(owner,
+    attr)`` of ``calls`` (a class or a module); pool workers forked from
+    this process log theirs too."""
+    for owner, attr in calls:
         original = owner.__dict__[attr]
 
         def logging(*args, _original=original, _attr=attr, **kwargs):
             with open(log, "a", encoding="utf-8") as handle:
-                handle.write(_attr + "\n")
+                handle.write(f"{_attr} {os.getpid()}\n")
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, logging)
 
 
 def _logged(log: pathlib.Path) -> collections.Counter:
+    """Logged call counts by name, over every process."""
     if not log.exists():
         return collections.Counter()
-    return collections.Counter(log.read_text(encoding="utf-8").split())
+    lines = log.read_text(encoding="utf-8").splitlines()
+    return collections.Counter(line.split()[0] for line in lines)
 
 
 class TestFreshProcessDelta:
@@ -600,6 +604,27 @@ class TestFreshProcessDelta:
             ]
         served = delta.results[0].scheduling
         assert served.evaluations is None and served.ledger is not None
+
+
+class TestForkedPoolWorkers:
+    def test_only_the_parent_generates_traces(self, tmp_path, monkeypatch):
+        """Planning builds every cell's session, whose intensity service
+        fills the trace memo before the pool starts, so forked workers
+        inherit each trace: the parent generates the seed's seven Table 3
+        traces once and no worker generates any."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the parent's memo only when forked")
+        from repro.intensity import generator
+
+        log = tmp_path / "calls.log"
+        _log_calls(monkeypatch, log, calls=((generator, "generate_trace"),))
+        repro.memo_clear()
+        report = SweepService(cache=False).run(
+            _simulator_grid("fcfs"), executor="process", max_workers=2
+        )
+        assert report.ok and report.n_ran == 4
+        by_process = log.read_text(encoding="utf-8").splitlines()
+        assert by_process == [f"generate_trace {os.getpid()}"] * 7
 
 
 class _PlainPayloads:

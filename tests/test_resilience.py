@@ -13,9 +13,7 @@ The load-bearing pins:
   next run recompute *zero* already-completed units;
 * **no zombies** — interrupting a pooled sweep cancels queued work and
   terminates the workers (the PR 7 bugfix), asserted both against a
-  stub pool and end-to-end with a real ``SIGINT``;
-* **store fail-soft** — a truncated/corrupt shared-store file degrades
-  to local regeneration with a warning, byte-equal to normal output.
+  stub pool and end-to-end with a real ``SIGINT``.
 """
 
 from __future__ import annotations
@@ -115,6 +113,14 @@ class TestRetryPolicy:
     def test_invalid(self, bad):
         with pytest.raises(ResilienceError):
             RetryPolicy.coerce(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["unit_timeout_s", "backoff_s", "backoff_factor"]
+    )
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ResilienceError, match=f"{field} must be a finite"):
+            RetryPolicy.coerce({field: value})
 
     def test_active(self):
         assert not RetryPolicy().active
@@ -775,11 +781,16 @@ class TestRunnerEdges:
             )
 
 
-# --- where the shared executor keeps its trace store ------------------------
+# --- what a pooled sweep stores, and where ----------------------------------
 class TestSharedStoreDir:
+    """Everything a pooled sweep stores is its cache entries: the
+    ``shared`` spelling runs the ``process`` pool, which writes
+    ``results/`` and ``sections/`` under the sweep's own cache directory
+    and nothing else, there or under ``$REPRO_HPC_CACHE_DIR``."""
+
     @pytest.fixture()
     def env_dir(self, tmp_path, monkeypatch):
-        """``$REPRO_HPC_CACHE_DIR``, the store's fallback home."""
+        """``$REPRO_HPC_CACHE_DIR``, the default cache home."""
         env = tmp_path / "env"
         env.mkdir()
         monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(env))
@@ -813,32 +824,18 @@ class TestSharedStoreDir:
             ]
         ) == 0
         assert "2 ran (executor shared)" in capsys.readouterr().out
-        assert list((cache_dir / "store").iterdir())
-        assert list(env_dir.iterdir()) == []
-
-    def test_explicit_store_dir_wins(self, tmp_path, env_dir, plugin_backend):
-        from repro.session.executors import shared_executor
-
-        pinned = tmp_path / "pinned"
-        plugin_backend(
-            "executor", "test-shared-pinned",
-            lambda **opts: shared_executor(store_dir=pinned, **opts),
-        )
-        cache_dir = tmp_path / "cache"
-        report = SweepService(cache_dir=cache_dir).run(
-            _cells()[:2], executor="test-shared-pinned", max_workers=2
-        )
-        assert report.ok
-        assert list(pinned.iterdir())
-        assert not (cache_dir / "store").exists()
+        assert sorted(path.name for path in cache_dir.iterdir()) == [
+            "results", "sections",
+        ]
         assert list(env_dir.iterdir()) == []
 
     def test_memory_only_cache_keeps_the_default_store(self, env_dir):
+        """A memory-only sweep leaves the default cache home untouched."""
         report = SweepService(disk=False).run(
             _cells()[:2], executor="shared", max_workers=2
         )
         assert report.ok
-        assert list((env_dir / "store").iterdir())
+        assert list(env_dir.iterdir()) == []
 
 
 # --- the failure contract without resilience knobs --------------------------
@@ -1046,114 +1043,6 @@ class TestInterrupts:
                     pass
 
 
-# --- shared-store fail-soft -------------------------------------------------
-class TestStoreFailSoft:
-    def test_truncated_npy_regenerates_with_warning(self, tmp_path, caplog):
-        from repro.intensity.generator import (
-            generate_all_traces,
-            trace_cache_clear,
-        )
-        from repro.sweep.store import SharedTraceStore
-
-        seed = 123
-        trace_cache_clear()
-        reference = generate_all_traces(seed=seed)
-        store = SharedTraceStore(tmp_path / "store")
-        array_path = store.ensure_traces(seed=seed)
-        array_path.write_bytes(array_path.read_bytes()[:16])  # truncate
-
-        trace_cache_clear()
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            with SharedTraceStore(tmp_path / "store"):
-                regenerated = generate_all_traces(seed=seed)
-        trace_cache_clear()
-        assert any("unreadable" in r.message for r in caplog.records)
-        assert set(regenerated) == set(reference)
-        for code in reference:
-            np.testing.assert_array_equal(
-                np.asarray(reference[code].values),
-                np.asarray(regenerated[code].values),
-            )
-
-    def test_missing_manifest_regenerates(self, tmp_path, caplog):
-        from repro.intensity.generator import (
-            generate_all_traces,
-            trace_cache_clear,
-        )
-        from repro.sweep.store import SharedTraceStore
-
-        seed = 124
-        store = SharedTraceStore(tmp_path / "store")
-        array_path = store.ensure_traces(seed=seed)
-        array_path.with_suffix(".json").unlink()
-
-        trace_cache_clear()
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            with SharedTraceStore(tmp_path / "store"):
-                traces = generate_all_traces(seed=seed)
-        trace_cache_clear()
-        assert traces  # progress despite the torn entry
-        assert any("unreadable" in r.message for r in caplog.records)
-
-    def test_unwritable_store_dir_fails_soft(self, tmp_path, caplog):
-        from repro.intensity.generator import trace_cache_clear
-        from repro.sweep.store import SharedTraceStore
-
-        # Root ignores permission bits, so block mkdir structurally:
-        # the store root sits *under* a regular file.
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file where a directory should be")
-        store = SharedTraceStore(blocker / "store")
-        trace_cache_clear()
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            traces = store.provide_traces(("ESO",), 48, 125)
-        trace_cache_clear()
-        assert traces is not None and len(traces) == 1
-        assert any("without persistence" in r.message for r in caplog.records)
-
-    def test_write_landing_during_a_failed_load_is_a_silent_miss(
-        self, tmp_path, monkeypatch, caplog
-    ):
-        """Another worker's os.replace lands between this worker's failed
-        load and any later look at the path: a plain miss, no warning."""
-        from repro.intensity.generator import generate_trace, trace_cache_clear
-        from repro.sweep.store import SharedTraceStore
-
-        reference = generate_trace("ESO", n_hours=48, seed=127)
-        save = np.save
-
-        def racing_load(path, mmap_mode=None):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save(path, reference.values[None, :])
-            raise FileNotFoundError(2, "No such file or directory", str(path))
-
-        monkeypatch.setattr(np, "load", racing_load)
-        trace_cache_clear()
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            traces = SharedTraceStore(tmp_path / "store").provide_traces(
-                ("ESO",), 48, 127
-            )
-        trace_cache_clear()
-        np.testing.assert_array_equal(traces[0].values, reference.values)
-        assert not caplog.records
-
-    def test_manifest_without_array_is_a_silent_miss(self, tmp_path, caplog):
-        """A trace entry whose array has not landed yet is a plain miss."""
-        from repro.intensity.generator import trace_cache_clear
-        from repro.sweep.store import SharedTraceStore
-
-        store = SharedTraceStore(tmp_path / "store")
-        store.ensure_traces(("ESO",), 48, 126).unlink()
-        trace_cache_clear()
-        with caplog.at_level("WARNING", logger="repro.sweep.store"):
-            traces = SharedTraceStore(tmp_path / "store").provide_traces(
-                ("ESO",), 48, 126
-            )
-        trace_cache_clear()
-        assert traces is not None and len(traces) == 1
-        assert not caplog.records
-
-
 # --- SweepReport ------------------------------------------------------------
 class TestSweepReport:
     def test_accounting_and_summary(self):
@@ -1233,6 +1122,26 @@ class TestCLI:
         rc = main(["sweep", "run", str(spec), "--fault-arg", "error_at=1"])
         assert rc == 2
         assert "--fault-arg requires --faults" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_non_finite_unit_timeout_exits_before_any_unit(
+        self, tmp_path, capsys, timeout
+    ):
+        from repro.cli import main
+
+        spec = self._spec_file(tmp_path)
+        rc = main(
+            [
+                "sweep", "run", str(spec), "--no-cache",
+                "--executor", "process", "--unit-timeout", timeout,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "sweep error: unit_timeout_s must be a finite number"
+        )
 
     def test_unit_timeout_and_writeback_flags_parse(self, tmp_path, capsys):
         from repro.cli import main

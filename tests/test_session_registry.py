@@ -177,6 +177,7 @@ class TestGlobalRegistry:
 
     def test_rows_list_keys_and_aliases(self):
         from repro.session.backends import load_builtin_backends
+        from repro.session.executors import process_executor
 
         fresh = BackendRegistry()
         load_builtin_backends(fresh)
@@ -184,4 +185,6 @@ class TestGlobalRegistry:
         assert ("simulator", "columnar") in fresh
         held = fresh._table("simulator")
         assert held["columnar"] is held["fcfs-columnar"]
+        for alias in ("shared", "shared-store"):
+            assert fresh.resolve("executor", alias) is process_executor
 

@@ -1,4 +1,4 @@
-"""The repro.sweep subsystem: specs, planner, cache, store, service, CLI.
+"""The repro.sweep subsystem: specs, planner, cache, service, CLI.
 
 The load-bearing pins:
 
@@ -7,10 +7,7 @@ The load-bearing pins:
   recompute (the golden 2x2 matrix from ``test_golden_fixtures``);
 * **invalidation** — any knob change keys a new fingerprint and misses;
 * **fail-soft** — corrupted or truncated cache-dir entries count as
-  errors and recompute, never surface wrong results;
-* **shared store** — traces served from the memory-mapped store are
-  byte-equal to freshly generated ones, and detach restores the
-  provider that was installed before.
+  errors and recompute, never surface wrong results.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from repro.session.session import Session
 from repro.sweep import (
     CacheClearance,
     ResultCache,
-    SharedTraceStore,
     SweepService,
     SweepSpec,
     plan_sweep,
@@ -393,52 +389,6 @@ class TestResultCache:
         assert err.value.__cause__ is boom
 
 
-# --- shared trace store ------------------------------------------------------
-class TestSharedTraceStore:
-    def test_traces_round_trip_byte_equal(self, tmp_path):
-        from repro.intensity.generator import generate_all_traces
-
-        reference = generate_all_traces(seed=7)
-        store = SharedTraceStore(tmp_path / "store")
-        store.ensure_traces(seed=7)
-        with SharedTraceStore(tmp_path / "store"):
-            served = generate_all_traces(seed=7)
-        assert set(served) == set(reference)
-        for code, trace in reference.items():
-            assert np.array_equal(served[code].values, trace.values)
-            assert served[code].tz_offset_hours == trace.tz_offset_hours
-
-    def test_detach_restores_previous_providers(self, tmp_path):
-        from repro.intensity import generator
-
-        assert generator.trace_provider() is None
-        with SharedTraceStore(tmp_path / "a"):
-            inner = SharedTraceStore(tmp_path / "b")
-            inner.attach()
-            inner.detach()
-            assert generator.trace_provider() is not None
-        assert generator.trace_provider() is None
-
-    def test_corrupt_store_files_regenerate(self, tmp_path):
-        from repro.intensity.generator import generate_all_traces
-
-        store = SharedTraceStore(tmp_path / "store")
-        path = store.ensure_traces(seed=7)
-        path.write_bytes(b"not an npy file")
-        with SharedTraceStore(tmp_path / "store"):
-            served = generate_all_traces(seed=7)
-        reference = generate_all_traces(seed=7)
-        for code, trace in reference.items():
-            assert np.array_equal(served[code].values, trace.values)
-
-    def test_sweep_results_identical_under_store(self, tmp_path):
-        reference = Session.run_many(_matrix_cells())
-        with SharedTraceStore(tmp_path / "store"):
-            under_store = Session.run_many(_matrix_cells())
-        for ref, got in zip(reference, under_store):
-            assert _serialize(got) == _serialize(ref)
-
-
 # --- service over specs and executors ---------------------------------------
 class TestSweepService:
     def test_run_accepts_spec_mapping(self, tmp_path):
@@ -472,7 +422,7 @@ class TestSweepService:
         assert first.n_ran == 1 and second.n_ran == 1
         assert first.results[0].fingerprint() is None
 
-    def test_shared_executor_results_match_serial(self, tmp_path):
+    def test_shared_executor_results_match_serial(self):
         import os
 
         from repro.session import resolve_backend
@@ -480,7 +430,6 @@ class TestSweepService:
         reference = Session.run_many(_matrix_cells())
         engine = resolve_backend("executor", "shared")(
             max_workers=min(2, os.cpu_count() or 1),
-            store_dir=tmp_path / "store",
         )
         results = engine(_matrix_cells())
         for ref, got in zip(reference, results):
