@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.artifacts import ARTIFACTS
 from repro.analysis.figures import figure1, figure2, figure3, figure5
-from repro.analysis.render import bar_chart, format_table, share_table
 
 
 def test_figure1(benchmark):
@@ -16,19 +16,13 @@ def test_figure1(benchmark):
     assert max(g.embodied_per_tflop_kg for g in gpus) < min(
         c.embodied_per_tflop_kg for c in cpus
     )
-    print("\nFig. 1a — embodied carbon (kgCO2)")
-    print(bar_chart([(r.name, r.embodied_kg) for r in rows], unit=" kg"))
-    print("\nFig. 1b — embodied carbon per FP64 TFLOPS (kgCO2/TF)")
-    print(bar_chart([(r.name, r.embodied_per_tflop_kg) for r in rows], unit=" kg/TF"))
+    print("\n" + ARTIFACTS["fig1"].section())
 
 
 def test_figure2(benchmark):
     rows = benchmark(figure2)
     assert all(5.0 <= r.embodied_kg <= 25.0 for r in rows)
-    print("\nFig. 2a — embodied carbon of DRAM/SSD/HDD (kgCO2)")
-    print(bar_chart([(r.name, r.embodied_kg) for r in rows], unit=" kg"))
-    print("\nFig. 2b — embodied carbon per bandwidth (kgCO2 per GB/s)")
-    print(bar_chart([(r.name, r.embodied_per_bandwidth_kg) for r in rows], unit=" kg/(GB/s)"))
+    print("\n" + ARTIFACTS["fig2"].section())
 
 
 def test_figure3(benchmark):
@@ -36,23 +30,11 @@ def test_figure3(benchmark):
     shares = {r.component_class: r.packaging_share for r in rows}
     assert shares["DRAM"] == pytest.approx(0.42, abs=0.03)
     assert shares["SSD"] == pytest.approx(0.02, abs=0.01)
-    print("\nFig. 3 — manufacturing vs packaging split")
-    print(
-        format_table(
-            ["Class", "Manufacturing", "Packaging"],
-            [
-                (r.component_class, f"{r.manufacturing_share:.1%}", f"{r.packaging_share:.1%}")
-                for r in rows
-            ],
-        )
-    )
+    print("\n" + ARTIFACTS["fig3"].section())
 
 
 def test_figure5(benchmark):
     shares = benchmark(figure5)
     assert shares["Frontier"]["GPU"] / shares["Frontier"]["CPU"] >= 7.0
     assert "HDD" not in shares["Perlmutter"]
-    print("\nFig. 5 — embodied carbon contribution per component")
-    for system, system_shares in shares.items():
-        print(f"\n{system}:")
-        print(share_table(system_shares))
+    print("\n" + ARTIFACTS["fig5"].section())

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.artifacts import ARTIFACTS
 from repro.analysis.figures import figure6, figure7
-from repro.analysis.render import box_summary, format_table
 from repro.intensity.generator import generate_all_traces, generate_trace
 
 
@@ -17,15 +17,7 @@ def test_figure6(benchmark):
     assert max(medians, key=medians.get) == "TK"
     covs = {code: s.cov_percent for code, s in stats.items()}
     assert sorted(covs, key=covs.get, reverse=True)[:2] == ["ESO", "CISO"]
-    print("\nFig. 6 — annual carbon intensity per region (2021, synthetic)")
-    for code, s in stats.items():
-        print(box_summary(code, (s.minimum, s.q1, s.median, s.q3, s.maximum)))
-    print(
-        format_table(
-            ["Region", "CoV"],
-            [(code, f"{s.cov_percent:.1f}%") for code, s in stats.items()],
-        )
-    )
+    print("\n" + ARTIFACTS["fig6"].section())
 
 
 def test_figure7(benchmark):
@@ -33,16 +25,7 @@ def test_figure7(benchmark):
     eso_hours = set(result.hours_won("ESO"))
     assert set(range(8, 21)).issubset(eso_hours)
     assert len(set(result.winners_by_hour())) >= 2
-    print("\nFig. 7 — days with the lowest carbon intensity, per JST hour")
-    print(
-        format_table(
-            ["Region"] + [f"{h:02d}" for h in range(24)],
-            [
-                [code] + [int(v) for v in counts]
-                for code, counts in result.counts.items()
-            ],
-        )
-    )
+    print("\n" + ARTIFACTS["fig7"].section())
 
 
 def test_trace_generation_throughput(benchmark):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.artifacts import ARTIFACTS
 from repro.analysis.figures import figure4
-from repro.analysis.render import format_table
 
 
 def test_figure4(benchmark):
@@ -17,14 +17,4 @@ def test_figure4(benchmark):
     assert by_key[("NLP", 4)].performance_to_embodied == pytest.approx(0.88, abs=0.02)
     assert by_key[("Vision", 4)].performance_to_embodied == pytest.approx(0.79, abs=0.02)
     assert by_key[("CANDLE", 4)].performance_to_embodied == pytest.approx(0.88, abs=0.02)
-    print("\nFig. 4 — embodied carbon and performance vs GPU count (V100 node)")
-    print(
-        format_table(
-            ["Suite", "GPUs", "Embodied (rel)", "Performance (rel)", "Perf/Embodied"],
-            [
-                (p.suite, p.n_gpus, f"{p.embodied_relative:.3f}",
-                 f"{p.performance_relative:.3f}", f"{p.performance_to_embodied:.3f}")
-                for p in points
-            ],
-        )
-    )
+    print("\n" + ARTIFACTS["fig4"].section())

@@ -4,43 +4,38 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.render import format_table
+from repro.analysis.artifacts import ARTIFACTS
 from repro.analysis.tables import table1, table2, table3, table4, table5, table6
 
 
 def test_table1(benchmark):
     rows = benchmark(table1)
     assert len(rows) == 9
-    print("\nTable 1 — modeled components")
-    print(format_table(["Type", "Component", "Part Name", "Release"], rows))
+    print("\n" + ARTIFACTS["table1"].section())
 
 
 def test_table2(benchmark):
     rows = benchmark(table2)
     assert [r[0] for r in rows] == ["Frontier", "LUMI", "Perlmutter"]
-    print("\nTable 2 — studied HPC systems")
-    print(format_table(["System", "Location", "CPU & GPU", "Cores", "Year"], rows))
+    print("\n" + ARTIFACTS["table2"].section())
 
 
 def test_table3(benchmark):
     rows = benchmark(table3)
     assert len(rows) == 7
-    print("\nTable 3 — independent system operators and regions")
-    print(format_table(["Operator", "Country", "Region"], rows))
+    print("\n" + ARTIFACTS["table3"].section())
 
 
 def test_table4(benchmark):
     rows = benchmark(table4)
     assert len(rows) == 3
-    print("\nTable 4 — benchmarks and models")
-    print(format_table(["Benchmark", "Models"], rows))
+    print("\n" + ARTIFACTS["table4"].section())
 
 
 def test_table5(benchmark):
     rows = benchmark(table5)
     assert {r[0] for r in rows} == {"P100", "V100", "A100"}
-    print("\nTable 5 — node generations")
-    print(format_table(["Name", "GPU", "CPU"], rows))
+    print("\n" + ARTIFACTS["table5"].section())
 
 
 def test_table6(benchmark):
@@ -50,19 +45,4 @@ def test_table6(benchmark):
     assert first.nlp_improvement == pytest.approx(0.444, abs=0.02)
     assert first.vision_improvement == pytest.approx(0.412, abs=0.02)
     assert first.candle_improvement == pytest.approx(0.455, abs=0.02)
-    print("\nTable 6 — performance improvement from node upgrades")
-    print(
-        format_table(
-            ["Upgrade", "NLP", "Vision", "CANDLE", "Average"],
-            [
-                (
-                    r.upgrade,
-                    f"{r.nlp_improvement:.1%}",
-                    f"{r.vision_improvement:.1%}",
-                    f"{r.candle_improvement:.1%}",
-                    f"{r.average_improvement:.1%}",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print("\n" + ARTIFACTS["table6"].section())

@@ -2,53 +2,35 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.analysis.artifacts import ARTIFACTS, SAVINGS_YEARS
 from repro.analysis.figures import figure8, figure9
-from repro.analysis.render import format_table, series_panel
+from repro.analysis.render import format_table
 from repro.upgrade.amortization import breakeven_table
 from repro.upgrade.scenario import INTENSITY_LEVELS
 from repro.workloads.models import Suite
 from repro.workloads.performance import upgrade_options
 
-_TIMES = np.linspace(0.25, 5.0, 20)
-
 
 def test_figure8(benchmark):
-    grids = benchmark(figure8, times_years=_TIMES)
+    grids = benchmark(figure8, times_years=SAVINGS_YEARS)
     grid = grids[("P100", "V100")]
     # Curves start negative everywhere; high intensity ends positive.
     for label in INTENSITY_LEVELS:
         assert grid.curve(label, Suite.NLP)[0] < 0.0
     assert grid.final_savings("High Carbon Intensity", Suite.NLP) > 0.15
     assert grid.final_savings("Low Carbon Intensity", Suite.NLP) < 0.0
-    print("\nFig. 8 — carbon savings after upgrade, by carbon intensity")
-    for (old, new), g in grids.items():
-        print(f"\n{old} -> {new} (0.25-5 yr):")
-        series = {
-            f"{label.split()[0]:6s} {suite.value:6s}": g.curve(label, suite)
-            for label in INTENSITY_LEVELS
-            for suite in Suite
-        }
-        print(series_panel(series))
+    print("\n" + ARTIFACTS["fig8"].section())
 
 
 def test_figure9(benchmark):
-    grids = benchmark(figure9, times_years=_TIMES)
+    grids = benchmark(figure9, times_years=SAVINGS_YEARS)
     grid = grids[("V100", "A100")]
     assert grid.final_savings("High Usage", Suite.NLP) > grid.final_savings(
         "Low Usage", Suite.NLP
     )
-    print("\nFig. 9 — carbon savings after upgrade, by GPU usage (200 gCO2/kWh)")
-    for (old, new), g in grids.items():
-        print(f"\n{old} -> {new} (0.25-5 yr):")
-        series = {
-            f"{label:12s} {suite.value:6s}": g.curve(label, suite)
-            for label in ("High Usage", "Medium Usage", "Low Usage")
-            for suite in Suite
-        }
-        print(series_panel(series))
+    print("\n" + ARTIFACTS["fig9"].section())
 
 
 def test_breakeven_table(benchmark):

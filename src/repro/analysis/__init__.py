@@ -12,10 +12,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "table1", "table2", "table3", "table4", "table5", "table6", "Table6Row",
     ),
     "repro.analysis.render": (
-        "format_table", "bar_chart", "share_table", "box_summary", "sparkline",
-        "series_panel",
+        "format_table", "share_table", "sparkline", "series_panel",
     ),
-    "repro.analysis.report": ("ExperimentCheck", "run_all_checks", "generate_report"),
+    "repro.analysis.artifacts": ("Artifact", "ARTIFACTS"),
+    "repro.analysis.report": (
+        "ExperimentCheck", "run_all_checks", "check_table", "generate_report",
+    ),
     "repro.analysis.export": (
         "experiment_data", "write_csv", "write_json", "export_all",
     ),

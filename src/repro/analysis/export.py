@@ -2,9 +2,10 @@
 
 Downstream users (plotting notebooks, dashboards, other accounting
 tools) want the figure/table data as files, not printed text.  This
-module serializes every experiment to JSON and CSV with only the
-standard library, and a single :func:`export_all` drops the complete set
-into a directory (also exposed as ``repro-hpc export``).
+module serializes the raw rows of every artifact entry
+(:data:`repro.analysis.artifacts.ARTIFACTS`) to JSON and CSV with only
+the standard library, and a single :func:`export_all` drops the complete
+set into a directory (also exposed as ``repro-hpc export``).
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Union
 
-import numpy as np
-
-from repro.analysis import figures, tables
+from repro.analysis.artifacts import ARTIFACTS
 from repro.core.errors import ExperimentError
-from repro.workloads.models import Suite
 
 __all__ = [
     "experiment_data",
@@ -32,144 +30,15 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 
-def _rows_figure1() -> tuple[List[str], List[List[object]]]:
-    header = ["part", "kind", "embodied_kg", "embodied_per_tflop_kg"]
-    rows = [
-        [r.name, r.kind, r.embodied_kg, r.embodied_per_tflop_kg]
-        for r in figures.figure1()
-    ]
-    return header, rows
-
-
-def _rows_figure2() -> tuple[List[str], List[List[object]]]:
-    header = ["device", "kind", "embodied_kg", "embodied_per_gbps_kg"]
-    rows = [
-        [r.name, r.kind, r.embodied_kg, r.embodied_per_bandwidth_kg]
-        for r in figures.figure2()
-    ]
-    return header, rows
-
-
-def _rows_figure3() -> tuple[List[str], List[List[object]]]:
-    header = ["component_class", "manufacturing_share", "packaging_share"]
-    rows = [
-        [r.component_class, r.manufacturing_share, r.packaging_share]
-        for r in figures.figure3()
-    ]
-    return header, rows
-
-
-def _rows_figure4() -> tuple[List[str], List[List[object]]]:
-    header = ["suite", "n_gpus", "embodied_relative", "performance_relative"]
-    rows = [
-        [p.suite, p.n_gpus, p.embodied_relative, p.performance_relative]
-        for p in figures.figure4()
-    ]
-    return header, rows
-
-
-def _rows_figure5() -> tuple[List[str], List[List[object]]]:
-    header = ["system", "component_class", "share"]
-    rows = [
-        [system, cls, share]
-        for system, shares in figures.figure5().items()
-        for cls, share in shares.items()
-    ]
-    return header, rows
-
-
-def _rows_figure6() -> tuple[List[str], List[List[object]]]:
-    header = ["region", "min", "q1", "median", "q3", "max", "mean", "cov_percent"]
-    rows = [
-        [s.region_code, s.minimum, s.q1, s.median, s.q3, s.maximum, s.mean, s.cov_percent]
-        for s in figures.figure6().values()
-    ]
-    return header, rows
-
-
-def _rows_figure7() -> tuple[List[str], List[List[object]]]:
-    result = figures.figure7()
-    header = ["region"] + [f"jst_hour_{h:02d}" for h in range(24)]
-    rows = [
-        [code] + [int(v) for v in counts] for code, counts in result.counts.items()
-    ]
-    return header, rows
-
-
-def _savings_rows(grids, level_labels) -> tuple[List[str], List[List[object]]]:
-    header = ["upgrade", "level", "suite", "years", "savings"]
-    rows: List[List[object]] = []
-    for (old, new), grid in grids.items():
-        for label in level_labels:
-            for suite in Suite:
-                curve = grid.curve(label, suite)
-                for t, s in zip(grid.times_years, curve):
-                    rows.append([f"{old}->{new}", label, suite.value, float(t), float(s)])
-    return header, rows
-
-
-def _rows_figure8() -> tuple[List[str], List[List[object]]]:
-    times = np.linspace(0.25, 5.0, 20)
-    grids = figures.figure8(times_years=times)
-    return _savings_rows(
-        grids,
-        ("High Carbon Intensity", "Medium Carbon Intensity", "Low Carbon Intensity"),
-    )
-
-
-def _rows_figure9() -> tuple[List[str], List[List[object]]]:
-    times = np.linspace(0.25, 5.0, 20)
-    grids = figures.figure9(times_years=times)
-    return _savings_rows(grids, ("High Usage", "Medium Usage", "Low Usage"))
-
-
-def _rows_table(headers: Sequence[str], rows) -> tuple[List[str], List[List[object]]]:
-    return list(headers), [list(row) for row in rows]
-
-
-def _rows_table6() -> tuple[List[str], List[List[object]]]:
-    header = ["upgrade", "nlp", "vision", "candle", "average"]
-    rows = [
-        [r.upgrade, r.nlp_improvement, r.vision_improvement,
-         r.candle_improvement, r.average_improvement]
-        for r in tables.table6()
-    ]
-    return header, rows
-
-
-_EXPORTERS = {
-    "fig1": _rows_figure1,
-    "fig2": _rows_figure2,
-    "fig3": _rows_figure3,
-    "fig4": _rows_figure4,
-    "fig5": _rows_figure5,
-    "fig6": _rows_figure6,
-    "fig7": _rows_figure7,
-    "fig8": _rows_figure8,
-    "fig9": _rows_figure9,
-    "table1": lambda: _rows_table(
-        ["type", "component", "part_name", "release"], tables.table1()
-    ),
-    "table2": lambda: _rows_table(
-        ["system", "location", "processors", "cores", "year"], tables.table2()
-    ),
-    "table3": lambda: _rows_table(["operator", "country", "region"], tables.table3()),
-    "table4": lambda: _rows_table(["benchmark", "models"], tables.table4()),
-    "table5": lambda: _rows_table(["name", "gpu", "cpu"], tables.table5()),
-    "table6": _rows_table6,
-}
-
-
 def experiment_data(experiment: str) -> Dict[str, object]:
     """The experiment's data as ``{"header": [...], "rows": [[...]]}``."""
     try:
-        exporter = _EXPORTERS[experiment]
+        artifact = ARTIFACTS[experiment]
     except KeyError:
         raise ExperimentError(
-            f"unknown experiment {experiment!r}; known: {sorted(_EXPORTERS)}"
+            f"unknown experiment {experiment!r}; known: {sorted(ARTIFACTS)}"
         ) from None
-    header, rows = exporter()
-    return {"header": header, "rows": rows}
+    return artifact.data()
 
 
 def write_csv(experiment: str, path: PathLike) -> pathlib.Path:
@@ -222,7 +91,7 @@ def export_all(directory: PathLike, *, fmt: str = "csv") -> List[pathlib.Path]:
         raise ExperimentError(f"format must be 'csv' or 'json', got {fmt!r}")
     base = pathlib.Path(directory)
     written: List[pathlib.Path] = []
-    for experiment in _EXPORTERS:
+    for experiment in ARTIFACTS:
         path = base / f"{experiment}.{fmt}"
         if fmt == "csv":
             written.append(write_csv(experiment, path))

@@ -2,16 +2,15 @@
 
 The paper presents its results as bar charts, ring charts, box plots and
 line plots; in a terminal-first reproduction those become aligned text:
-horizontal bars, share tables, five-number summaries, and sparkline-
-style series.  All renderers take the structured results from
-:mod:`repro.analysis.figures` / :mod:`repro.analysis.tables` and return
-strings, so the CLI, the benchmarks and EXPERIMENTS.md share one
-formatting path.
+tables, share tables and sparkline-style series.  The artifact entries
+(:mod:`repro.analysis.artifacts`) display their rows through these
+functions, and ``repro-hpc <id>``, the benchmarks and EXPERIMENTS.md all
+print the entries' sections, so every artifact has one formatting path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,9 +18,7 @@ from repro.core.errors import ExperimentError
 
 __all__ = [
     "format_table",
-    "bar_chart",
     "share_table",
-    "box_summary",
     "sparkline",
     "series_panel",
 ]
@@ -49,23 +46,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def bar_chart(
-    items: Sequence[Tuple[str, float]], *, width: int = 40, unit: str = ""
-) -> str:
-    """Horizontal bar chart; bars scaled to the max value."""
-    if not items:
-        raise ExperimentError("bar chart needs at least one item")
-    max_value = max(value for _label, value in items)
-    if max_value <= 0.0:
-        max_value = 1.0
-    label_width = max(len(label) for label, _ in items)
-    lines = []
-    for label, value in items:
-        bar = "#" * max(int(round(width * value / max_value)), 0)
-        lines.append(f"{label.ljust(label_width)}  {bar} {value:,.2f}{unit}")
-    return "\n".join(lines)
-
-
 def share_table(shares: Mapping[str, float]) -> str:
     """Render fractional shares as a percentage table (ring-chart text)."""
     if not shares:
@@ -76,17 +56,6 @@ def share_table(shares: Mapping[str, float]) -> str:
         blocks = "#" * int(round(share * 50))
         lines.append(f"{label.ljust(label_width)}  {share * 100:5.1f}%  {blocks}")
     return "\n".join(lines)
-
-
-def box_summary(
-    label: str, stats: Tuple[float, float, float, float, float]
-) -> str:
-    """One-line five-number summary (min, Q1, median, Q3, max)."""
-    minimum, q1, median, q3, maximum = stats
-    return (
-        f"{label}: min {minimum:,.0f} | Q1 {q1:,.0f} | "
-        f"med {median:,.0f} | Q3 {q3:,.0f} | max {maximum:,.0f}"
-    )
 
 
 def sparkline(values: Sequence[float]) -> str:

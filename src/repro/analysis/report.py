@@ -10,16 +10,17 @@ never drift from the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.analysis import figures, tables
-from repro.analysis.render import format_table, series_panel, share_table
-from repro.upgrade.scenario import UpgradeScenario
+from repro.analysis.artifacts import ARTIFACTS, pct
+from repro.analysis.render import format_table
+from repro.upgrade.scenario import INTENSITY_LEVELS, USAGE_LEVELS, UpgradeScenario
 from repro.workloads.models import Suite
 
-__all__ = ["ExperimentCheck", "run_all_checks", "generate_report"]
+__all__ = ["ExperimentCheck", "run_all_checks", "check_table", "generate_report"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,10 +32,6 @@ class ExperimentCheck:
     paper: str
     measured: str
     ok: bool
-
-
-def _pct(x: float) -> str:
-    return f"{x * 100:.1f}%"
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +114,7 @@ def _checks_figure3() -> List[ExperimentCheck]:
         checks.append(
             ExperimentCheck(
                 "Fig. 3", f"{cls} packaging share of embodied carbon",
-                _pct(target), _pct(measured), abs(measured - target) <= tol,
+                pct(target), pct(measured), abs(measured - target) <= tol,
             )
         )
     return checks
@@ -165,8 +162,8 @@ def _checks_figure5() -> List[ExperimentCheck]:
         checks.append(
             ExperimentCheck(
                 "Fig. 5", f"{system} per-class shares within 6 points of paper",
-                "; ".join(f"{c} {_pct(v)}" for c, v in targets.items()),
-                "; ".join(f"{c} {_pct(v)}" for c, v in measured.items()),
+                "; ".join(f"{c} {pct(v)}" for c, v in targets.items()),
+                "; ".join(f"{c} {pct(v)}" for c, v in measured.items()),
                 worst <= 0.06,
             )
         )
@@ -186,7 +183,7 @@ def _checks_figure5() -> List[ExperimentCheck]:
         ExperimentCheck(
             "Fig. 5", "memory+storage ~60% (Frontier/Perlmutter), ~50% (LUMI)",
             "60% / 50% / 60%",
-            ", ".join(f"{k} {_pct(v)}" for k, v in mem_sto.items()),
+            ", ".join(f"{k} {pct(v)}" for k, v in mem_sto.items()),
             abs(mem_sto["Frontier"] - 0.60) <= 0.08
             and abs(mem_sto["LUMI"] - 0.50) <= 0.08
             and abs(mem_sto["Perlmutter"] - 0.60) <= 0.10,
@@ -252,10 +249,10 @@ def _checks_figure7() -> List[ExperimentCheck]:
 
 def _checks_figure8() -> List[ExperimentCheck]:
     checks: List[ExperimentCheck] = []
-    times = np.linspace(0.05, 5.0, 100)
-    grids = figures.figure8(times_years=times)
+    high, medium, low = INTENSITY_LEVELS
+    grids = figures.figure8()
     for (old, new), grid in grids.items():
-        first = grid.curve("High Carbon Intensity", Suite.NLP)[0]
+        first = grid.curve(high, Suite.NLP)[0]
         checks.append(
             ExperimentCheck(
                 "Fig. 8", f"{old}->{new}: curves start negative (embodied tax)",
@@ -266,37 +263,31 @@ def _checks_figure8() -> List[ExperimentCheck]:
         label: UpgradeScenario.from_generations(
             "P100", "V100", Suite.NLP, intensity=value
         ).breakeven_years()
-        for label, value in (
-            ("high", 400.0),
-            ("medium", 200.0),
-            ("low", 20.0),
-        )
+        for label, value in INTENSITY_LEVELS.items()
     }
     checks.append(
         ExperimentCheck(
             "Fig. 8", "P100->V100 NLP breakeven at 400 gCO2/kWh",
-            "< 0.5 yr", f"{be['high']:.2f} yr", be["high"] is not None and be["high"] < 0.5,
+            "< 0.5 yr", f"{be[high]:.2f} yr", be[high] is not None and be[high] < 0.5,
         )
     )
     checks.append(
         ExperimentCheck(
             "Fig. 8", "P100->V100 NLP breakeven at 200 gCO2/kWh",
-            "< 1 yr", f"{be['medium']:.2f} yr",
-            be["medium"] is not None and 0.5 <= be["medium"] < 1.0,
+            "< 1 yr", f"{be[medium]:.2f} yr",
+            be[medium] is not None and 0.5 <= be[medium] < 1.0,
         )
     )
     checks.append(
         ExperimentCheck(
             "Fig. 8", "P100->V100 NLP breakeven at 20 gCO2/kWh (hydro)",
-            "~5 yr or more", "never" if be["low"] is None else f"{be['low']:.1f} yr",
-            be["low"] is None or be["low"] >= 4.0,
+            "~5 yr or more", "never" if be[low] is None else f"{be[low]:.1f} yr",
+            be[low] is None or be[low] >= 4.0,
         )
     )
     # NLP receives the least performance improvement -> lowest curve.
     grid = grids[("P100", "A100")]
-    at_5yr = {
-        suite: grid.final_savings("Medium Carbon Intensity", suite) for suite in Suite
-    }
+    at_5yr = {suite: grid.final_savings(medium, suite) for suite in Suite}
     nlp_lowest = at_5yr[Suite.NLP] == min(at_5yr.values())
     checks.append(
         ExperimentCheck(
@@ -310,22 +301,15 @@ def _checks_figure8() -> List[ExperimentCheck]:
 
 def _checks_figure9() -> List[ExperimentCheck]:
     checks: List[ExperimentCheck] = []
+    high, medium, low = USAGE_LEVELS
     scenarios = {
         label: UpgradeScenario.from_generations(
             "V100", "A100", Suite.NLP, usage=usage, intensity=200.0
         )
-        for label, usage in (
-            ("High Usage", 0.60),
-            ("Medium Usage", 0.40),
-            ("Low Usage", 0.40 / 1.5),
-        )
+        for label, usage in USAGE_LEVELS.items()
     }
     breakevens = {k: s.breakeven_years() for k, s in scenarios.items()}
-    monotone = (
-        breakevens["High Usage"]
-        < breakevens["Medium Usage"]
-        < breakevens["Low Usage"]
-    )
+    monotone = breakevens[high] < breakevens[medium] < breakevens[low]
     checks.append(
         ExperimentCheck(
             "Fig. 9", "higher GPU usage amortizes the upgrade sooner",
@@ -340,13 +324,12 @@ def _checks_figure9() -> List[ExperimentCheck]:
         ExperimentCheck(
             "Fig. 9", "V100->A100 NLP at 1 yr: high/medium usage ~20% savings",
             "~20%", ", ".join(f"{k} {v:+.1%}" for k, v in at_1yr.items()),
-            0.10 <= at_1yr["Medium Usage"] <= 0.30
-            and at_1yr["Low Usage"] < at_1yr["Medium Usage"],
+            0.10 <= at_1yr[medium] <= 0.30 and at_1yr[low] < at_1yr[medium],
         )
     )
     # Usage effect smaller than carbon-intensity effect (paper Sec. 5).
-    usage_spread = breakevens["Low Usage"] / breakevens["High Usage"]
-    intensity_spread = 400.0 / 20.0
+    usage_spread = breakevens[low] / breakevens[high]
+    intensity_spread = max(INTENSITY_LEVELS.values()) / min(INTENSITY_LEVELS.values())
     checks.append(
         ExperimentCheck(
             "Fig. 9", "usage effect on amortization smaller than intensity's",
@@ -376,8 +359,8 @@ def _checks_table6() -> List[ExperimentCheck]:
         checks.append(
             ExperimentCheck(
                 "Table 6", f"{row.upgrade} improvements within 2 points",
-                " / ".join(_pct(t) for t in target),
-                " / ".join(_pct(m) for m in measured),
+                " / ".join(pct(t) for t in target),
+                " / ".join(pct(m) for m in measured),
                 worst <= 0.02,
             )
         )
@@ -411,135 +394,24 @@ def run_all_checks() -> List[ExperimentCheck]:
 # ---------------------------------------------------------------------------
 
 
-def _section_tables() -> str:
-    parts = []
-    parts.append("### Table 1 — modeled components\n")
-    parts.append("```\n" + format_table(
-        ["Type", "Component", "Part Name", "Release"], tables.table1()
-    ) + "\n```\n")
-    parts.append("### Table 2 — studied systems\n")
-    parts.append("```\n" + format_table(
-        ["System", "Location", "CPU & GPU", "Cores", "Year"], tables.table2()
-    ) + "\n```\n")
-    parts.append("### Table 3 — grid operators\n")
-    parts.append("```\n" + format_table(
-        ["Operator", "Country", "Region"], tables.table3()
-    ) + "\n```\n")
-    parts.append("### Table 4 — benchmark suites\n")
-    parts.append("```\n" + format_table(["Benchmark", "Models"], tables.table4()) + "\n```\n")
-    parts.append("### Table 5 — node generations\n")
-    parts.append("```\n" + format_table(["Name", "GPU", "CPU"], tables.table5()) + "\n```\n")
-    parts.append("### Table 6 — upgrade performance improvement\n")
-    rows = [
-        (
-            r.upgrade,
-            _pct(r.nlp_improvement),
-            _pct(r.vision_improvement),
-            _pct(r.candle_improvement),
-            _pct(r.average_improvement),
-        )
-        for r in tables.table6()
-    ]
-    parts.append("```\n" + format_table(
-        ["Upgrade", "NLP", "Vision", "CANDLE", "Average"], rows
-    ) + "\n```\n")
-    return "\n".join(parts)
+def check_table(checks: Sequence[ExperimentCheck]) -> str:
+    """The shape-check table ``repro-hpc checks`` and the report print."""
+    return format_table(
+        ["Experiment", "Criterion", "Paper", "Measured", "OK"],
+        [
+            (c.experiment, c.description, c.paper, c.measured, "yes" if c.ok else "NO")
+            for c in checks
+        ],
+    )
 
 
-def _section_figures() -> str:
-    parts = []
-    fig1 = figures.figure1()
-    parts.append("### Fig. 1 — processor embodied carbon\n")
-    rows = [
-        (r.name, r.kind, f"{r.embodied_kg:.2f}", f"{r.embodied_per_tflop_kg:.2f}")
-        for r in fig1
-    ]
-    parts.append("```\n" + format_table(
-        ["Part", "Kind", "kgCO2", "kgCO2/TFLOPS (FP64)"], rows
-    ) + "\n```\n")
-
-    fig2 = figures.figure2()
-    parts.append("### Fig. 2 — memory/storage embodied carbon\n")
-    rows = [
-        (r.name, f"{r.embodied_kg:.2f}", f"{r.embodied_per_bandwidth_kg:.2f}")
-        for r in fig2
-    ]
-    parts.append("```\n" + format_table(
-        ["Device", "kgCO2", "kgCO2 per GB/s"], rows
-    ) + "\n```\n")
-
-    parts.append("### Fig. 3 — manufacturing vs packaging split\n")
-    rows = [
-        (r.component_class, _pct(r.manufacturing_share), _pct(r.packaging_share))
-        for r in figures.figure3()
-    ]
-    parts.append("```\n" + format_table(
-        ["Class", "Manufacturing", "Packaging"], rows
-    ) + "\n```\n")
-
-    parts.append("### Fig. 4 — embodied carbon and performance vs GPU count\n")
-    rows = [
-        (
-            p.suite,
-            p.n_gpus,
-            f"{p.embodied_relative:.3f}",
-            f"{p.performance_relative:.3f}",
-            f"{p.performance_to_embodied:.3f}",
-        )
-        for p in figures.figure4()
-    ]
-    parts.append("```\n" + format_table(
-        ["Suite", "GPUs", "Embodied (rel)", "Performance (rel)", "Perf/Embodied"],
-        rows,
-    ) + "\n```\n")
-
-    parts.append("### Fig. 5 — per-system component breakdown\n")
-    for system, shares in figures.figure5().items():
-        parts.append(f"**{system}**\n\n```\n" + share_table(shares) + "\n```\n")
-
-    parts.append("### Fig. 6 — regional carbon intensity (2021, synthetic)\n")
-    stats = figures.figure6()
-    rows = [
-        (
-            s.region_code,
-            f"{s.median:.0f}",
-            f"{s.mean:.0f}",
-            f"{s.cov_percent:.1f}%",
-            f"({s.minimum:.0f}, {s.q1:.0f}, {s.median:.0f}, {s.q3:.0f}, {s.maximum:.0f})",
-        )
-        for s in stats.values()
-    ]
-    parts.append("```\n" + format_table(
-        ["Region", "Median", "Mean", "CoV", "Box (min, Q1, med, Q3, max)"], rows
-    ) + "\n```\n")
-
-    parts.append("### Fig. 7 — days each region is cleanest, per JST hour\n")
-    wc = figures.figure7()
-    rows = [
-        (code, " ".join(f"{int(v):3d}" for v in counts))
-        for code, counts in wc.counts.items()
-    ]
-    parts.append("```\n" + format_table(["Region", "Days winning, hour 0-23 (JST)"], rows) + "\n```\n")
-
-    times = np.linspace(0.25, 5.0, 20)
-    parts.append("### Fig. 8 — upgrade savings vs carbon intensity (medium usage)\n")
-    for (old, new), grid in figures.figure8(times_years=times).items():
-        series = {
-            f"{label[:6]} {suite.value}": grid.curve(label, suite)
-            for label in ("High Carbon Intensity", "Medium Carbon Intensity", "Low Carbon Intensity")
-            for suite in Suite
-        }
-        parts.append(f"**{old} -> {new}** (0.25-5 yr)\n\n```\n" + series_panel(series) + "\n```\n")
-
-    parts.append("### Fig. 9 — upgrade savings vs GPU usage (200 gCO2/kWh)\n")
-    for (old, new), grid in figures.figure9(times_years=times).items():
-        series = {
-            f"{label} {suite.value}": grid.curve(label, suite)
-            for label in ("High Usage", "Medium Usage", "Low Usage")
-            for suite in Suite
-        }
-        parts.append(f"**{old} -> {new}** (0.25-5 yr)\n\n```\n" + series_panel(series) + "\n```\n")
-    return "\n".join(parts)
+def _sections(prefix: str) -> str:
+    """The report sections of the artifacts whose ids start with ``prefix``."""
+    return "\n".join(
+        artifact.section()
+        for artifact in ARTIFACTS.values()
+        if artifact.id.startswith(prefix)
+    )
 
 
 def _section_carbon_attribution() -> str:
@@ -609,21 +481,15 @@ def generate_report() -> str:
         "## Check summary",
         "",
         "```",
-        format_table(
-            ["Experiment", "Criterion", "Paper", "Measured", "OK"],
-            [
-                (c.experiment, c.description, c.paper, c.measured, "yes" if c.ok else "NO")
-                for c in checks
-            ],
-        ),
+        check_table(checks),
         "```",
         "",
         "## Reproduced tables",
         "",
-        _section_tables(),
+        _sections("table"),
         "## Reproduced figures",
         "",
-        _section_figures(),
+        _sections("fig"),
         "## Unified carbon accounting",
         "",
         _section_carbon_attribution(),

@@ -3,7 +3,7 @@
 Usage::
 
     repro-hpc list                 # every experiment id
-    repro-hpc fig1                 # print one figure's rows
+    repro-hpc fig1                 # print one figure's report section
     repro-hpc table6
     repro-hpc checks               # paper-vs-measured shape checks
     repro-hpc report [-o FILE]     # full EXPERIMENTS.md content
@@ -19,185 +19,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = ["main"]
 
-# The analysis figures, tables and report are imported inside the
-# printers that use them, so ``audit`` and ``scenario`` never load them.
-
-
-def _print_fig1() -> None:
-    from repro.analysis.figures import figure1
-    from repro.analysis.render import format_table
-
-    rows = [
-        (r.name, r.kind, f"{r.embodied_kg:.2f}", f"{r.embodied_per_tflop_kg:.2f}")
-        for r in figure1()
-    ]
-    print(format_table(["Part", "Kind", "kgCO2", "kgCO2/TFLOPS"], rows))
-
-
-def _print_fig2() -> None:
-    from repro.analysis.figures import figure2
-    from repro.analysis.render import format_table
-
-    rows = [
-        (r.name, f"{r.embodied_kg:.2f}", f"{r.embodied_per_bandwidth_kg:.2f}")
-        for r in figure2()
-    ]
-    print(format_table(["Device", "kgCO2", "kgCO2 per GB/s"], rows))
-
-
-def _print_fig3() -> None:
-    from repro.analysis.figures import figure3
-    from repro.analysis.render import format_table
-
-    rows = [
-        (r.component_class, f"{r.manufacturing_share:.1%}", f"{r.packaging_share:.1%}")
-        for r in figure3()
-    ]
-    print(format_table(["Class", "Manufacturing", "Packaging"], rows))
-
-
-def _print_fig4() -> None:
-    from repro.analysis.figures import figure4
-    from repro.analysis.render import format_table
-
-    rows = [
-        (
-            p.suite,
-            p.n_gpus,
-            f"{p.embodied_relative:.3f}",
-            f"{p.performance_relative:.3f}",
-            f"{p.performance_to_embodied:.3f}",
-        )
-        for p in figure4()
-    ]
-    print(
-        format_table(
-            ["Suite", "GPUs", "Embodied", "Performance", "Perf/Embodied"], rows
-        )
-    )
-
-
-def _print_fig5() -> None:
-    from repro.analysis.figures import figure5
-    from repro.analysis.render import share_table
-
-    for system, shares in figure5().items():
-        print(f"{system}:")
-        print(share_table(shares))
-        print()
-
-
-def _print_fig6() -> None:
-    from repro.analysis.figures import figure6
-    from repro.analysis.render import format_table
-
-    rows = [
-        (
-            s.region_code,
-            f"{s.median:.0f}",
-            f"{s.cov_percent:.1f}%",
-            f"({s.minimum:.0f}, {s.q1:.0f}, {s.median:.0f}, {s.q3:.0f}, {s.maximum:.0f})",
-        )
-        for s in figure6().values()
-    ]
-    print(format_table(["Region", "Median", "CoV", "Box"], rows))
-
-
-def _print_fig7() -> None:
-    from repro.analysis.figures import figure7
-    from repro.analysis.render import format_table
-
-    wc = figure7()
-    rows = [
-        (code, " ".join(f"{int(v):3d}" for v in counts))
-        for code, counts in wc.counts.items()
-    ]
-    print(format_table(["Region", "Days cleanest per JST hour (0-23)"], rows))
-
-
-def _print_fig8() -> None:
-    import numpy as np
-
-    from repro.analysis.figures import figure8
-    from repro.analysis.render import series_panel
-    from repro.workloads.models import Suite
-
-    times = np.linspace(0.25, 5.0, 20)
-    for (old, new), grid in figure8(times_years=times).items():
-        print(f"{old} -> {new} (savings, 0.25-5 yr):")
-        series = {
-            f"{label.split()[0]:6s} {suite.value}": grid.curve(label, suite)
-            for label in (
-                "High Carbon Intensity",
-                "Medium Carbon Intensity",
-                "Low Carbon Intensity",
-            )
-            for suite in Suite
-        }
-        print(series_panel(series))
-        print()
-
-
-def _print_fig9() -> None:
-    import numpy as np
-
-    from repro.analysis.figures import figure9
-    from repro.analysis.render import series_panel
-    from repro.workloads.models import Suite
-
-    times = np.linspace(0.25, 5.0, 20)
-    for (old, new), grid in figure9(times_years=times).items():
-        print(f"{old} -> {new} (savings, 0.25-5 yr):")
-        series = {
-            f"{label:12s} {suite.value}": grid.curve(label, suite)
-            for label in ("High Usage", "Medium Usage", "Low Usage")
-            for suite in Suite
-        }
-        print(series_panel(series))
-        print()
-
-
-def _print_table(headers: Sequence[str], name: str) -> Callable[[], None]:
-    def printer() -> None:
-        from repro.analysis import tables
-        from repro.analysis.render import format_table
-
-        print(format_table(headers, getattr(tables, name)()))
-
-    return printer
-
-
-def _print_table6() -> None:
-    from repro.analysis.render import format_table
-    from repro.analysis.tables import table6
-
-    rows = [
-        (
-            r.upgrade,
-            f"{r.nlp_improvement:.1%}",
-            f"{r.vision_improvement:.1%}",
-            f"{r.candle_improvement:.1%}",
-            f"{r.average_improvement:.1%}",
-        )
-        for r in table6()
-    ]
-    print(format_table(["Upgrade", "NLP", "Vision", "CANDLE", "Average"], rows))
+#: The paper's artifacts, one subcommand each.  Their entries live in
+#: ``repro.analysis.artifacts``, which only the subcommands import, so
+#: ``audit`` and ``scenario`` never load the analysis figures.
+ARTIFACT_IDS = (
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "table1", "table2", "table3", "table4", "table5", "table6",
+)
 
 
 def _print_checks() -> None:
-    from repro.analysis.render import format_table
-    from repro.analysis.report import run_all_checks
+    from repro.analysis.report import check_table, run_all_checks
 
     checks = run_all_checks()
-    rows = [
-        (c.experiment, c.description, c.paper, c.measured, "yes" if c.ok else "NO")
-        for c in checks
-    ]
-    print(format_table(["Experiment", "Criterion", "Paper", "Measured", "OK"], rows))
+    print(check_table(checks))
     n_ok = sum(1 for c in checks if c.ok)
     print(f"\n{n_ok}/{len(checks)} checks pass")
 
@@ -214,29 +53,6 @@ def _print_insights() -> None:
     print(format_table(["#", "Takeaway", "Holds", "Evidence"], rows))
     n_ok = sum(1 for r in results if r.holds)
     print(f"\n{n_ok}/{len(results)} observations/insights hold")
-
-
-_EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "fig1": _print_fig1,
-    "fig2": _print_fig2,
-    "fig3": _print_fig3,
-    "fig4": _print_fig4,
-    "fig5": _print_fig5,
-    "fig6": _print_fig6,
-    "fig7": _print_fig7,
-    "fig8": _print_fig8,
-    "fig9": _print_fig9,
-    "table1": _print_table(["Type", "Component", "Part Name", "Release"], "table1"),
-    "table2": _print_table(
-        ["System", "Location", "CPU & GPU", "Cores", "Year"], "table2"
-    ),
-    "table3": _print_table(["Operator", "Country", "Region"], "table3"),
-    "table4": _print_table(["Benchmark", "Models"], "table4"),
-    "table5": _print_table(["Name", "GPU", "CPU"], "table5"),
-    "table6": _print_table6,
-    "checks": _print_checks,
-    "insights": _print_insights,
-}
 
 
 def _split_float_list(raw: str):
@@ -1234,15 +1050,15 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     models_parser.add_argument("--region", default="ESO")
     models_parser.add_argument("--epochs", type=int, default=10)
-    for name in _EXPERIMENTS:
+    for name in (*ARTIFACT_IDS, "checks", "insights"):
         subparsers.add_parser(name, help=f"print {name}")
 
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in list(_EXPERIMENTS) + [
-            "report", "export", "audit", "advise", "models", "scenario",
-            "workload", "sweep",
-        ]:
+        for name in (
+            *ARTIFACT_IDS, "checks", "insights", "report", "export", "audit",
+            "advise", "models", "scenario", "workload", "sweep",
+        ):
             print(name)
         return 0
     if args.command == "export":
@@ -1354,7 +1170,14 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(content)
         return 0
-    _EXPERIMENTS[args.command]()
+    if args.command == "checks":
+        _print_checks()
+    elif args.command == "insights":
+        _print_insights()
+    else:
+        from repro.analysis.artifacts import ARTIFACTS
+
+        print(ARTIFACTS[args.command].section(), end="")
     return 0
 
 

@@ -107,9 +107,10 @@ calling conventions, per kind:
     exposing ``plan(grid)`` and ``run(grid, ...) -> SweepOutcome`` over
     a SweepSpec / spec mapping / spec path / Scenario list, results in
     input order (see :mod:`repro.sweep.runner`).  ``cached`` (default)
-    takes ``cache_dir``/``disk``/``memory_slots``/``delta`` plus
-    executor defaults; ``direct`` is the cache-free variant.  Running
-    an empty grid must return an empty outcome without touching disk.
+    takes ``cache_dir``/``disk``/``cache_writeback``/``delta`` plus the
+    executor defaults ``executor``/``max_workers``; ``direct`` is the
+    cache-free variant.  Running an empty grid must return an empty
+    outcome without touching disk.
 
 **Which registry kinds feed which result sections.**  Section-level
 delta evaluation (:data:`repro.session.fingerprint.KNOB_SECTIONS`)

@@ -166,9 +166,11 @@ class CarbonSection:
     Every requested section charges into the shared accounting
     subsystem (:mod:`repro.accounting`); this section is the rollup.
     ``source`` names the *primary* account — the most complete model the
-    scenario ran (best scheduling policy > cluster simulation > training
-    run > audit > upgrade recommendation) — whose operational carbon and
-    (amortized) embodied carbon make up ``total_g``.  ``by_source``
+    scenario ran (best scheduling policy > training run > audit >
+    upgrade recommendation > embodied inventory) — whose operational
+    carbon and (amortized) embodied carbon make up ``total_g``.  A
+    cluster simulation is never primary: a cluster needs a workload,
+    which always brings the scheduling baseline.  ``by_source``
     keeps every contributing section's realized grams side by side
     *without* summing them: scheduling and cluster simulation are two
     models of the same jobs, not additive accounts.

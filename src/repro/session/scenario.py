@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 import math
 import pathlib
-from numbers import Real
+from numbers import Integral, Real
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -62,6 +62,35 @@ _DEFAULT_FORECAST_ERROR = 0.03
 _DEFAULT_USAGE = 0.40
 _DEFAULT_LIFETIME_YEARS = 5.0
 _DEFAULT_WORKLOAD_SEED = 7
+
+
+def _whole_number(
+    knob: str, value: Any, *, minimum: Optional[int] = None, unit: str = ""
+) -> int:
+    """``value`` as an ``int``, or a :class:`SessionError` naming ``knob``.
+
+    Only a whole real number passes: ``int()`` would truncate 2.5, read
+    a bool as 0 or 1, parse a string and fail bare on NaN or infinity.
+    """
+    whole = isinstance(value, Integral) or (
+        isinstance(value, Real) and math.isfinite(value) and value == int(value)
+    )
+    if isinstance(value, bool) or not whole or (
+        minimum is not None and value < minimum
+    ):
+        of = f" of {unit}" if unit else ""
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SessionError(f"{knob} needs a whole number{of}{bound}, got {value!r}")
+    return int(value)
+
+
+def _real_number(knob: str, value: Any) -> float:
+    """``value`` as a ``float``, or a :class:`SessionError` naming
+    ``knob`` for a bool (which ``float()`` reads as 0.0 or 1.0) or a
+    non-number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise SessionError(f"{knob} must be a number, got {value!r}")
+    return float(value)
 
 
 class Scenario:
@@ -176,7 +205,7 @@ class Scenario:
 
     def constant_intensity(self, g_per_kwh: float) -> "Scenario":
         """Flat grid intensity instead of a generated trace."""
-        value = float(g_per_kwh)
+        value = _real_number("constant intensity", g_per_kwh)
         if not 0.0 <= value < math.inf:
             raise SessionError(
                 f"constant intensity must be finite and non-negative, got {value!r}"
@@ -185,11 +214,11 @@ class Scenario:
 
     def seed(self, seed: int) -> "Scenario":
         """Trace-generation seed (default: the 2021 study seed)."""
-        return self._set("seed", int(seed))
+        return self._set("seed", _whole_number("seed", seed))
 
     def forecast_error(self, fraction: float) -> "Scenario":
         """1-hour-ahead relative forecast error (0.0 = oracle)."""
-        fraction = float(fraction)
+        fraction = _real_number("forecast error", fraction)
         # NaN would make every score table NaN, and argmin would then
         # silently pick each job's first candidate.
         if not 0.0 <= fraction < math.inf:
@@ -237,7 +266,7 @@ class Scenario:
         self._set("workload", workload)
         self._workload_opts = dict(opts)
         if seed is not None:
-            self._set("workload_seed", int(seed))
+            self._set("workload_seed", _whole_number("workload seed", seed))
         return self
 
     def policy(self, policy: Union[str, Any]) -> "Scenario":
@@ -260,10 +289,11 @@ class Scenario:
         n_gpus: Optional[int] = None,
     ) -> "Scenario":
         """Characterize one training run (Table 4 model on the node)."""
-        if epochs < 1:
-            raise SessionError(f"epochs must be >= 1, got {epochs}")
+        epochs = _whole_number("epochs", epochs, minimum=1)
+        if n_gpus is not None:
+            n_gpus = _whole_number("n_gpus", n_gpus)
         return self._set(
-            "training", {"model": str(model), "epochs": int(epochs), "n_gpus": n_gpus}
+            "training", {"model": str(model), "epochs": epochs, "n_gpus": n_gpus}
         )
 
     def upgrade(self, old: str, new: str, *, suite: str = "NLP") -> "Scenario":
@@ -286,16 +316,10 @@ class Scenario:
         recorded in provenance when present; a backend that does not
         understand an option fails loudly at run time.
         """
-        if (
-            isinstance(n_nodes, bool)
-            or not isinstance(n_nodes, Real)
-            or not 1 <= n_nodes < math.inf
-            or n_nodes != int(n_nodes)
-        ):
-            raise SessionError(
-                f"cluster needs a whole number of nodes >= 1, got {n_nodes!r}"
-            )
-        self._set("cluster_nodes", int(n_nodes))
+        self._set(
+            "cluster_nodes",
+            _whole_number("cluster", n_nodes, minimum=1, unit="nodes"),
+        )
         self._simulator_opts = dict(opts)
         return self._set("simulator", str(simulator))
 
@@ -306,10 +330,8 @@ class Scenario:
         """Scheduling/simulation horizon (default: the workload's)."""
         if (hours is None) == (days is None):
             raise SessionError("window takes exactly one of hours= or days=")
-        given = hours if hours is not None else days
-        if isinstance(given, bool):
-            raise SessionError(f"window must be a number, got {given!r}")
-        value = float(given) if hours is not None else float(given) * 24.0
+        given = _real_number("window", hours if hours is not None else days)
+        value = given if hours is not None else given * 24.0
         if not 0.0 < value < math.inf:
             raise SessionError(
                 f"window must be positive and finite, got {value!r}"
@@ -318,16 +340,17 @@ class Scenario:
 
     def lifetime(self, years: float) -> "Scenario":
         """Service life for audits and upgrade analyses (default 5)."""
-        years = float(years)
+        years = _real_number("lifetime", years)
         if not 0.0 < years < math.inf:
             raise SessionError(f"lifetime must be finite and positive, got {years!r}")
         return self._set("lifetime_years", years)
 
     def usage(self, fraction: float) -> "Scenario":
         """GPU duty cycle (paper medium: 0.40)."""
-        if not (0.0 < float(fraction) <= 1.0):
+        fraction = _real_number("usage", fraction)
+        if not 0.0 < fraction <= 1.0:
             raise SessionError(f"usage must be in (0, 1], got {fraction!r}")
-        return self._set("usage", float(fraction))
+        return self._set("usage", fraction)
 
     def pue(self, value: Union[float, str, Any], /, **opts) -> "Scenario":
         """Override the facility PUE: a number, a backend key, or a profile.
@@ -407,15 +430,13 @@ class Scenario:
 
     def n_nodes(self, count: int) -> "Scenario":
         """Override the registered system's node count."""
-        if int(count) < 0:
-            raise SessionError("n_nodes must be non-negative")
-        return self._set("n_nodes", int(count))
+        return self._set("n_nodes", _whole_number("n_nodes", count, minimum=0))
 
     def nics_per_node(self, count: int) -> "Scenario":
         """Fabric endpoints per node for the interconnect estimate."""
-        if int(count) < 1:
-            raise SessionError("nics_per_node must be >= 1")
-        return self._set("nics_per_node", int(count))
+        return self._set(
+            "nics_per_node", _whole_number("nics_per_node", count, minimum=1)
+        )
 
     def renderer(self, key: str) -> "Scenario":
         """``renderer`` registry key for :meth:`Session.render`."""
@@ -447,11 +468,9 @@ class Scenario:
         engine for the whole sweep; an explicit ``executor=`` argument
         to ``run_many`` wins over any scenario knob.
         """
-        if max_workers is not None and int(max_workers) < 1:
-            raise SessionError(f"max_workers must be >= 1, got {max_workers!r}")
         opts: dict = {}
         if max_workers is not None:
-            opts["max_workers"] = int(max_workers)
+            opts["max_workers"] = _whole_number("max_workers", max_workers, minimum=1)
         self._executor_opts = opts
         return self._set("executor", str(key))
 

@@ -631,10 +631,10 @@ class Session:
             section, ledger=evaluations[section.best().policy].ledger
         )
 
-    def _run_cluster(self, jobs) -> Tuple[Optional[ClusterSection], Any]:
+    def _run_cluster(self, jobs) -> Optional[ClusterSection]:
         s = self._scenario
         if self._simulate is None:
-            return None, None
+            return None
         from repro.cluster.simulator import Cluster
 
         horizon = s._window_h
@@ -660,7 +660,7 @@ class Session:
                 f"simulator backend {s._simulator!r} rejected options "
                 f"{sorted(s._simulator_opts)}: {exc}"
             ) from exc
-        section = ClusterSection(
+        return ClusterSection(
             simulator=s._simulator,
             n_nodes=s._cluster_nodes,
             horizon_h=float(horizon),
@@ -670,7 +670,6 @@ class Session:
             average_usage=sim.average_usage(),
             mean_wait_h=sim.mean_wait_h(),
         )
-        return section, sim
 
     def _run_upgrade(self) -> Optional[UpgradeSection]:
         s = self._scenario
@@ -710,14 +709,15 @@ class Session:
         training: Optional[TrainingSection],
         scheduling: Optional[SchedulingSection],
         cluster: Optional[ClusterSection],
-        cluster_sim,
         upgrade: Optional[UpgradeSection],
     ) -> Optional[CarbonSection]:
         """Roll every charged section up into the unified carbon account.
 
         The primary account is the most complete model the scenario ran
-        (scheduling best policy > cluster simulation > training > audit
-        > upgrade); alternatives stay side by side in ``by_source``.
+        (scheduling best policy > training > audit > upgrade > embodied);
+        alternatives stay side by side in ``by_source``.  A cluster
+        simulation is never primary: ``.cluster()`` requires a workload,
+        and a workload always brings the scheduling baseline.
         Workload-scale primaries add the amortized embodied share of
         the hardware they occupied (the model-card LCA attribution), so
         scheduling results and audits finally speak one Eq. 1 currency.
@@ -768,27 +768,7 @@ class Session:
             source = f"scheduling:{best.policy}"
 
         if cluster is not None:
-            # The realized grams come off the (possibly cache-assembled)
-            # section; the ledger merge below needs a live simulation,
-            # which the delta path forces whenever the rollup could land
-            # on the cluster as its primary account.
             by_source["cluster"] = cluster.carbon_g
-            if primary is None:
-                assert cluster_sim is not None
-                primary = CarbonLedger()
-                if cluster_sim.ledger is not None:
-                    primary.merge(cluster_sim.ledger)
-                operational = primary.operational_g
-                primary.charge_amortized_embodied(
-                    f"cluster:{s._cluster_nodes}x{self._node.name}",
-                    self._node.embodied(config=self._config).total_g
-                    * s._cluster_nodes,
-                    duration_h=cluster.horizon_h,
-                    lifetime_years=s._lifetime_years,
-                    region=s._region,
-                )
-                embodied_g = primary.embodied_g
-                source = "cluster"
 
         if training is not None:
             by_source["training"] = training.operational_g
@@ -900,10 +880,9 @@ class Session:
         their ledgers (:func:`~repro.session.result.dump_section`), so
         a stale rollup recomputes neither.  A hit without its ledger
         (a ``reuse`` object that stores plain ``to_dict`` payloads) is
-        recomputed, and so is the cluster section for a rollup whose
-        primary account would be the live simulation.  The jobs are
-        generated whenever scheduling, the cluster or the rollup runs
-        (the rollup prorates embodied carbon over them).
+        recomputed.  The jobs are generated whenever scheduling, the
+        cluster or the rollup runs (the rollup prorates embodied carbon
+        over them).
         """
         try:
             fingerprint = self.fingerprint()
@@ -927,11 +906,6 @@ class Session:
                 payload = cached.get(name)
                 if payload is not None and payload.get("ledger") is None:
                     live.add(name)
-            if s._cluster_nodes is not None and s._workload is None:
-                # Defensive: validation makes a cluster imply a workload
-                # (and thus a scheduling primary), but a cluster-primary
-                # rollup would need the live simulation's ledger.
-                live.add("cluster")
 
         needs_jobs = s._workload is not None and bool(
             {"scheduling", "cluster", "carbon"} & live
@@ -957,11 +931,11 @@ class Session:
             if "scheduling" in live
             else load_section("scheduling", cached["scheduling"])
         )
-        if "cluster" in live:
-            cluster, cluster_sim = self._run_cluster(jobs)
-        else:
-            cluster = load_section("cluster", cached["cluster"])
-            cluster_sim = None
+        cluster = (
+            self._run_cluster(jobs)
+            if "cluster" in live
+            else load_section("cluster", cached["cluster"])
+        )
         upgrade = (
             self._run_upgrade()
             if "upgrade" in live
@@ -969,8 +943,7 @@ class Session:
         )
         if "carbon" in live:
             carbon = self._run_carbon(
-                jobs, embodied, audit, training, scheduling, cluster,
-                cluster_sim, upgrade,
+                jobs, embodied, audit, training, scheduling, cluster, upgrade,
             )
         else:
             carbon = load_section("carbon", cached["carbon"])

@@ -306,12 +306,6 @@ class SweepService:
         override it.  With neither set, the engine resolves as in
         :meth:`Session.run_many` (see
         :func:`repro.session.executors.resolve_executor`).
-    retry / faults / max_rebuilds:
-        Default resilience configuration for :meth:`run` (per-call
-        arguments override, then a spec's ``resilience`` section fills
-        whatever is still unset).  ``retry`` takes anything
-        :meth:`~repro.resilience.RetryPolicy.coerce` accepts; ``faults``
-        anything :func:`_coerce_injector` accepts.
     cache_writeback:
         ``False`` stops fresh results from being written back to the
         result cache (reads still hit) — the escape hatch for runs whose
@@ -329,12 +323,8 @@ class SweepService:
         cache: bool = True,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         disk: bool = True,
-        memory_slots: Optional[int] = None,
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
-        retry: Union[RetryPolicy, Mapping[str, Any], int, None] = None,
-        faults: Any = None,
-        max_rebuilds: Optional[int] = None,
         cache_writeback: bool = True,
         delta: Optional[bool] = None,
     ) -> None:
@@ -347,8 +337,7 @@ class SweepService:
                     if cache_dir is not None
                     else default_cache_dir()
                 )
-            kwargs = {} if memory_slots is None else {"memory_slots": memory_slots}
-            self._cache = ResultCache(directory, **kwargs)
+            self._cache = ResultCache(directory)
         elif cache_dir is not None:
             raise SweepError("cache_dir is meaningless with cache=False")
         if delta and self._cache is None:
@@ -358,9 +347,6 @@ class SweepService:
         self._delta = (self._cache is not None) if delta is None else bool(delta)
         self._executor = executor
         self._max_workers = max_workers
-        self._retry = retry
-        self._faults = faults
-        self._max_rebuilds = max_rebuilds
         self._cache_writeback = bool(cache_writeback)
 
     # --- introspection ----------------------------------------------------
@@ -475,10 +461,12 @@ class SweepService:
         whose pool worker dies) becomes a
         :class:`~repro.resilience.CellFailure` on the report and leaves
         ``None`` at its cells; every other cell still comes back, cached
-        and journaled as it settles.  ``retry`` / ``faults`` /
-        ``max_rebuilds`` override the service defaults, which override a
-        spec's ``resilience`` section; with none set the units run under
-        the inert policy (one attempt, no timeout, no faults).
+        and journaled as it settles.  ``retry`` (anything
+        :meth:`~repro.resilience.RetryPolicy.coerce` accepts), ``faults``
+        (anything :func:`_coerce_injector` accepts) and ``max_rebuilds``
+        override a spec's ``resilience`` section; with neither set the
+        units run under the inert policy (one attempt, no timeout, no
+        faults).
         ``journal`` appends every completed unit's fingerprint to a
         JSONL checkpoint; ``resume`` skips units already journaled
         ``done`` (and journals new completions to the same file unless
@@ -502,19 +490,14 @@ class SweepService:
         spec_retry: Optional[Dict[str, Any]] = {
             k: v for k, v in section.items() if k in self._RETRY_KEYS
         } or None
-        retry_cfg = retry if retry is not None else self._retry
-        if retry_cfg is None:
-            retry_cfg = spec_retry
-        policy = RetryPolicy.coerce(retry_cfg)
-        faults_cfg = faults if faults is not None else self._faults
-        if faults_cfg is None:
-            faults_cfg = section.get("faults")
-        injector = _coerce_injector(faults_cfg)
+        policy = RetryPolicy.coerce(retry if retry is not None else spec_retry)
+        injector = _coerce_injector(
+            faults if faults is not None else section.get("faults")
+        )
         rebuild_budget = next(
             int(value)
             for value in (
                 max_rebuilds,
-                self._max_rebuilds,
                 section.get("max_rebuilds"),
                 DEFAULT_MAX_REBUILDS,
             )

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.render import (
-    bar_chart,
-    box_summary,
     format_table,
     series_panel,
     sparkline,
@@ -33,22 +31,6 @@ class TestFormatTable:
         assert "42" in text
 
 
-class TestBarChart:
-    def test_bars_scale_to_max(self):
-        text = bar_chart([("a", 10.0), ("b", 5.0)], width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ExperimentError):
-            bar_chart([])
-
-    def test_all_zero_values_handled(self):
-        text = bar_chart([("a", 0.0)])
-        assert "a" in text
-
-
 class TestShareTable:
     def test_percentages(self):
         text = share_table({"GPU": 0.42, "CPU": 0.08})
@@ -58,13 +40,6 @@ class TestShareTable:
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
             share_table({})
-
-
-class TestBoxSummary:
-    def test_five_numbers_present(self):
-        text = box_summary("ESO", (1.0, 2.0, 3.0, 4.0, 5.0))
-        for token in ("min 1", "Q1 2", "med 3", "Q3 4", "max 5"):
-            assert token in text
 
 
 class TestSparkline:

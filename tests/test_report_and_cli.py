@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -90,6 +91,70 @@ def test_workload_scenario_matches_golden(name, capsys, golden_file):
         *_WORKLOAD_SCENARIOS[name], "--renderer", "json",
     ]) == 0
     golden_file(f"cli/{name}.json", capsys.readouterr().out)
+
+
+#: The paper's 15 artifacts, in the order ``repro-hpc list`` and
+#: ``repro-hpc export`` name them.
+ARTIFACT_IDS = tuple(f"fig{n}" for n in range(1, 10)) + tuple(
+    f"table{n}" for n in range(1, 7)
+)
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """What ``repro-hpc export`` writes, by file name (CSV bytes as text,
+    line endings untouched)."""
+    directory = tmp_path_factory.mktemp("export")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["export", "-d", str(directory)]) == 0
+    return {
+        path.name: path.read_bytes().decode("utf-8")
+        for path in directory.iterdir()
+    }
+
+
+def test_export_writes_every_artifact(exported):
+    assert sorted(exported) == sorted(f"{name}.csv" for name in ARTIFACT_IDS)
+
+
+@pytest.mark.parametrize("artifact", ARTIFACT_IDS)
+def test_export_matches_golden(artifact, exported, golden_file):
+    # CI's installed-package step cmps the same files.
+    # Re-bless: pytest tests/test_report_and_cli.py --update-golden
+    golden_file(f"export/{artifact}.csv", exported[f"{artifact}.csv"])
+
+
+@pytest.fixture(scope="module")
+def report_text():
+    from repro.analysis.report import generate_report
+
+    return generate_report()
+
+
+def _report_section(report: str, artifact: str) -> str:
+    """The report's section of ``figN``/``tableN``: its ``### Fig. N —``
+    heading and everything up to the blank line before the next heading."""
+    kind, number = re.fullmatch(r"(fig|table)(\d)", artifact).groups()
+    label = f"{'Fig.' if kind == 'fig' else 'Table'} {number}"
+    match = re.search(rf"^### {label} — .*?\n(?=\n##)", report, re.M | re.S)
+    assert match is not None, artifact
+    return match.group(0)
+
+
+@pytest.mark.parametrize("artifact", ARTIFACT_IDS)
+def test_artifact_command_prints_its_report_section(artifact, report_text, capsys):
+    assert main([artifact]) == 0
+    assert capsys.readouterr().out == _report_section(report_text, artifact)
+
+
+def test_cli_export_and_entries_share_the_artifact_ids(tmp_path):
+    from repro import cli
+    from repro.analysis.artifacts import ARTIFACTS
+    from repro.analysis.export import export_all
+
+    assert cli.ARTIFACT_IDS == tuple(ARTIFACTS) == ARTIFACT_IDS
+    written = export_all(tmp_path)
+    assert tuple(path.stem for path in written) == cli.ARTIFACT_IDS
 
 
 class TestCli:

@@ -116,6 +116,49 @@ class TestScenarioValidation:
         with pytest.raises(SessionError, match="whole number of nodes"):
             Scenario().cluster(n_nodes)
 
+    @pytest.mark.parametrize(
+        "setter,args,kwargs,knob",
+        [
+            ("seed", (1.5,), {}, "seed"),
+            ("seed", (True,), {}, "seed"),
+            ("workload", ("synthetic",), {"seed": 1.5}, "workload seed"),
+            ("n_nodes", (2.5,), {}, "n_nodes"),
+            ("n_nodes", (True,), {}, "n_nodes"),
+            ("n_nodes", ("3",), {}, "n_nodes"),
+            ("n_nodes", (float("nan"),), {}, "n_nodes"),
+            ("n_nodes", (float("inf"),), {}, "n_nodes"),
+            ("nics_per_node", (1.9,), {}, "nics_per_node"),
+            ("training", ("BERT",), {"n_gpus": 2.5}, "n_gpus"),
+            ("training", ("BERT",), {"epochs": float("nan")}, "epochs"),
+            ("executor", ("process",), {"max_workers": 2.5}, "max_workers"),
+            ("lifetime", (True,), {}, "lifetime"),
+            ("usage", (True,), {}, "usage"),
+            ("constant_intensity", (True,), {}, "constant intensity"),
+            ("forecast_error", (True,), {}, "forecast error"),
+        ],
+    )
+    def test_number_knobs_reject_what_they_would_truncate(
+        self, setter, args, kwargs, knob
+    ):
+        # Each of these was stored truncated (2.5 -> 2, True -> 1 or
+        # 1.0, "3" -> 3) or failed with a bare ValueError/OverflowError.
+        with pytest.raises(SessionError, match=knob):
+            getattr(Scenario(), setter)(*args, **kwargs)
+
+    def test_whole_number_knobs_store_ints(self):
+        scenario = (
+            Scenario()
+            .seed(np.int64(5))
+            .n_nodes(2.0)
+            .nics_per_node(4)
+            .training("BERT", epochs=2, n_gpus=4)
+            .executor("process", max_workers=2)
+        )
+        assert type(scenario._seed) is int and scenario._seed == 5
+        assert type(scenario._n_nodes) is int and scenario._n_nodes == 2
+        assert scenario._training == {"model": "BERT", "epochs": 2, "n_gpus": 4}
+        assert scenario._executor_opts == {"max_workers": 2}
+
     def test_run_is_idempotent(self):
         # The forecast RNG is consumed by a run; the session caches its
         # result so repeat run()/render() report identical numbers.
