@@ -193,9 +193,8 @@ print(
 # alongside whole results — so when the second grid below swaps the
 # renderer, each cell misses the whole-result cache but assembles
 # byte-identically from cached sections, skipping the month-long
-# cluster simulation entirely.  On by default whenever the cache is on;
-# `repro-hpc sweep run grid.yaml --no-delta` opts out, and
-# `repro-hpc sweep plan grid.yaml` predicts the per-cell section hits.
+# cluster simulation entirely.  Every cached sweep assembles this way,
+# and `repro-hpc sweep plan grid.yaml` predicts the per-cell section hits.
 month = {
     "base": {"node": "A100", "region": "ESO", "seed": 7,
              "workload": "synthetic",

@@ -680,13 +680,10 @@ def _run_sweep_command(args) -> int:
         from repro.session import resolve_backend
 
         if args.sweep_command == "plan":
-            if args.no_delta:
-                service = resolve_backend("sweep", "direct")()
-            else:
-                plan_opts = {}
-                if args.cache_dir:
-                    plan_opts["cache_dir"] = args.cache_dir
-                service = resolve_backend("sweep", "cached")(**plan_opts)
+            plan_opts = {}
+            if args.cache_dir:
+                plan_opts["cache_dir"] = args.cache_dir
+            service = resolve_backend("sweep", "cached")(**plan_opts)
             for line in service.plan(args.spec).summary_lines():
                 print(line)
             return 0
@@ -699,8 +696,6 @@ def _run_sweep_command(args) -> int:
             opts["executor"] = args.executor
         if args.max_workers is not None:
             opts["max_workers"] = args.max_workers
-        if args.delta is not None:
-            opts["delta"] = args.delta
         if args.no_cache:
             if args.cache_dir:
                 raise SweepError("--cache-dir is meaningless with --no-cache")
@@ -1010,15 +1005,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-cache-writeback", action="store_true",
         help="serve cache hits but do not write fresh results back",
     )
-    sweep_run.add_argument(
-        "--delta", dest="delta", action="store_true", default=None,
-        help="assemble results from cached section payloads, recomputing "
-             "only stale sections (default when the cache is on)",
-    )
-    sweep_run.add_argument(
-        "--no-delta", dest="delta", action="store_false",
-        help="disable section-level delta evaluation",
-    )
     sweep_plan = sweep_sub.add_parser(
         "plan", help="expand + deduplicate a spec without running anything"
     )
@@ -1027,10 +1013,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         "--cache-dir", default=None,
         help="section cache to predict per-cell reuse against "
              "(default ~/.cache/repro-hpc or $REPRO_HPC_CACHE_DIR)",
-    )
-    sweep_plan.add_argument(
-        "--no-delta", action="store_true",
-        help="skip the per-cell section-reuse prediction",
     )
     sweep_cache = sweep_sub.add_parser(
         "cache", help="list or clear the on-disk result cache"

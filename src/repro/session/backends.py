@@ -107,22 +107,27 @@ calling conventions, per kind:
     exposing ``plan(grid)`` and ``run(grid, ...) -> SweepOutcome`` over
     a SweepSpec / spec mapping / spec path / Scenario list, results in
     input order (see :mod:`repro.sweep.runner`).  ``cached`` (default)
-    takes ``cache_dir``/``disk``/``cache_writeback``/``delta`` plus the
-    executor defaults ``executor``/``max_workers``; ``direct`` is the
-    cache-free variant.  Running an empty grid must return an empty
-    outcome without touching disk.
+    takes ``cache_dir`` plus the engine, ``executor``/``max_workers``,
+    and always evaluates by section: a cell that misses the
+    whole-result cache recomputes only its stale sections.  ``direct``
+    is the cache-free variant and takes only the engine.  ``run``
+    takes ``retry``/``faults``/``journal``/``resume``/``max_rebuilds``
+    and ``cache_writeback``.  Running an empty grid must return an
+    empty outcome without touching disk.
 
 **Which registry kinds feed which result sections.**  Section-level
 delta evaluation (:data:`repro.session.fingerprint.KNOB_SECTIONS`)
 reuses a cached section whenever none of its inputs changed, so a
 backend author must know which sections their kind invalidates:
 ``system`` feeds ``embodied`` + ``audit``; ``node`` feeds ``embodied``,
-``training``, ``scheduling``, ``cluster``; ``intensity`` and
-``accounting`` feed every charged section (``audit``/``training``/
-``scheduling``/``cluster``/``upgrade``); ``pue`` likewise (embodied
-carbon has no facility overhead); ``workload`` feeds ``scheduling`` +
-``cluster``; ``policy`` feeds ``scheduling``; ``simulator`` feeds
-``cluster``; the ``carbon`` rollup depends on all six.  ``renderer``,
+``training``, ``scheduling``, ``cluster``; ``intensity`` feeds every
+charged section (``audit``/``training``/``scheduling``/``cluster``/
+``upgrade``); ``pue`` likewise (embodied carbon has no facility
+overhead); ``accounting`` feeds ``scheduling`` only (the other charged
+sections meter through their own fixed engines); ``workload`` feeds
+``scheduling`` + ``cluster``; ``policy`` feeds ``scheduling``;
+``simulator`` feeds ``cluster``; the ``carbon`` rollup depends on all
+six, so every knob that feeds a section reaches it too.  ``renderer``,
 ``report``, ``executor``, ``sweep``, and ``faults`` feed *no* section
 — they shape presentation or execution, never results — which is
 exactly what makes delta re-runs of renderer/executor flips free.  A

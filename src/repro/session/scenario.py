@@ -197,6 +197,12 @@ class Scenario:
 
     def regions(self, codes: Iterable[str]) -> "Scenario":
         """Candidate regions for geographic policies (default: all served)."""
+        if isinstance(codes, str):
+            # Iterating it would store one region per character.
+            raise SessionError(
+                f"regions takes a list of region codes, got the string "
+                f"{codes!r}; pass [{codes!r}]"
+            )
         return self._set("regions", [str(c) for c in codes])
 
     def intensity_source(self, key: str) -> "Scenario":

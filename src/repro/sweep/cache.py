@@ -26,8 +26,7 @@ disk, the same LRU discipline in memory, per-section hit/miss/evict
 stats).  The scheduling and upgrade payloads also carry, as plain JSON
 columns, the ledgers the carbon rollup reads.
 ``Session.run(reuse=cache)`` assembles results from it, recomputing only
-sections whose inputs changed — the sweep service's delta-evaluation
-path.
+sections whose inputs changed — the path every cached sweep takes.
 """
 
 from __future__ import annotations

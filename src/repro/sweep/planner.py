@@ -38,10 +38,10 @@ class WorkUnit:
     #: The representative item handed to the executor (the first cell's
     #: original Scenario/Session, so process executors pickle builders).
     item: Union[Scenario, Session]
-    #: The built session for the representative cell — the delta path's
-    #: handle on section fingerprints.  Excluded from equality: two plans
-    #: over the same grid compare equal even though sessions are fresh
-    #: objects each time.
+    #: The built session for the representative cell, which runs the
+    #: unit and gives its section fingerprints.  Excluded from equality:
+    #: two plans over the same grid compare equal even though sessions
+    #: are fresh objects each time.
     session: Optional[Session] = field(default=None, compare=False, repr=False)
     #: ``((section, cached?), ...)`` predictions stamped by
     #: ``SweepService.plan`` when a cache is attached; ``None`` until then.

@@ -21,6 +21,11 @@ still deduplicated) are thin factory variants.  A run is:
    worker writes its unit's entries itself, so the service only
    journals and counts them.
 
+A service with a cache always evaluates by section: a unit that misses
+the whole-result tier assembles from cached section payloads and
+recomputes only its stale sections, and :meth:`SweepService.plan`
+predicts that reuse.  Results stay byte-identical to a full recompute.
+
 Units are isolated in every configuration: a cell that raises becomes a
 :class:`~repro.resilience.CellFailure` on the returned
 :class:`SweepReport` while every other cell still comes back.  Retry
@@ -85,10 +90,10 @@ class SweepOutcome:
     n_ran: int
     executor: str
     #: Per-section hits and misses of the units this run computed;
-    #: ``None`` when the run did not use delta evaluation.  Counted from
-    #: each unit's returned ``fresh_sections`` (misses are the sections
-    #: it recomputed, hits the rest), so pooled workers report the
-    #: section reuse they saw in their own processes.
+    #: ``None`` for a cache-free run.  Counted from each unit's returned
+    #: ``fresh_sections`` (misses are the sections it recomputed, hits
+    #: the rest), so pooled workers report the section reuse they saw
+    #: in their own processes.
     section_stats: Optional[Dict[str, CacheStats]] = None
 
     @property
@@ -216,16 +221,15 @@ class _PlannedItem:
     once.  Pooled items drop the session (and any cache) on pickling
     and build from the pickled item in the worker.
 
-    The item carries the service's cache directory when the cache has
-    an on-disk tier, and records whether delta evaluation reads it and
-    whether the pass writes back to it.  With delta evaluation,
-    in-process runs read sections from the service's cache and pooled
-    workers from their own (:func:`_worker_cache`); either way fresh
-    sections ride home on ``result.fresh_sections``.  A pooled worker
-    then writes the unit's result and fresh sections to the directory
-    itself (:meth:`write_back`), so other workers reuse them within the
-    pass; for in-process engines the service writes them as the unit
-    settles.  Without a cache every section runs, exactly as a plain
+    The item carries the service's cache and its directory, and records
+    whether the pass writes back to it.  In-process runs read sections
+    from the service's cache and pooled workers from their own
+    (:func:`_worker_cache`); either way fresh sections ride home on
+    ``result.fresh_sections``.  A pooled worker then writes the unit's
+    result and fresh sections to the directory itself
+    (:meth:`write_back`), so other workers reuse them within the pass;
+    for in-process engines the service writes them as the unit settles.
+    Without a cache every section runs, exactly as a plain
     ``Session.run()``.
     """
 
@@ -235,14 +239,12 @@ class _PlannedItem:
         cache: Optional[ResultCache],
         session: Optional[Session],
         *,
-        delta: bool,
         writeback: bool,
     ) -> None:
         self._item = item
-        self._cache = cache if delta else None
+        self._cache = cache
         self._cache_dir = None if cache is None else cache.cache_dir
         self._session = session
-        self._delta = delta
         self._writeback = writeback
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -268,7 +270,7 @@ class _PlannedItem:
                 else self._item
             )
         reuse = self._cache
-        if reuse is None and self._delta and self._cache_dir is not None:
+        if reuse is None and self._cache_dir is not None:
             reuse = _worker_cache(self._cache_dir)
         return session.run(reuse=reuse)
 
@@ -295,26 +297,16 @@ class SweepService:
     ----------
     cache:
         ``False`` disables the result cache entirely (the ``direct``
-        backend); deduplication still applies.
+        backend); deduplication still applies.  With the cache on, a
+        unit that misses the whole-result tier assembles from cached
+        section payloads and recomputes only its stale sections.
     cache_dir:
-        On-disk tier location (default ``~/.cache/repro-hpc``); ``None``
-        with ``disk=False`` keeps the cache memory-only.
-    disk:
-        ``False`` skips the on-disk tier (memory LRU only).
+        Cache directory (default ``~/.cache/repro-hpc`` or
+        ``$REPRO_HPC_CACHE_DIR``).
     executor / max_workers:
-        Default execution engine for :meth:`run`; per-call arguments
-        override it.  With neither set, the engine resolves as in
-        :meth:`Session.run_many` (see
+        The execution engine of every :meth:`run`.  With neither set,
+        the engine resolves as in :meth:`Session.run_many` (see
         :func:`repro.session.executors.resolve_executor`).
-    cache_writeback:
-        ``False`` stops fresh results from being written back to the
-        result cache (reads still hit) — the escape hatch for runs whose
-        outputs should not poison a shared cache.
-    delta:
-        Section-level delta evaluation: units missing the whole-result
-        cache assemble from cached section payloads and recompute only
-        stale sections.  Defaults to on whenever the cache is on;
-        ``delta=True`` with ``cache=False`` is a configuration error.
     """
 
     def __init__(
@@ -322,49 +314,25 @@ class SweepService:
         *,
         cache: bool = True,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
-        disk: bool = True,
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
-        cache_writeback: bool = True,
-        delta: Optional[bool] = None,
     ) -> None:
         self._cache: Optional[ResultCache] = None
         if cache:
-            directory: Optional[pathlib.Path] = None
-            if disk:
-                directory = (
-                    pathlib.Path(cache_dir)
-                    if cache_dir is not None
-                    else default_cache_dir()
-                )
-            self._cache = ResultCache(directory)
+            self._cache = ResultCache(
+                pathlib.Path(cache_dir)
+                if cache_dir is not None
+                else default_cache_dir()
+            )
         elif cache_dir is not None:
             raise SweepError("cache_dir is meaningless with cache=False")
-        if delta and self._cache is None:
-            raise SweepError(
-                "delta evaluation needs the result cache; use cache=True"
-            )
-        self._delta = (self._cache is not None) if delta is None else bool(delta)
         self._executor = executor
         self._max_workers = max_workers
-        self._cache_writeback = bool(cache_writeback)
 
     # --- introspection ----------------------------------------------------
     @property
     def cache(self) -> Optional[ResultCache]:
         return self._cache
-
-    @property
-    def delta(self) -> bool:
-        return self._delta
-
-    def _resolve_delta(self, delta: Optional[bool]) -> bool:
-        use_delta = self._delta if delta is None else bool(delta)
-        if use_delta and self._cache is None:
-            raise SweepError(
-                "delta evaluation needs the result cache; use cache=True"
-            )
-        return use_delta
 
     # --- input normalization ----------------------------------------------
     @staticmethod
@@ -394,25 +362,17 @@ class SweepService:
             ) from None
         return items, None
 
-    @classmethod
-    def _normalize(
-        cls, sweep_input: SweepInput
-    ) -> List[Union[Scenario, Session]]:
-        return cls._normalize_full(sweep_input)[0]
-
     # --- planning ---------------------------------------------------------
-    def plan(
-        self, sweep_input: SweepInput, *, delta: Optional[bool] = None
-    ) -> SweepPlan:
+    def plan(self, sweep_input: SweepInput) -> SweepPlan:
         """Expand + fingerprint + deduplicate, without running anything.
 
-        With delta evaluation active, every cacheable unit is annotated
-        with predicted per-section reuse (``unit.section_hits``) by
-        peeking at the section tier — stat-free, so planning never skews
-        the hit/miss counters a later :meth:`run` reports.
+        With the cache on, every cacheable unit is annotated with
+        predicted per-section reuse (``unit.section_hits``) by peeking
+        at the section tier — stat-free, so planning never skews the
+        hit/miss counters a later :meth:`run` reports.
         """
-        plan = plan_sweep(self._normalize(sweep_input))
-        if not self._resolve_delta(delta) or self._cache is None:
+        plan = plan_sweep(self._normalize_full(sweep_input)[0])
+        if self._cache is None:
             return plan
         units = []
         for unit in plan.units:
@@ -444,15 +404,12 @@ class SweepService:
         self,
         sweep_input: SweepInput,
         *,
-        executor: Optional[str] = None,
-        max_workers: Optional[int] = None,
         retry: Union[RetryPolicy, Mapping[str, Any], int, None] = None,
         faults: Any = None,
         journal: Optional[Union[str, pathlib.Path]] = None,
         resume: Optional[Union[str, pathlib.Path]] = None,
         max_rebuilds: Optional[int] = None,
-        cache_writeback: Optional[bool] = None,
-        delta: Optional[bool] = None,
+        cache_writeback: bool = True,
     ) -> SweepReport:
         """Evaluate the grid: cache lookups first, then one resilient pass.
 
@@ -470,16 +427,12 @@ class SweepService:
         ``journal`` appends every completed unit's fingerprint to a
         JSONL checkpoint; ``resume`` skips units already journaled
         ``done`` (and journals new completions to the same file unless
-        ``journal`` points elsewhere).
-
-        ``delta`` overrides the service default: units that miss the
-        whole-result cache assemble from cached section payloads and
-        recompute only stale sections (results stay byte-identical to a
-        full recompute — the delta contract).
+        ``journal`` points elsewhere).  ``cache_writeback=False`` serves
+        cache hits but writes nothing back — the escape hatch for runs
+        whose outputs should not poison a shared cache.
         """
         items, spec = self._normalize_full(sweep_input)
         plan = plan_sweep(items)
-        use_delta = self._resolve_delta(delta)
 
         # --- resolve the resilience configuration -------------------------
         section: Dict[str, Any] = (
@@ -502,11 +455,6 @@ class SweepService:
                 DEFAULT_MAX_REBUILDS,
             )
             if value is not None
-        )
-        writeback = (
-            self._cache_writeback
-            if cache_writeback is None
-            else bool(cache_writeback)
         )
         journal_path = journal if journal is not None else resume
 
@@ -556,9 +504,7 @@ class SweepService:
         n_rebuilds = 0
         if to_run:
             key, opts = resolve_executor(
-                items,
-                executor if executor is not None else self._executor,
-                max_workers if max_workers is not None else self._max_workers,
+                items, self._executor, self._max_workers
             )
             units = [
                 ResilientUnit(
@@ -566,8 +512,7 @@ class SweepService:
                         unit.item,
                         self._cache,
                         unit.session,
-                        delta=use_delta,
-                        writeback=writeback,
+                        writeback=cache_writeback,
                     ),
                     index=unit.indices[0],
                     indices=tuple(unit.indices),
@@ -592,17 +537,17 @@ class SweepService:
                 disk = not outcome.stored
                 if (
                     self._cache is not None
-                    and writeback
+                    and cache_writeback
                     and outcome.fingerprint is not None
                 ):
                     self._cache.put(
                         outcome.fingerprint, outcome.result, disk=disk
                     )
                 fresh = getattr(outcome.result, "fresh_sections", None)
-                if use_delta and fresh is not None:
+                if self._cache is not None and fresh is not None:
                     for name, counts in section_counts.items():
                         counts["misses" if name in fresh else "hits"] += 1
-                    if writeback:
+                    if cache_writeback:
                         for name, (fp, payload) in fresh.items():
                             self._cache.put_section(
                                 name, fp, payload, disk=disk
@@ -640,7 +585,7 @@ class SweepService:
                     name: CacheStats(**counts)
                     for name, counts in section_counts.items()
                 }
-                if use_delta
+                if self._cache is not None
                 else None
             ),
             failures=tuple(failures),

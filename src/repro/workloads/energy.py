@@ -11,11 +11,13 @@ infrastructure).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from repro.accounting.ledger import amortized_embodied_g
 from repro.core.errors import WorkloadError
-from repro.core.units import HOURS_PER_YEAR, format_co2, format_energy
+from repro.core.units import format_co2, format_energy
 from repro.hardware.node import NodeSpec, get_node_generation
 from repro.intensity.trace import IntensityTrace
 from repro.workloads.models import ModelSpec
@@ -73,15 +75,17 @@ def model_card(
     attribution: the run is charged
     ``node_embodied * duration / (service_years * 8760 h)``.
     """
-    if node_service_years <= 0.0:
-        raise WorkloadError("node service life must be positive")
+    if not (math.isfinite(node_service_years) and node_service_years > 0.0):
+        raise WorkloadError(
+            "node service life must be finite and positive, got "
+            f"{node_service_years!r}"
+        )
     node_spec = get_node_generation(node) if isinstance(node, str) else node
     result = simulate_training_run(
         model, node_spec, n_gpus=n_gpus, epochs=epochs, intensity=intensity, pue=pue
     )
-    node_embodied = node_spec.embodied().total_g
-    amortized = node_embodied * result.duration_h / (
-        node_service_years * HOURS_PER_YEAR
+    amortized = amortized_embodied_g(
+        node_spec.embodied().total_g, result.duration_h, node_service_years
     )
     return ModelCard(
         model_name=result.model_name,

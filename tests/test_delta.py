@@ -22,6 +22,7 @@ The load-bearing pins:
 from __future__ import annotations
 
 import collections
+import inspect
 import json
 import multiprocessing
 import os
@@ -44,7 +45,6 @@ from repro.session.fingerprint import (
     KNOB_SECTIONS,
     RESULT_SECTIONS,
     SECTION_KNOBS,
-    _SCENARIO_KNOBS,
 )
 from repro.session.result import (
     SchedulingSection,
@@ -111,7 +111,13 @@ def _warm(cache: ResultCache, scenario: Scenario) -> ScenarioResult:
 
 class TestSectionFingerprints:
     def test_every_scenario_knob_is_mapped(self):
-        assert set(KNOB_SECTIONS) == set(_SCENARIO_KNOBS)
+        # A builder knob missing from the map would escape both
+        # fingerprints, which hash only the mapped knobs.
+        knobs = {
+            name[1:] for name in vars(Scenario())
+            if name.startswith("_") and name != "_explicit"
+        }
+        assert set(KNOB_SECTIONS) == knobs
 
     def test_inversion_round_trips(self):
         for section, knobs in SECTION_KNOBS.items():
@@ -568,7 +574,7 @@ class TestFreshProcessDelta:
     def test_delta_after_memo_clear_recomputes_no_cached_section(
         self, executor, tmp_path, monkeypatch
     ):
-        """What a fresh ``sweep run --delta`` process sees: the memos are
+        """What a fresh ``sweep run`` process sees: the memos are
         empty, and the scheduling and upgrade sections come from the
         section tier with their ledgers, so only the cluster and the
         rollup run.  Both engines match a cache-free run byte for byte."""
@@ -584,15 +590,15 @@ class TestFreshProcessDelta:
             executor == "serial" or multiprocessing.get_start_method() == "fork"
         )
         repro.memo_clear()
-        cold = SweepService(cache_dir=tmp_path / "c").run(
-            _simulator_grid("fcfs"), **options
+        cold = SweepService(cache_dir=tmp_path / "c", **options).run(
+            _simulator_grid("fcfs")
         )
         if logs_workers:
             assert set(_logged(log)) == {attr for _, attr in _RECOMPUTES}
         log.unlink(missing_ok=True)
         repro.memo_clear()
-        delta = SweepService(cache_dir=tmp_path / "c").run(
-            _simulator_grid("backfill"), **options
+        delta = SweepService(cache_dir=tmp_path / "c", **options).run(
+            _simulator_grid("backfill")
         )
         assert cold.ok and delta.ok and delta.n_ran == 4
         assert _logged(log) == collections.Counter()
@@ -619,9 +625,9 @@ class TestForkedPoolWorkers:
         log = tmp_path / "calls.log"
         _log_calls(monkeypatch, log, calls=((generator, "generate_trace"),))
         repro.memo_clear()
-        report = SweepService(cache=False).run(
-            _simulator_grid("fcfs"), executor="process", max_workers=2
-        )
+        report = SweepService(
+            cache=False, executor="process", max_workers=2
+        ).run(_simulator_grid("fcfs"))
         assert report.ok and report.n_ran == 4
         by_process = log.read_text(encoding="utf-8").splitlines()
         assert by_process == [f"generate_trace {os.getpid()}"] * 7
@@ -732,16 +738,6 @@ def _grid(renderers, pues=(1.1, 1.25)):
 
 
 class TestServiceDelta:
-    def test_delta_defaults_follow_the_cache(self, tmp_path):
-        assert SweepService(cache_dir=tmp_path / "c").delta
-        assert not SweepService(cache=False).delta
-        with pytest.raises(SweepError, match="needs the result cache"):
-            SweepService(cache=False, delta=True)
-
-    def test_run_rejects_forced_delta_without_cache(self):
-        with pytest.raises(SweepError, match="needs the result cache"):
-            SweepService(cache=False).run(_grid(["text"]), delta=True)
-
     def test_delta_run_matches_direct(self, tmp_path):
         direct = SweepService(cache=False)
         truth = direct.run(_grid(["json", "markdown"]))
@@ -757,16 +753,38 @@ class TestServiceDelta:
         assert (hits, misses) == (4 * len(RESULT_SECTIONS), 0)
         assert any("sections:" in line for line in report.summary_lines())
 
-    def test_no_delta_reports_no_section_stats(self, tmp_path):
-        service = SweepService(cache_dir=tmp_path / "c", delta=False)
-        report = service.run(_grid(["text"]))
+    def test_cache_free_run_reports_no_section_stats(self):
+        report = SweepService(cache=False).run(_grid(["text"]))
         assert report.section_stats is None
         assert not any(
             line.startswith("sections:") for line in report.summary_lines()
         )
 
+    def test_cache_dir_without_cache_is_an_error(self, tmp_path):
+        with pytest.raises(SweepError, match="meaningless with cache=False"):
+            SweepService(cache=False, cache_dir=tmp_path / "c")
+
+    def test_each_setting_has_one_home(self):
+        # The service owns its cache and its engine; a run owns its
+        # resilience and its writeback.  No setting is taken by both.
+        def keywords(method):
+            return {
+                name
+                for name, param in inspect.signature(method).parameters.items()
+                if param.kind is inspect.Parameter.KEYWORD_ONLY
+            }
+
+        assert keywords(SweepService.__init__) == {
+            "cache", "cache_dir", "executor", "max_workers",
+        }
+        assert keywords(SweepService.run) == {
+            "retry", "faults", "journal", "resume", "max_rebuilds",
+            "cache_writeback",
+        }
+        assert keywords(SweepService.plan) == set()
+
     @staticmethod
-    def _builds_per_pass(service, monkeypatch):
+    def _builds_per_pass(service, monkeypatch, **run_opts):
         """``(cells run, Scenario.build calls)`` of a cold, a warm and a
         simulator-flipped pass over two cells; the last pass's results
         must equal a cache-free run's."""
@@ -785,7 +803,7 @@ class TestServiceDelta:
                 for system in ("frontier", "lumi")
             ]
             calls["build"] = 0
-            report = service.run(cells)
+            report = service.run(cells, **run_opts)
             passes.append((report.n_ran, calls["build"]))
         truth = SweepService(cache=False).run(cells)
         assert [_canon(r) for r in report.results] == [
@@ -800,18 +818,20 @@ class TestServiceDelta:
         passes = self._builds_per_pass(service, monkeypatch)
         assert passes == [(2, 2), (0, 2), (2, 2)]
 
-    @pytest.mark.parametrize("mode", ["cache-off", "delta-off"])
-    def test_each_computed_cell_builds_once_without_delta(
+    @pytest.mark.parametrize("mode", ["cache-off", "writeback-off"])
+    def test_each_computed_cell_builds_once_writing_nothing(
         self, tmp_path, monkeypatch, mode
     ):
-        # Passes that read no section tier run the planned session too.
+        # Passes that write no cache entry recompute every cell, and
+        # each computed cell runs its planned session too.
         if mode == "cache-off":
-            service = SweepService(cache=False)
-            expected = [(2, 2), (2, 2), (2, 2)]
+            service, run_opts = SweepService(cache=False), {}
         else:
-            service = SweepService(cache_dir=tmp_path / "c", delta=False)
-            expected = [(2, 2), (0, 2), (2, 2)]
-        assert self._builds_per_pass(service, monkeypatch) == expected
+            service = SweepService(cache_dir=tmp_path / "c")
+            run_opts = {"cache_writeback": False}
+        passes = self._builds_per_pass(service, monkeypatch, **run_opts)
+        assert passes == [(2, 2), (2, 2), (2, 2)]
+        assert not (tmp_path / "c").exists()
 
     def test_plan_predicts_section_hits(self, tmp_path):
         service = SweepService(cache_dir=tmp_path / "c")
@@ -832,18 +852,29 @@ class TestServiceDelta:
         lines = "\n".join(partial.summary_lines())
         assert "(stale:" in lines
 
-    def test_plan_without_delta_skips_annotation(self, tmp_path):
+    def test_plan_is_read_only(self, tmp_path):
+        # The prediction peeks: a cold plan creates no cache directory,
+        # and a warm one moves no hit or miss counter.
         service = SweepService(cache_dir=tmp_path / "c")
-        plan = service.plan(_grid(["text"]), delta=False)
+        cold = service.plan(_grid(["text"]))
+        assert all(unit.section_hits is not None for unit in cold.units)
+        assert not (tmp_path / "c").exists()
+        service.run(_grid(["text"]))
+        before = (service.cache.stats, service.cache.section_stats)
+        service.plan(_grid(["json"]))
+        assert (service.cache.stats, service.cache.section_stats) == before
+
+    def test_cache_free_plan_carries_no_section_prediction(self):
+        plan = SweepService(cache=False).plan(_grid(["text"]))
         assert all(unit.section_hits is None for unit in plan.units)
+        assert not any("sections:" in line for line in plan.summary_lines())
 
     def test_process_executor_delta_matches_direct(self, tmp_path):
         truth = SweepService(cache=False).run(_grid(["json"]))
-        service = SweepService(cache_dir=tmp_path / "c")
-        service.run(_grid(["text"]))
-        report = service.run(
-            _grid(["json"]), executor="process", max_workers=2
-        )
+        SweepService(cache_dir=tmp_path / "c").run(_grid(["text"]))
+        report = SweepService(
+            cache_dir=tmp_path / "c", executor="process", max_workers=2
+        ).run(_grid(["json"]))
         assert [_canon(r) for r in report.results] == [
             _canon(r) for r in truth.results
         ]
@@ -859,13 +890,11 @@ class TestServiceDelta:
         """
         counts = {}
         for executor in ("serial", "process"):
-            service = SweepService(cache_dir=tmp_path / executor)
-            service.run(_grid(["text"]))
-            report = service.run(
-                _grid(["json"], pues=(1.1, 1.4)),
-                executor=executor,
-                max_workers=2,
-            )
+            cache_dir = tmp_path / executor
+            SweepService(cache_dir=cache_dir).run(_grid(["text"]))
+            report = SweepService(
+                cache_dir=cache_dir, executor=executor, max_workers=2
+            ).run(_grid(["json"], pues=(1.1, 1.4)))
             counts[executor] = {
                 name: (stats.hits, stats.misses)
                 for name, stats in report.section_stats.items()
@@ -908,23 +937,6 @@ class TestDeltaCLI:
         path.write_text(json.dumps(_grid(["text"])), encoding="utf-8")
         return path
 
-    def test_run_no_delta_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        spec = self._write_spec(tmp_path)
-        rc = main(
-            [
-                "sweep", "run", str(spec),
-                "--cache-dir", str(tmp_path / "c"), "--no-delta",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "sections:" not in out
-        assert list(
-            ResultCache(tmp_path / "c").section_entries()
-        ) == []
-
     def test_run_delta_reports_sections(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -934,20 +946,42 @@ class TestDeltaCLI:
         ) == 0
         out = capsys.readouterr().out
         assert "sections:" in out
-        assert main(
-            [
-                "sweep", "run", str(spec),
-                "--cache-dir", str(tmp_path / "c"), "--delta",
-            ]
-        ) == 0
 
-    def test_run_delta_with_no_cache_is_an_error(self, tmp_path, capsys):
+    def test_run_without_cache_reports_no_sections(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.cli import main
 
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("REPRO_HPC_CACHE_DIR", str(home))
         spec = self._write_spec(tmp_path)
-        rc = main(["sweep", "run", str(spec), "--no-cache", "--delta"])
-        assert rc == 2
-        assert "needs the result cache" in capsys.readouterr().err
+        assert main(["sweep", "run", str(spec), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "2 ran" in out and "sections:" not in out
+        assert list(home.iterdir()) == []
+
+    def test_run_without_writeback_reads_but_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        def run(renderer, *flags):
+            spec = tmp_path / f"{renderer}.json"
+            spec.write_text(json.dumps(_grid([renderer])), encoding="utf-8")
+            argv = ["sweep", "run", str(spec), "--cache-dir", str(cache_dir)]
+            assert main(argv + list(flags)) == 0
+            return capsys.readouterr().out
+
+        cache_dir = tmp_path / "c"
+        out = run("text", "--no-cache-writeback")
+        assert "sections: 0 payloads reused, 14 recomputed" in out
+        assert not cache_dir.exists()
+        run("text")
+        before = sorted(ResultCache(cache_dir).section_entries())
+        out = run("json", "--no-cache-writeback")
+        assert "sections: 14 payloads reused, 0 recomputed" in out
+        assert sorted(ResultCache(cache_dir).section_entries()) == before
 
     def test_plan_shows_predicted_hits(self, tmp_path, capsys):
         from repro.cli import main
@@ -961,13 +995,6 @@ class TestDeltaCLI:
             ["sweep", "plan", str(spec), "--cache-dir", str(tmp_path / "c")]
         ) == 0
         assert "sections: 7/7 cached" in capsys.readouterr().out
-
-    def test_plan_no_delta_drops_prediction(self, tmp_path, capsys):
-        from repro.cli import main
-
-        spec = self._write_spec(tmp_path)
-        assert main(["sweep", "plan", str(spec), "--no-delta"]) == 0
-        assert "sections:" not in capsys.readouterr().out
 
     def test_cache_command_prints_section_tier(self, tmp_path, capsys):
         from repro.cli import main

@@ -58,9 +58,11 @@ class TestModelCard:
         text = card.summary()
         assert "NT3" in text and "V100" in text and "gCO2" in text
 
-    def test_invalid_service_life(self):
-        with pytest.raises(WorkloadError):
-            model_card("BERT", "A100", 100.0, node_service_years=0.0)
+    @pytest.mark.parametrize("years", [0.0, float("nan"), float("inf")])
+    def test_invalid_service_life(self, years):
+        # Unchecked, NaN would give a NaN card and inf 0 g embodied.
+        with pytest.raises(WorkloadError, match="finite and positive"):
+            model_card("BERT", "A100", 100.0, node_service_years=years)
 
 
 class TestModelCardTable:

@@ -302,14 +302,12 @@ class TestChaos:
             injector = {"kind": "scripted", "error_at": [0], "corrupt_at": [2]}
         else:
             injector = {"kind": "random", "error_p": 1.0, "seed": 3}
-        service = SweepService(cache=False)
-        report = service.run(
-            _cells(),
+        service = SweepService(
+            cache=False,
             executor=executor,
             max_workers=2 if executor != "serial" else None,
-            retry=1,
-            faults=injector,
         )
+        report = service.run(_cells(), retry=1, faults=injector)
         assert isinstance(report, SweepReport)
         assert report.ok and not report.failures
         assert [_serialize(r) for r in report.results] == golden
@@ -329,13 +327,9 @@ class TestChaos:
     def test_worker_crash_recovers_within_budget(self, golden):
         """An injected os._exit crash at cell 1 rebuilds the pool and
         retries; every cell completes byte-identical to golden."""
-        service = SweepService(cache=False)
+        service = SweepService(cache=False, executor="process", max_workers=2)
         report = service.run(
-            _cells(),
-            executor="process",
-            max_workers=2,
-            retry=1,
-            faults={"kind": "scripted", "crash_at": [1]},
+            _cells(), retry=1, faults={"kind": "scripted", "crash_at": [1]}
         )
         assert report.ok
         assert report.n_rebuilds >= 1
@@ -349,11 +343,9 @@ class TestChaos:
         bystander cells deterministically finish before the first pool
         break can charge their in-flight attempts.
         """
-        service = SweepService(cache=False)
+        service = SweepService(cache=False, executor="process", max_workers=1)
         report = service.run(
             _cells(),
-            executor="process",
-            max_workers=1,
             retry=1,
             faults={"kind": "scripted", "crash_at": [2], "attempts": 99},
         )
@@ -366,12 +358,10 @@ class TestChaos:
         assert _serialize(report.results[1]) == golden[1]
 
     def test_rebuild_budget_exhaustion_raises(self):
-        service = SweepService(cache=False)
+        service = SweepService(cache=False, executor="process", max_workers=1)
         with pytest.raises(ResilienceError, match="broke"):
             service.run(
                 [_cell("ESO")],
-                executor="process",
-                max_workers=1,
                 retry=5,
                 max_rebuilds=1,
                 faults={"kind": "scripted", "crash_at": [0], "attempts": 99},
@@ -408,10 +398,10 @@ class TestResume:
         """The acceptance cycle: crash at a cell, journal the survivors,
         resume recomputes only the crashed cell, byte-identical."""
         journal = tmp_path / "journal.jsonl"
-        first = SweepService(cache=False).run(
+        first = SweepService(
+            cache=False, executor="process", max_workers=1
+        ).run(
             _cells(),
-            executor="process",
-            max_workers=1,
             retry=1,
             faults={"kind": "scripted", "crash_at": [2], "attempts": 99},
             journal=journal,
@@ -507,10 +497,10 @@ class TestWriteback:
         """Fresh pooled results land on disk under the worker-reported
         fingerprint, and a fresh service serves them all."""
         cache_dir = tmp_path / "cache"
-        service = SweepService(cache_dir=cache_dir)
-        report = service.run(
-            _cells(), executor="process", max_workers=2, retry=1
+        service = SweepService(
+            cache_dir=cache_dir, executor="process", max_workers=2
         )
+        report = service.run(_cells(), retry=1)
         assert report.n_ran == 3
         for result in report.results:
             assert service.cache.get(result.provenance_hash) is not None
@@ -531,10 +521,12 @@ class TestWriteback:
             cache_dir = tmp_path / executor
             journal = tmp_path / f"{executor}.jsonl"
             del parent_writes[:]
-            report = SweepService(cache_dir=cache_dir).run(
-                _section_grid(),
+            report = SweepService(
+                cache_dir=cache_dir,
                 executor=executor,
                 max_workers=workers if executor == "shared" else None,
+            ).run(
+                _section_grid(),
                 # The deadline bounds the test should a worker hang.
                 retry={"retries": 1, "unit_timeout_s": 60.0},
                 journal=journal,
@@ -562,8 +554,10 @@ class TestWriteback:
         but still remembers the result: a later lookup reads no file."""
         from repro.sweep.cache import ResultCache
 
-        service = SweepService(cache_dir=tmp_path / "cache")
-        report = service.run(_cells(), executor="process", max_workers=2)
+        service = SweepService(
+            cache_dir=tmp_path / "cache", executor="process", max_workers=2
+        )
+        report = service.run(_cells())
         assert report.ok
 
         def no_disk(self, fingerprint):
@@ -574,17 +568,14 @@ class TestWriteback:
         for result in report.results:
             assert service.cache.get(result.provenance_hash) is result
         assert service.cache.stats.hits == hits + 3
-        again = service.run(_cells(), executor="process", max_workers=2)
+        again = service.run(_cells())
         assert again.n_ran == 0 and again.n_hits == 3
 
     def test_pooled_no_writeback_writes_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        report = SweepService(cache_dir=cache_dir).run(
-            _section_grid(),
-            executor="process",
-            max_workers=2,
-            cache_writeback=False,
-        )
+        report = SweepService(
+            cache_dir=cache_dir, executor="process", max_workers=2
+        ).run(_section_grid(), cache_writeback=False)
         assert report.ok and report.n_ran == 4
         assert _cache_tree(cache_dir) == {}
 
@@ -592,10 +583,10 @@ class TestWriteback:
         """A unit whose every attempt is corrupted fails and leaves no
         result file; the other cells are written by their workers."""
         cache_dir = tmp_path / "cache"
-        report = SweepService(cache_dir=cache_dir).run(
+        report = SweepService(
+            cache_dir=cache_dir, executor="process", max_workers=2
+        ).run(
             _cells(),
-            executor="process",
-            max_workers=2,
             retry=1,
             faults={"kind": "scripted", "corrupt_at": [1], "attempts": 2},
         )
@@ -612,9 +603,9 @@ class TestWriteback:
         cache_dir.mkdir()
         (cache_dir / "results").write_text("a regular file, not a directory")
         with pytest.raises(SweepError, match="cannot write cache entry"):
-            SweepService(cache_dir=cache_dir).run(
-                _cells(), executor="process", max_workers=2
-            )
+            SweepService(
+                cache_dir=cache_dir, executor="process", max_workers=2
+            ).run(_cells())
 
     def test_worker_write_keeps_no_result_in_memory(self, tmp_path):
         """A worker writes its unit's result to disk without keeping it
@@ -627,8 +618,7 @@ class TestWriteback:
 
         cache_dir = tmp_path / "cache"
         item = _PlannedItem(
-            _section_grid()[0], ResultCache(cache_dir), None,
-            delta=True, writeback=True,
+            _section_grid()[0], ResultCache(cache_dir), None, writeback=True
         )
         item = pickle.loads(pickle.dumps(item))  # as a worker receives it
         result = item.run()
@@ -647,11 +637,6 @@ class TestWriteback:
         service.run(_cells(), retry=1, cache_writeback=False)
         again = SweepService(cache_dir=cache_dir).run(_cells())
         assert again.n_hits == 0 and again.n_ran == 3
-
-    def test_service_level_default(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        SweepService(cache_dir=cache_dir, cache_writeback=False).run(_cells())
-        assert SweepService(cache_dir=cache_dir).run(_cells()).n_hits == 0
 
 
 # --- spec resilience section ------------------------------------------------
@@ -829,12 +814,13 @@ class TestSharedStoreDir:
         ]
         assert list(env_dir.iterdir()) == []
 
-    def test_memory_only_cache_keeps_the_default_store(self, env_dir):
-        """A memory-only sweep leaves the default cache home untouched."""
-        report = SweepService(disk=False).run(
-            _cells()[:2], executor="shared", max_workers=2
-        )
-        assert report.ok
+    def test_cache_free_sweep_keeps_the_default_store(self, env_dir):
+        """A cache-free pooled sweep leaves the default cache home
+        untouched."""
+        report = SweepService(
+            cache=False, executor="shared", max_workers=2
+        ).run(_cells()[:2])
+        assert report.ok and report.n_ran == 2
         assert list(env_dir.iterdir()) == []
 
 
@@ -987,8 +973,8 @@ class TestInterrupts:
             "    for r in ('ESO', 'CISO', 'PJM')\n"
             "]\n"
             "print('SWEEPING', flush=True)\n"
-            "SweepService(cache=False).run(\n"
-            "    cells, executor='process', max_workers=2,\n"
+            "SweepService(cache=False, executor='process', max_workers=2).run(\n"
+            "    cells,\n"
             "    faults={'kind': 'scripted', 'delay_at': [0, 1, 2],\n"
             "            'delay_s': 120.0, 'attempts': 99},\n"
             ")\n"

@@ -110,6 +110,11 @@ class TestScenarioValidation:
         with pytest.raises(SessionError, match="window must be"):
             Scenario().window(**window)
 
+    def test_regions_rejects_a_bare_string(self):
+        # Iterated, "ESO" would become ['E', 'S', 'O'] and fail at run time.
+        with pytest.raises(SessionError, match=r"regions .*\['ESO'\]"):
+            Scenario().regions("ESO")
+
     @pytest.mark.parametrize("n_nodes", [float("nan"), float("inf"), 2.5, True])
     def test_cluster_needs_a_whole_node_count(self, n_nodes):
         # 2.5 silently ran 2 nodes; NaN raised a bare ValueError.
